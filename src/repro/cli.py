@@ -132,11 +132,13 @@ def _cmd_serve(args) -> int:
         await server.start()
         tier = (f"workers={server.pool.size}" if server.pool is not None
                 else f"jobs={server.runner.jobs}")
+        # an empty ResultCache is falsy (__len__), so test for None
         print(f"repro.serve listening on http://{server.host}:{server.port}"
               f"  ({tier}, "
               f"max_inflight={server.admission.limit}, "
-              f"cache={'on' if server.cache else 'off'}, "
-              f"receipts={'on' if server.registry.path else 'memory'})")
+              f"cache={'off' if server.cache is None else 'on'}, "
+              f"receipts={'on' if server.registry.path else 'memory'})",
+              flush=True)
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -349,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     def _engine_argument(p) -> None:
         p.add_argument("--engine",
                        choices=tuple(engine_registry.names("device")),
-                       default="scalar",
-                       help="measurement engine; vectorized is the "
-                            "batched fast path, bit-identical to scalar")
+                       default=engine_registry.default_name("device"),
+                       help="measurement engine (default vectorized, "
+                            "the batched fast path); scalar is the "
+                            "golden oracle it is bit-identical to")
 
     sub.add_parser("specs", help="Table I")
     for name, needs_sm in (("floorplan", False), ("latency", True),

@@ -12,16 +12,19 @@ access sequence, so interleaving engines on one device never diverges.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro.core.fastpath.noise import get_bank
+from repro.core.fastpath.noise import DRAW_CHUNK, get_bank
 from repro.errors import ConfigurationError, LaunchError
 from repro.runtime.device_api import (ISSUE_SLOT_CYCLES,
                                       MEM_ISSUE_OVERHEAD_CYCLES)
 
 
 class _Geometry:
-    """Array form of hierarchy + floorplan facts, cached per model."""
+    """Array form of hierarchy + floorplan facts, cached per model, with
+    the model's [SM x slice] route-offset table (NaN until drawn)."""
 
     def __init__(self, model):
         spec, hier, fp = model.spec, model.hier, model.floorplan
@@ -41,6 +44,8 @@ class _Geometry:
             [p * spec.slices_per_partition
              for p in range(spec.num_partitions)])
         self.bridge = fp.bridge_point
+        self.route_offsets = np.full((spec.num_sms, spec.num_slices),
+                                     np.nan)
 
 
 def _geometry(model) -> _Geometry:
@@ -74,6 +79,9 @@ def _structural_base(model, sm_idx: np.ndarray, sl_idx: np.ndarray,
     # miss_latency = hit_latency + miss_penalty: both engines build the
     # structural part on the *hit* path (aliased service slice)
     service = _service_matrix(model, sm_idx, sl_idx, for_hit=True)
+    # offsets first: their temporaries are freed before the distance
+    # arrays below exist (an A100 matrix peaks ~0.5 MiB lower)
+    offsets = _route_offsets(model, sm_idx, service)
     sm_part = geo.sm_part[sm_idx][:, None]
     crosses = sm_part != geo.sl_part[service]
     px, py = geo.sm_x[sm_idx][:, None], geo.sm_y[sm_idx][:, None]
@@ -90,7 +98,7 @@ def _structural_base(model, sm_idx: np.ndarray, sl_idx: np.ndarray,
     # LatencyBreakdown.total: left-associative sum of the five parts
     structural = (((spec.sm_pipeline_cycles + oneway)
                    + spec.l2_hit_cycles) + oneway) + 0.0
-    total = structural + _route_offsets(model, sm_idx, service)
+    total = structural + offsets
     if not hit:
         total = total + _miss_penalty(model, sm_idx, sl_idx, service)
     return total, service
@@ -116,58 +124,48 @@ def _miss_penalty(model, sm_idx: np.ndarray, sl_idx: np.ndarray,
     return penalty
 
 
+def _route_keys(tag: str, codes: np.ndarray, num_slices: int):
+    """``(tag, code // num_slices, code % num_slices)`` draw keys, made
+    :data:`DRAW_CHUNK` codes at a time (never one list per device)."""
+    for start in range(0, len(codes), DRAW_CHUNK):
+        major, minor = np.divmod(codes[start:start + DRAW_CHUNK], num_slices)
+        yield from zip(itertools.repeat(tag), major.tolist(), minor.tolist())
+
+
 def _route_offsets(model, sm_idx: np.ndarray,
                    service: np.ndarray) -> np.ndarray:
     """[n x m] ``LatencyModel._route_offset`` values.
 
-    Consults and populates the model's scalar ``_offset_cache`` so the
-    two engines share one deterministic offset table per device.
+    Each (SM, service slice) offset is drawn once per model into the
+    geometry's table, from the same keyed streams and in the same
+    SM + GPC (+ CPC) addition order as the scalar model.
     """
     spec = model.spec
     geo = _geometry(model)
     num_slices = spec.num_slices
-    pair_codes = (np.asarray(sm_idx)[:, None] * num_slices + service).ravel()
-    uniq, inverse = np.unique(pair_codes, return_inverse=True)
-    values = np.empty(len(uniq))
-    cache = model._offset_cache
-    missing: list[int] = []
-    for k, code in enumerate(uniq.tolist()):
-        cached = cache.get((code // num_slices, code % num_slices))
-        if cached is not None:
-            values[k] = cached
-        else:
-            missing.append(k)
-    if missing:
-        sms = [int(uniq[k]) // num_slices for k in missing]
-        svs = [int(uniq[k]) % num_slices for k in missing]
+    rows = np.asarray(sm_idx)[:, None]
+    offsets = geo.route_offsets[rows, service]
+    todo = np.isnan(offsets)
+    if todo.any():
+        codes = np.unique((rows * num_slices + service)[todo])
+        sms, svs = np.divmod(codes, num_slices)
         bank = get_bank()
-        off = bank.batch_normal(
-            model.seed, [("route-sm", sm, sv) for sm, sv in zip(sms, svs)],
-            spec.sm_route_sigma_cycles)
-        gpc_codes = np.array([geo.sm_gpc[sm] * num_slices + sv
-                              for sm, sv in zip(sms, svs)])
-        guniq, ginv = np.unique(gpc_codes, return_inverse=True)
-        gdraws = bank.batch_normal(
-            model.seed,
-            [("route-gpc", int(c) // num_slices, int(c) % num_slices)
-             for c in guniq],
-            spec.gpc_route_sigma_cycles)
-        off = off + gdraws[ginv]
+        off = bank.batch_normal(model.seed,
+                                _route_keys("route-sm", codes, num_slices),
+                                spec.sm_route_sigma_cycles)
+        levels = [("route-gpc", geo.sm_gpc, spec.gpc_route_sigma_cycles)]
         if spec.cpc_route_sigma_cycles and spec.tpcs_per_cpc:
-            cpc_codes = np.array([geo.sm_cpc[sm] * num_slices + sv
-                                  for sm, sv in zip(sms, svs)])
-            cuniq, cinv = np.unique(cpc_codes, return_inverse=True)
-            cdraws = bank.batch_normal(
-                model.seed,
-                [("route-cpc", int(c) // num_slices, int(c) % num_slices)
-                 for c in cuniq],
-                spec.cpc_route_sigma_cycles)
-            off = off + cdraws[cinv]
-        off_list = off.tolist()
-        for k, sm, sv, val in zip(missing, sms, svs, off_list):
-            values[k] = val
-            cache[(sm, sv)] = val
-    return values[inverse].reshape(service.shape)
+            levels.append(("route-cpc", geo.sm_cpc,
+                           spec.cpc_route_sigma_cycles))
+        for tag, group_of, sigma in levels:
+            groups, inverse = np.unique(group_of[sms] * num_slices + svs,
+                                        return_inverse=True)
+            off = off + bank.batch_normal(
+                model.seed, _route_keys(tag, groups, num_slices),
+                sigma)[inverse]
+        geo.route_offsets[sms, svs] = off
+        offsets = geo.route_offsets[rows, service]
+    return offsets
 
 
 def structural_latency_matrix(model, sms=None, slices=None,
@@ -232,12 +230,11 @@ def vectorized_latency_matrix(gpu, sms=None, slices=None,
     # golden path's monotone access sequence (warm-up draws are consumed
     # by no one — each (seed, key) stream is independent)
     seq0 = memory._access_seq
-    keys = []
-    for i, sm in enumerate(sms):
-        for j, home in enumerate(slices):
-            cell_seq = seq0 + (i * m + j) * (samples + 1)
-            for k in range(samples):
-                keys.append(("measure", sm, home, True, (0, cell_seq + 2 + k)))
+    keys = (("measure", sm, home, True,
+             (0, seq0 + (i * m + j) * (samples + 1) + 2 + k))
+            for i, sm in enumerate(sms)
+            for j, home in enumerate(slices)
+            for k in range(samples))
     noise = get_bank().batch_normal(
         model.seed, keys, spec.measurement_jitter_cycles).reshape(n, m,
                                                                   samples)

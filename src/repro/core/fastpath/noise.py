@@ -33,9 +33,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import threading
 
 import numpy as np
+
+#: Keys digested and drawn per pass of :meth:`NoiseBank.batch_normal`;
+#: bounds the per-key Python objects a whole-device batch holds at once.
+DRAW_CHUNK = 1024
 
 _U32_MASK = 0xFFFFFFFF
 _XSHIFT = np.uint32(16)
@@ -262,15 +267,30 @@ class NoiseBank:
     def batch_normal(self, seed: int, keys, sigma: float) -> np.ndarray:
         """One draw per key: ``rng.jitter(seed, *key, sigma=sigma)[0]``.
 
-        ``keys`` is a sequence of tuples whose elements must ``repr``
+        ``keys`` is an iterable of tuples whose elements must ``repr``
         exactly as the scalar path's key parts do (plain Python ints,
-        bools and strings — not numpy scalars).
+        bools and strings — not numpy scalars).  Keys are digested and
+        drawn :data:`DRAW_CHUNK` at a time, so a generator of keys never
+        holds more than one chunk of per-key Python objects; every
+        stream is independent, so chunking cannot change a draw.
         """
         seed = int(seed)
+        keys = iter(keys)
+        parts = []
+        while True:
+            chunk = list(itertools.islice(keys, DRAW_CHUNK))
+            if not chunk:
+                break
+            parts.append(self._draw_chunk(seed, chunk))
+        out = np.concatenate(parts) if parts else np.empty(0)
+        # the per-stream Generator computes loc + scale * x; replicate
+        # the identical float operation order on the whole batch
+        return out * float(sigma) + 0.0
+
+    def _draw_chunk(self, seed: int, keys: list) -> np.ndarray:
+        """Standard-normal first draws of one chunk of key streams."""
         n = len(keys)
         out = np.empty(n)
-        if n == 0:
-            return out
         digs = np.array([_digest(seed, key) for key in keys],
                         dtype=np.uint64)
         with self._lock:
@@ -284,9 +304,7 @@ class NoiseBank:
             fast_idx = np.flatnonzero(~small)
             if fast_idx.size:
                 self._fast_draws(digs, fast_idx, out)
-        # the per-stream Generator computes loc + scale * x; replicate
-        # the identical float operation order on the whole batch
-        return out * float(sigma) + 0.0
+        return out
 
 
 _BANK: NoiseBank | None = None

@@ -205,10 +205,10 @@ def describe() -> list[dict]:
 # points return ndarray-valued shard results, eligible for the
 # shared-memory transport of repro.exec.shm when run with jobs > 1.
 
-register("device", "scalar", default=True,
+register("device", "scalar",
          capabilities=("golden", "zerocopy"),
          summary="interpreter warps via repro.runtime (golden model)")
-register("device", "vectorized",
+register("device", "vectorized", default=True,
          version=FASTPATH_VERSION, version_field="fastpath_version",
          capabilities=("vectorized", "device-state", "zerocopy"),
          summary="batched NumPy Algorithm 1/2 fast path "

@@ -232,6 +232,11 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 _PEND_SHIFT = 27
 _PEND_A_MASK = (1 << _PEND_SHIFT) - 1
 
+# cycles of deferred delivery records folded into the counters at once:
+# bounds the pending arrays; exact at any value, because latencies are
+# integer-valued floats far below 2**53, so no fold order changes a sum
+_STATS_FLUSH_CYCLES = 256
+
 
 class BatchedMesh:
     """``B`` independent ``Mesh2D`` instances stepped in lockstep.
@@ -690,7 +695,7 @@ class BatchedMesh:
                     h_out[fs] = rt
 
         self.cycle += 1
-        if len(self._st_lane) >= 2048:
+        if len(self._st_lane) >= _STATS_FLUSH_CYCLES:
             self._flush_stats()
 
     def run(self, cycles: int) -> None:

@@ -12,7 +12,9 @@ two fast paths possible:
 
 * ``jobs=N`` runs the tasks across a process pool via
   :class:`repro.exec.SweepRunner` — results are bit-identical to the
-  serial run because every task builds its own devices;
+  serial run because every task builds its own devices (the two Fig 23
+  fairness sections, when both are computed, are one lockstep run and
+  so one pool unit);
 * ``cache=DIR`` memoizes each task's metrics on disk under a
   content-addressed key (:mod:`repro.exec.cache`), so a re-run with the
   same seed and specs only re-renders markdown.
@@ -44,7 +46,7 @@ class ReportRow:
 # task metrics: pure (seed -> JSON-able dict) functions, one per section
 # --------------------------------------------------------------------------
 
-def _latency_metrics(seed: int, engine: str = "scalar") -> dict:
+def _latency_metrics(seed: int, engine: str) -> dict:
     v100 = SimulatedGPU("V100", seed=seed)
     a100 = SimulatedGPU("A100", seed=seed)
     h100 = SimulatedGPU("H100", seed=seed)
@@ -68,7 +70,7 @@ def _latency_metrics(seed: int, engine: str = "scalar") -> dict:
     }
 
 
-def _bandwidth_metrics(seed: int, engine: str = "scalar") -> dict:
+def _bandwidth_metrics(seed: int, engine: str) -> dict:
     from repro.core.bandwidth_bench import (aggregate_l2_bandwidth,
                                             aggregate_memory_bandwidth,
                                             group_to_slice_bandwidth,
@@ -89,20 +91,26 @@ def _bandwidth_metrics(seed: int, engine: str = "scalar") -> dict:
     }
 
 
-def _mesh_bottleneck_metrics(seed: int, engine: str = "batched") -> dict:
+def _mesh_bottleneck_metrics(seed: int, engine: str) -> dict:
     from repro.noc.mesh.interfaces import run_reply_bottleneck
     rb = run_reply_bottleneck(cycles=6000, window=100, seed=seed,
                               engine=engine)
     return {"mean_utilization": float(rb.mean_utilization)}
 
 
-def _mesh_fairness_metrics(arbiter: str, seed: int, engine: str) -> dict:
-    from repro.noc.mesh.traffic import run_fairness_experiment
-    result = run_fairness_experiment(arbiter, cycles=10000, warmup=2000,
-                                     seed=seed, engine=engine)
-    vals = result.values
-    return {"max": float(vals.max()), "mean": float(vals.mean()),
+def _mesh_fairness_metrics(arbiters, seed: int, engine: str) -> dict:
+    """``{task: metrics}`` of the Fig 23 fairness sections for
+    ``arbiters``; the batched engine runs them as one lockstep run."""
+    from repro.noc.mesh.traffic import run_fairness_experiments
+    results = run_fairness_experiments(arbiters, cycles=10000, warmup=2000,
+                                       seed=seed, engine=engine)
+    metrics = {}
+    for arbiter, result in results.items():
+        vals = result.values
+        metrics[f"mesh-fairness-{arbiter}"] = {
+            "max": float(vals.max()), "mean": float(vals.mean()),
             "std": float(vals.std())}
+    return metrics
 
 
 _TASK_FUNCS = {
@@ -110,25 +118,33 @@ _TASK_FUNCS = {
     "bandwidth": _bandwidth_metrics,
     "mesh-bottleneck": _mesh_bottleneck_metrics,
     "mesh-fairness-rr":
-        lambda seed, engine="batched":
-            _mesh_fairness_metrics("rr", seed, engine),
+        lambda seed, engine:
+            _mesh_fairness_metrics(("rr",), seed, engine)["mesh-fairness-rr"],
     "mesh-fairness-age":
-        lambda seed, engine="batched":
-            _mesh_fairness_metrics("age", seed, engine),
+        lambda seed, engine:
+            _mesh_fairness_metrics(("age",), seed,
+                                   engine)["mesh-fairness-age"],
 }
 
 _DEVICE_TASKS = ("latency", "bandwidth")
 _MESH_TASKS = ("mesh-bottleneck", "mesh-fairness-rr", "mesh-fairness-age")
+_FAIRNESS_ARBITERS = ("rr", "age")
+_FAIRNESS_PAIR = tuple(f"mesh-fairness-{a}" for a in _FAIRNESS_ARBITERS)
 
 
 def _report_task(args) -> dict:
-    """Sweep-runner worker: compute one report task's metrics.
+    """Sweep-runner worker: ``{task: metrics}`` of one pool unit.
 
-    ``engine`` is the task's own axis: scalar/vectorized for the device
-    tasks, scalar/batched for the mesh tasks.
+    A unit is one task, or the whole fairness pair when both of its
+    sections are computed.  ``engine`` is the unit's own axis:
+    scalar/vectorized for the device tasks, scalar/batched for the mesh
+    tasks.
     """
-    task, seed, engine = args
-    return _TASK_FUNCS[task](seed, engine)
+    tasks, seed, engine = args
+    if tasks == _FAIRNESS_PAIR:
+        return _mesh_fairness_metrics(_FAIRNESS_ARBITERS, seed, engine)
+    (task,) = tasks
+    return {task: _TASK_FUNCS[task](seed, engine)}
 
 
 def _task_payload(task: str, seed: int) -> dict:
@@ -148,46 +164,53 @@ def _task_payload(task: str, seed: int) -> dict:
     return payload
 
 
-def _collect_metrics(tasks, seed: int, jobs, cache, engine: str = "scalar",
-                     mesh_engine: str = "batched") -> dict:
+def _collect_metrics(tasks, seed: int, jobs, cache,
+                     engine: str | None = None,
+                     mesh_engine: str | None = None) -> dict:
     """Metrics for every task, via cache where possible, pool if asked.
 
     Device tasks run on ``engine`` (scalar/vectorized); mesh tasks run on
-    ``mesh_engine`` (scalar/batched).  The per-task engine is folded into
-    each task's cache key, so entries never alias across engines.
+    ``mesh_engine`` (scalar/batched); ``None`` is the registry default.
+    The per-task engine is folded into each task's cache key, so entries
+    never alias across engines.  When both fairness sections miss, they
+    are computed together as one pool unit.
     """
+    from repro import engines as engine_registry
     from repro.exec import cache_key
+    engine = engine_registry.resolve("device", engine)
+    mesh_engine = engine_registry.resolve("mesh", mesh_engine)
 
     def _task_engine(task: str) -> str:
         return mesh_engine if task in _MESH_TASKS else engine
 
-    def _task_engine_ref(task: str) -> str:
-        """Qualified ``domain:name`` registry ref for the cache key."""
+    def _key(task: str) -> str:
         domain = "mesh" if task in _MESH_TASKS else "device"
-        return f"{domain}:{_task_engine(task)}"
+        return cache_key("report-task", _task_payload(task, seed),
+                         f"{domain}:{_task_engine(task)}")
 
     metrics = {}
     missing = []
     for task in tasks:
-        cached = (cache.get(cache_key("report-task",
-                                      _task_payload(task, seed),
-                                      _task_engine_ref(task)))
-                  if cache is not None else None)
+        cached = cache.get(_key(task)) if cache is not None else None
         if cached is not None:
             metrics[task] = cached
         else:
             missing.append(task)
-    if missing:
+    fuse = all(task in missing for task in _FAIRNESS_PAIR)
+    units = [(task,) for task in missing
+             if not (fuse and task in _FAIRNESS_PAIR)]
+    if fuse:
+        units.append(_FAIRNESS_PAIR)
+    if units:
         from repro.exec import SweepRunner
         computed = SweepRunner(jobs).map(
-            _report_task, [(t, seed, _task_engine(t)) for t in missing])
-        for task, result in zip(missing, computed):
-            metrics[task] = result
-            if cache is not None:
-                cache.put(cache_key("report-task",
-                                    _task_payload(task, seed),
-                                    _task_engine_ref(task)),
-                          result)
+            _report_task,
+            [(unit, seed, _task_engine(unit[0])) for unit in units])
+        for result in computed:
+            for task, value in result.items():
+                metrics[task] = value
+                if cache is not None:
+                    cache.put(_key(task), value)
     return metrics
 
 
@@ -253,7 +276,7 @@ def _mesh_rows(bottleneck: dict, rr: dict, age: dict) -> list:
 
 def generate_report(seed: int = 0, include_mesh: bool = True,
                     jobs: int | None = None, cache=None,
-                    engine: str = "scalar",
+                    engine: str | None = None,
                     mesh_engine: str | None = None) -> str:
     """Markdown paper-vs-measured report (fast benchmark subset).
 
@@ -261,14 +284,12 @@ def generate_report(seed: int = 0, include_mesh: bool = True,
     (``None`` = in-process, same results).  ``cache`` is a
     :class:`repro.exec.ResultCache` (or a directory path) memoizing task
     metrics across invocations.  ``engine`` selects the measurement
-    engine for the device-bound tasks and ``mesh_engine`` the kernel for
-    the mesh tasks (default: the batched fastmesh engine); the report is
-    bit-identical either way, but cache entries never alias across
-    engines.
+    engine for the device-bound tasks (default: the vectorized fast
+    path; ``"scalar"`` is the golden oracle) and ``mesh_engine`` the
+    kernel for the mesh tasks (default: the batched fastmesh engine);
+    the report is bit-identical either way, but cache entries never
+    alias across engines.
     """
-    from repro import engines as engine_registry
-    engine = engine_registry.resolve("device", engine, default="scalar")
-    mesh_engine = engine_registry.resolve("mesh", mesh_engine)
     if isinstance(cache, str):
         from repro.exec import ResultCache
         cache = ResultCache(cache)

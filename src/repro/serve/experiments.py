@@ -294,16 +294,13 @@ def _report(params) -> dict:
 
 _SEED = Param("seed", "int", 0, doc="device seed")
 _GPU = Param("gpu", "gpu", "V100", doc="V100/A100/H100")
-#: Hot endpoints default to the vectorized fast path (bit-identical to
-#: scalar); report endpoints keep the scalar golden model as default.
+#: Every device endpoint defaults to the registry's device default, the
+#: vectorized fast path (bit-identical to the scalar golden model).
 #: Choices come from the engine registry, so registering a kernel there
 #: is what makes it servable — no per-endpoint lists to update.
-_ENGINE_FAST = Param("engine", "str", "vectorized",
+_ENGINE_FAST = Param("engine", "str", engine_registry.default_name("device"),
                      choices=tuple(engine_registry.names("device")),
                      doc="measurement engine (results bit-identical)")
-_ENGINE_SCALAR = Param("engine", "str", "scalar",
-                       choices=tuple(engine_registry.names("device")),
-                       doc="measurement engine (results bit-identical)")
 #: Mesh sections default to the batched fastmesh kernel (bit-identical
 #: to the scalar Mesh2D golden model).
 _MESH_ENGINE = Param("mesh_engine", "str",
@@ -397,7 +394,7 @@ EXPERIMENTS = {e.name: e for e in (
         "raw metrics of one report section",
         _report_section,
         (_SEED, Param("section", "str", "latency",
-                      choices=REPORT_SECTIONS), _ENGINE_SCALAR,
+                      choices=REPORT_SECTIONS), _ENGINE_FAST,
          _MESH_ENGINE)),
     Experiment(
         "report",
@@ -405,7 +402,7 @@ EXPERIMENTS = {e.name: e for e in (
         _report,
         (_SEED, Param("mesh", "bool", True,
                       doc="include the slower mesh sections"),
-         _ENGINE_SCALAR, _MESH_ENGINE)),
+         _ENGINE_FAST, _MESH_ENGINE)),
 )}
 
 

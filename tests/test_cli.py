@@ -1,7 +1,15 @@
 """CLI: each subcommand runs and prints the expected structure."""
 
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -100,3 +108,33 @@ def test_serve_rejects_bad_flags():
         main(["serve", "--jobs", "0"])
     with pytest.raises(SystemExit):
         main(["serve", "--max-inflight", "-1"])
+
+
+def test_serve_listening_line_reaches_a_pipe(tmp_path):
+    """Without ``-u`` the start-up line is flushed, and an empty cache
+    directory still reports ``cache=on``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    # own session: teardown terminates the server and its pool worker
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        start_new_session=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        line = proc.stdout.readline().decode() if ready else ""
+        assert "listening on http://" in line
+        assert "cache=on" in line
+    finally:
+        for sig in (signal.SIGTERM, signal.SIGKILL):
+            try:
+                os.killpg(proc.pid, sig)
+                proc.wait(timeout=10)
+                break
+            except ProcessLookupError:
+                break
+            except subprocess.TimeoutExpired:
+                pass
+        proc.wait()
+        proc.stdout.close()

@@ -27,7 +27,7 @@ def test_every_domain_has_a_scalar_golden_and_a_default():
 
 
 def test_defaults():
-    assert engines.default_name("device") == "scalar"
+    assert engines.default_name("device") == "vectorized"
     assert engines.default_name("mesh") == "batched"
     assert engines.default_name("vcmesh") == "batched"
 
