@@ -17,6 +17,8 @@ run from a shell:
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 
 from repro.gpu.specs import get_spec, known_specs
@@ -117,9 +119,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _default_sigterm() -> None:
+    """Give a forked child of ``repro serve`` SIGTERM's default action."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _cmd_serve(args) -> int:
     """Run the measurement service until interrupted; drain on exit."""
     import asyncio
+    import contextlib
 
     from repro.serve.server import ExperimentServer
 
@@ -130,6 +139,17 @@ def _cmd_serve(args) -> int:
                                   workers=args.workers,
                                   registry_path=args.registry)
         await server.start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        # SIGTERM drains like Ctrl-C: a background process started by a
+        # non-interactive shell ignores SIGINT; installed before the
+        # listening line, so whoever reads the line can stop the server
+        with contextlib.suppress(NotImplementedError):
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, serving.cancel)
+            # a forked pool worker inherits the handler and the loop's
+            # wakeup fd, and would relay its own SIGTERM to this loop:
+            # a worker takes the default action instead
+            os.register_at_fork(after_in_child=_default_sigterm)
         tier = (f"workers={server.pool.size}" if server.pool is not None
                 else f"jobs={server.runner.jobs}")
         # an empty ResultCache is falsy (__len__), so test for None
@@ -140,7 +160,7 @@ def _cmd_serve(args) -> int:
               f"receipts={'on' if server.registry.path else 'memory'})",
               flush=True)
         try:
-            await server.serve_forever()
+            await serving
         except asyncio.CancelledError:
             pass
         finally:

@@ -13,6 +13,13 @@ parameter — plus a cache format version, so:
 * a corrupted or truncated entry fails JSON validation and is treated as
   a miss — the file is deleted and the value recomputed.
 
+Pre-serialized values (:meth:`ResultCache.put_bytes`, the serve tier's
+canonical JSON) are stored as ``{"key": K, "sha256": D, "value": V}``
+with ``D`` the SHA-256 of the bytes ``V``;
+:meth:`ResultCache.get_bytes` hands ``V`` back unparsed once it hashes
+to ``D``, and treats anything else — even a flipped digit that would
+still parse — as a miss.
+
 Values must be JSON-serializable; numpy arrays and scalars are converted
 on the way in (and come back as plain lists/floats) — **except** that an
 entry whose arrays total at least :data:`BINARY_MIN_BYTES` is stored in
@@ -64,6 +71,10 @@ BINARY_MIN_BYTES = 4096
 #: Placeholder key marking where an extracted array sits in the value
 #: tree; only interpreted in entries that carry a ``binary`` manifest.
 _ARRAY_KEY = "__npz__"
+
+#: Separates the hex digest from the value in a :meth:`put_bytes`
+#: envelope.
+_VALUE_SEP = b'", "value": '
 
 #: Stale-lock sweeps touch at most this many files per call, so a sweep
 #: over a shared cache directory with thousands of keys stays cheap.
@@ -247,10 +258,10 @@ class ResultCache:
             manifest = self._write_blob(key, arrays)
             body = json.dumps({"key": key, "value": tree,
                                "binary": manifest}, default=_jsonify)
-            self._write_atomic(key, body)
+            self._write_atomic(key, body.encode())
             return
         body = json.dumps({"key": key, "value": value}, default=_jsonify)
-        self._write_atomic(key, body)
+        self._write_atomic(key, body.encode())
         # an earlier binary-tier entry under this key leaves a sidecar
         # the new envelope no longer references
         self._blob_path(key).unlink(missing_ok=True)
@@ -279,23 +290,62 @@ class ResultCache:
         """Store already-serialized JSON ``value_bytes`` under ``key``.
 
         The serve worker tier produces canonical-JSON result bytes
-        anyway (they *are* the wire format); this splices them into the
-        entry envelope instead of parsing and re-dumping.  :meth:`get`
-        parses the written entry to exactly the value :meth:`put` of
-        the parsed bytes would have stored.
+        anyway (they *are* the wire format); this writes them into the
+        envelope ``{"key": K, "sha256": D, "value": V}`` as bytes, with
+        ``D`` the SHA-256 of ``V`` and ``V`` exactly ``value_bytes`` —
+        no decode/encode round trip.  :meth:`get_bytes` returns ``V``
+        after checking ``D``; :meth:`get` parses the written entry to
+        exactly the value :meth:`put` of the parsed bytes would have
+        stored.
         """
-        body = '{"key": %s, "value": %s}' % (json.dumps(key),
-                                             value_bytes.decode())
-        self._write_atomic(key, body)
+        digest = hashlib.sha256(value_bytes).hexdigest()
+        self._write_atomic(key, self._bytes_head(key) + digest.encode()
+                           + _VALUE_SEP + value_bytes + b"}")
         # pre-serialized entries are always pure JSON; drop any sidecar
         # a previous binary-tier write of this key left behind
         self._blob_path(key).unlink(missing_ok=True)
 
-    def _write_atomic(self, key: str, body: str) -> None:
+    @staticmethod
+    def _bytes_head(key: str) -> bytes:
+        """The envelope bytes :meth:`put_bytes` writes before ``D``."""
+        return b'{"key": ' + json.dumps(key).encode() + b', "sha256": "'
+
+    def get_bytes(self, key: str) -> bytes | None:
+        """The stored value bytes of a :meth:`put_bytes` entry, or None.
+
+        Returns ``V`` only if the file is exactly a :meth:`put_bytes`
+        envelope naming ``key`` and ``V`` hashes to its ``D`` — the
+        value is never parsed.  Anything else (a truncated tail, a
+        flipped byte, another key, an envelope without a digest or a
+        :meth:`put` entry) is dropped and reads as a miss, so the
+        caller's recompute rewrites it.
+        """
+        try:
+            data = self._path(key).read_bytes()
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except OSError:
+            data = b""          # unreadable: dropped like a corrupt entry
+        head = self._bytes_head(key)
+        digest_end = len(head) + 64
+        value_start = digest_end + len(_VALUE_SEP)
+        value = data[value_start:-1]
+        if data.startswith(head) and data.endswith(b"}") and value \
+                and data[digest_end:value_start] == _VALUE_SEP \
+                and hashlib.sha256(value).hexdigest().encode() \
+                == data[len(head):digest_end]:
+            self.hits += 1
+            return value
+        self._drop(key)
+        self.misses += 1
+        return None
+
+    def _write_atomic(self, key: str, body: bytes) -> None:
         path = self._path(key)
         tmp = path.parent / f"{key}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
         try:
-            tmp.write_text(body)
+            tmp.write_bytes(body)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -26,7 +26,10 @@ separators) of ``{experiment, params, value}``.  The worker tier ships
 the *value*'s canonical bytes (often via shared memory) and the server
 splices them into the envelope, so the bytes are identical whether a
 given response was computed by a worker, computed by the legacy pool,
-coalesced, or a cache hit — a property the end-to-end tests assert.
+coalesced, or a cache hit — a property the end-to-end tests assert.  A
+cache hit is the stored value bytes themselves
+(:meth:`~repro.exec.cache.ResultCache.get_bytes`, digest-checked), so
+the hot path neither parses nor re-encodes the value.
 
 ``stop()`` drains gracefully: the listener closes first, in-flight
 requests (and their computations) finish, then the compute tier shuts
@@ -76,8 +79,6 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
-
-_MISS = object()
 
 
 def canonical_json(value) -> bytes:
@@ -407,31 +408,33 @@ class ExperimentServer:
         # device experiments key on the measurement engine's
         key = cache_key(f"serve:{name}", cache_payload(name, params),
                         engine=engine_param(name, params))
-        value = await self._resolve(name, params, key)
-        if isinstance(value, WorkerResult):
-            return splice_envelope(name, params, value.value_bytes)
-        return splice_envelope(name, params, canonical_json(value))
+        return splice_envelope(name, params,
+                               await self._resolve(name, params, key))
 
-    async def _resolve(self, name: str, params: dict, key: str):
-        """Coalesce -> cache -> admission -> compute, in that order."""
+    async def _resolve(self, name: str, params: dict, key: str) -> bytes:
+        """Coalesce -> cache -> admission -> compute, in that order.
+
+        Every path yields the value's canonical JSON bytes: a cache hit
+        is the stored bytes after their digest check, never re-encoded.
+        """
         flight = self.flights.leader_for(key)
         if flight is not None:
-            value = await asyncio.shield(flight)
+            result = await asyncio.shield(flight)
             self.metrics.coalesced += 1
-            return value
+            return result.value_bytes
         if self.cache is not None:
-            value = await asyncio.to_thread(self.cache.get, key, _MISS)
-            if value is not _MISS:
+            value_bytes = await asyncio.to_thread(self.cache.get_bytes, key)
+            if value_bytes is not None:
                 self.metrics.cache_hits += 1
-                return value
+                return value_bytes
             self.metrics.cache_misses += 1
             # the cache lookup awaited: an identical request may have
             # started a flight meanwhile — join it rather than race it
             flight = self.flights.leader_for(key)
             if flight is not None:
-                value = await asyncio.shield(flight)
+                result = await asyncio.shield(flight)
                 self.metrics.coalesced += 1
-                return value
+                return result.value_bytes
         if self._draining:
             raise _HttpError(503, "server is draining")
         if not self.admission.try_acquire():
@@ -440,12 +443,12 @@ class ExperimentServer:
                 429, "server at capacity",
                 inflight=self.admission.active,
                 limit=self.admission.limit)
-        value, led = await self.flights.run(
+        result, led = await self.flights.run(
             key, lambda: self._compute(name, params, key))
         if not led:                        # lost the registration race
             self.admission.release()
             self.metrics.coalesced += 1
-        return value
+        return result.value_bytes
 
     async def _compute(self, name: str, params: dict,
                        key: str) -> WorkerResult:

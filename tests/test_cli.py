@@ -5,6 +5,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,3 +139,37 @@ def test_serve_listening_line_reaches_a_pipe(tmp_path):
                 pass
         proc.wait()
         proc.stdout.close()
+
+
+def test_serve_drains_on_sigterm(tmp_path):
+    """SIGTERM runs the same graceful drain as Ctrl-C and exits 0; a
+    SIGTERM to a forked pool worker ends only that worker."""
+    from repro.serve import ServeClient
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        line = proc.stdout.readline().decode() if ready else ""
+        assert "listening on http://" in line
+        client = ServeClient(port=int(line.split(":")[2].split()[0]))
+        assert client.experiment("latency-matrix", gpu="V100",
+                                 sms=[0], samples=1).ok
+        workers = subprocess.run(["pgrep", "-P", str(proc.pid)],
+                                 capture_output=True, text=True).stdout
+        assert workers.split()
+        for pid in workers.split():
+            os.kill(int(pid), signal.SIGTERM)
+        time.sleep(0.5)
+        assert client.healthz().status == 200
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=60)
+        assert "draining ..." in stderr.decode()
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()

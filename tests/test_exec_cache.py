@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -288,6 +289,64 @@ def test_put_bytes_round_trips_canonical_payloads(cache):
     cache.put_bytes(key, canonical)
     assert cache.get(key) == value
     assert list(cache.directory.glob("*.tmp")) == []
+
+
+_SPLICED = b'{"matrix":[[1.0,2.5]],"n":2}'
+
+
+def _flip_value_digit(data: bytes, key: str) -> bytes:
+    at = data.index(b"2.5")
+    return data[:at] + b"3" + data[at + 1:]
+
+
+def _flip_digest_digit(data: bytes, key: str) -> bytes:
+    at = data.index(b'"sha256": "') + len(b'"sha256": "')
+    return data[:at] + (b"0" if data[at:at + 1] != b"0" else b"1") \
+        + data[at + 1:]
+
+
+def _other_key(data: bytes, key: str) -> bytes:
+    return data.replace(key.encode(), cache_key("spliced", {"k": 2}).encode())
+
+
+def _no_digest(data: bytes, key: str) -> bytes:
+    return b'{"key": "%s", "value": %s}' % (key.encode(), _SPLICED)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data, key: data[:-3],
+    _flip_value_digit,
+    _flip_digest_digit,
+    _other_key,
+    _no_digest,
+    lambda data, key: b"",
+], ids=["truncated-tail", "flipped-value-byte", "flipped-digest-digit",
+        "other-key", "no-digest", "empty-file"])
+def test_get_bytes_treats_corruption_as_a_miss(cache, corrupt):
+    """Anything but an intact digest envelope for this key is a miss,
+    and the entry is dropped so the recompute rewrites it."""
+    key = cache_key("spliced", {"k": 1})
+    cache.put_bytes(key, _SPLICED)
+    path = cache.directory / f"{key}.json"
+    path.write_bytes(corrupt(path.read_bytes(), key))
+    assert cache.get_bytes(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert not path.exists()
+    cache.put_bytes(key, _SPLICED)
+    assert cache.get_bytes(key) == _SPLICED
+
+
+def test_get_bytes_returns_exactly_the_stored_bytes(cache):
+    key = cache_key("spliced", {"k": 1})
+    assert cache.get_bytes(key) is None            # absent: a plain miss
+    cache.put_bytes(key, _SPLICED)
+    assert cache.get_bytes(key) == _SPLICED
+    assert (cache.hits, cache.misses) == (1, 1)
+    envelope = json.loads((cache.directory / f"{key}.json").read_bytes())
+    assert envelope["key"] == key
+    assert envelope["sha256"] == hashlib.sha256(_SPLICED).hexdigest()
+    # get() still parses the digest envelope to the value
+    assert cache.get(key) == {"matrix": [[1.0, 2.5]], "n": 2}
 
 
 # ------------------------------------------------------------- binary tier

@@ -15,7 +15,9 @@ import time
 
 import pytest
 
+from repro.exec import ResultCache, cache_key
 from repro.serve import ServeClient, serve_in_thread
+from repro.serve.experiments import cache_payload, engine_param, normalize
 
 #: Small-but-not-instant request: ~8 SM rows keep the computation long
 #: enough (~150 ms) that 32 simultaneous requests overlap it.
@@ -87,6 +89,34 @@ def test_repeat_request_is_a_cache_hit(client):
     assert reply.status == 200
     assert after["computations"] == before["computations"]
     assert after["cache_hits"] == before["cache_hits"] + 1
+
+
+def test_corrupted_cache_entry_is_recomputed_not_served(server, client):
+    """A flipped digit inside a stored value still parses as JSON; the
+    digest check turns it into a miss, and the recompute heals it."""
+    params = {"gpu": "V100", "seed": 11, "sms": [0, 1], "samples": 1}
+    first = client.experiment("latency-matrix", **params)
+    assert first.status == 200
+    normalized = normalize("latency-matrix", params)
+    key = cache_key("serve:latency-matrix",
+                    cache_payload("latency-matrix", normalized),
+                    engine=engine_param("latency-matrix", normalized))
+    path = server.cache.directory / f"{key}.json"
+    data = path.read_bytes()
+    at = data.index(b'"matrix":[[') + len(b'"matrix":[[')
+    flipped = b"1" if data[at:at + 1] != b"1" else b"2"
+    path.write_bytes(data[:at] + flipped + data[at + 1:])
+
+    before = _counters(client)
+    again = client.experiment("latency-matrix", **params)
+    after = _counters(client)
+    assert again.status == 200
+    assert again.body == first.body
+    assert after["cache_misses"] == before["cache_misses"] + 1
+    assert after["computations"] == before["computations"] + 1
+    value = ResultCache(server.cache.directory).get_bytes(key)
+    assert value is not None
+    assert first.body.endswith(b',"value":' + value + b"}")
 
 
 def test_backpressure_rejects_with_429(server, client):
