@@ -1,12 +1,9 @@
 """Fast-path execution layer: engine/runner/cache timings as JSON.
 
-Times the three perf-opt pieces against their baselines and emits one
+Times the perf-opt pieces against their baselines and emits one
 machine-readable JSON document (printed under ``pytest -s``, or run the
 file directly: ``python benchmarks/bench_perf_engine.py``):
 
-* ``mesh_engine`` — optimized :class:`Mesh2D` vs the retained
-  :class:`ReferenceMesh2D` golden model on the 6x6 Fig 23 configuration
-  (cycles/s and the speedup ratio; the acceptance floor is 5x);
 * ``latency_matrix`` — the V100 SM x slice sweep, legacy serial path vs
   the sharded runner at several worker counts (parallel speedup needs
   cores: ``cpu_count`` is part of the record);
@@ -33,34 +30,6 @@ import time
 from _figutil import show
 
 from repro.gpu.device import SimulatedGPU
-from repro.noc.mesh.network import Mesh2D
-from repro.noc.mesh.reference import ReferenceMesh2D
-from repro.noc.mesh.traffic import ManyToFewTraffic, default_mc_nodes
-
-MESH_CYCLES = 3000
-
-
-def _time_mesh(cls, cycles: int = MESH_CYCLES) -> float:
-    """Seconds to run the Fig 23 configuration for ``cycles`` cycles."""
-    mesh = cls(6, 6, arbiter_kind="rr")
-    traffic = ManyToFewTraffic(mesh, default_mc_nodes(), seed=0,
-                               injection_rate=0.3)
-    start = time.perf_counter()
-    for _ in range(cycles):
-        traffic.feed()
-        mesh.step()
-    return time.perf_counter() - start
-
-
-def mesh_engine_timings() -> dict:
-    reference = _time_mesh(ReferenceMesh2D)
-    optimized = _time_mesh(Mesh2D)
-    return {
-        "cycles": MESH_CYCLES,
-        "reference_cycles_per_s": MESH_CYCLES / reference,
-        "optimized_cycles_per_s": MESH_CYCLES / optimized,
-        "speedup": reference / optimized,
-    }
 
 
 def latency_matrix_timings() -> dict:
@@ -187,7 +156,6 @@ def fastmesh_engine_timings(floor: float = 5.0, attempts: int = 4) -> dict:
 def collect() -> dict:
     return {
         "cpu_count": os.cpu_count(),
-        "mesh_engine": mesh_engine_timings(),
         "latency_matrix": latency_matrix_timings(),
         "report_cache": report_cache_timings(),
         "vectorized_engine": vectorized_engine_timings(),
@@ -198,7 +166,6 @@ def collect() -> dict:
 def bench_perf_engine(benchmark):
     record = benchmark.pedantic(collect, rounds=1, iterations=1)
     show("Fast-path engine timings (JSON)", json.dumps(record, indent=2))
-    assert record["mesh_engine"]["speedup"] >= 5.0
     assert record["report_cache"]["warm_s"] < record["report_cache"]["cold_s"]
     fast = record["vectorized_engine"]
     assert fast["latency_matrix"]["bit_identical"]

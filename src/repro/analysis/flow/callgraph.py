@@ -11,8 +11,8 @@ function defined in a set of modules, record
   shared_memory.SharedMemory``).
 
 Flow rules use the same-module slice (``module_returns``) to resolve
-``cls = _factory(); cls(...)`` patterns; the cross-file REP009 rule and
-external tooling can walk the full graph.  Everything here is plain
+``cls = _factory(); cls(...)`` patterns; external tooling can walk the
+full graph.  Everything here is plain
 data (dicts/strings) so per-file slices serialize into the lint
 engine's incremental cache.
 """

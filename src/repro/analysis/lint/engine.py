@@ -13,9 +13,8 @@ features:
   nothing and recomputes only edited files (the ResultCache idiom from
   :mod:`repro.exec.cache`, which also supplies the store).
 
-Cross-file work (REP004 parity, REP009 fingerprint completeness) always
-runs in the parent over the *merged* facts, so cached and fresh files
-compose exactly.  Syntactic rules see one AST walk; ``mode = "flow"``
+Cross-file work (REP004 parity) always runs in the parent over the
+*merged* facts, so cached and fresh files compose exactly.  Syntactic rules see one AST walk; ``mode = "flow"``
 rules additionally get every function's CFG
 (:mod:`repro.analysis.flow`), built once and shared.  Findings then
 flow through noqa suppression (with unused-noqa reported as REP010),
@@ -37,7 +36,7 @@ from repro.analysis.lint.rules import Rule, build_rules
 
 #: Bump when any rule's behaviour changes: invalidates every cached
 #: per-file report at once (the lint analogue of CACHE_VERSION).
-RULESET_VERSION = 2
+RULESET_VERSION = 3
 
 #: the suppression directive: bare, or rule-listed as "noqa[REP001,REP003]"
 _NOQA = re.compile(r"#\s*repro:\s*noqa"

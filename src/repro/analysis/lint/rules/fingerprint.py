@@ -1,37 +1,15 @@
-"""REP009 — fingerprint completeness (cross-file).
+"""REP009 — fingerprint completeness.
 
-``ResultCache`` keys fold in :func:`repro.core.fastpath
-.engine_fingerprint` so a cached result is invalidated when the engine
-that produced it changes.  That only works if *every* engine name the
-codebase accepts actually contributes a version field there: an engine
-registered in an ``ENGINES``/``MESH_ENGINES`` tuple but missing from
-``engine_fingerprint`` silently serves stale cache entries across
-kernel changes — the exact staleness bug the fingerprint exists to
-prevent.
-
-The registry form of the check is local: every
-:func:`repro.engines.register` call naming a non-golden engine must
-pass ``version=`` (the registry derives the fingerprint from it); a
-registration without one produces engines whose cached results survive
-kernel changes.  The golden ``"scalar"`` engines are version-free by
-design: their results *define* correctness.
-
-The legacy form is cross-file, and still guards trees (and fixtures)
-that predate the registry.  Two kinds of per-file facts feed
-:meth:`finalize`:
-
-* **registrations** — module-level ``*ENGINES = ("...", ...)`` tuples
-  of string constants (the selector vocabularies);
-* **fingerprints** — inside any function named ``engine_fingerprint``,
-  a branch comparing the engine to a string constant whose body returns
-  a dict carrying a ``*_version`` key marks that engine as versioned.
-
-Every tuple-registered engine except ``"scalar"`` must be fingerprinted
-somewhere in the linted tree — ``MESH_ENGINES`` lives in one module,
-the fingerprint in another, which is exactly what the facts model is
-for.  ``*ENGINES`` assignments whose value is *derived from the
-registry* (``engines.names(...)``) are not literal tuples and carry no
-obligation: the register() check already covers their contents.
+``ResultCache`` keys fold in the engine fingerprint
+(:func:`repro.engines.fingerprint_for`) so a cached result is
+invalidated when the engine that produced it changes.  The registry
+derives that fingerprint from the ``version=`` given to
+:func:`repro.engines.register`, so every ``register()`` call naming a
+non-golden engine must pass one: a registration without it produces an
+engine whose cached results silently survive kernel changes — the exact
+staleness bug the fingerprint exists to prevent.  The golden
+``"scalar"`` engines are version-free by design: their results *define*
+correctness.
 """
 
 from __future__ import annotations
@@ -43,8 +21,6 @@ from repro.analysis.lint.rules import Rule
 
 #: The golden engine is version-free by design.
 _EXEMPT = frozenset({"scalar"})
-
-_FINGERPRINT_FN = "engine_fingerprint"
 
 _REGISTER_FN = "repro.engines.register"
 
@@ -73,119 +49,27 @@ def _register_call(node: ast.Call) -> tuple[str, bool] | None:
     return name, has_version
 
 
-def _registered_engines(node: ast.Assign) -> list[str] | None:
-    """Engine strings when ``node`` is ``*ENGINES = ("a", "b", ...)``."""
-    if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-        return None
-    if not node.targets[0].id.endswith("ENGINES"):
-        return None
-    value = node.value
-    if not isinstance(value, (ast.Tuple, ast.List)):
-        return None
-    names: list[str] = []
-    for element in value.elts:
-        if not (isinstance(element, ast.Constant)
-                and isinstance(element.value, str)):
-            return None
-        names.append(element.value)
-    return names
-
-
-def _fingerprinted_engines(func: ast.AST) -> list[str]:
-    """Engine strings versioned inside an ``engine_fingerprint`` body.
-
-    A branch ``if <name> == "X":`` (or the symmetric compare) whose body
-    returns a dict literal with a key ending ``_version`` versions
-    engine ``"X"``.
-    """
-    versioned: list[str] = []
-    for node in ast.walk(func):
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.Eq)):
-            continue
-        sides = [test.left, test.comparators[0]]
-        literals = [s.value for s in sides
-                    if isinstance(s, ast.Constant)
-                    and isinstance(s.value, str)]
-        if len(literals) != 1:
-            continue
-        for sub in node.body:
-            for ret in ast.walk(sub):
-                if isinstance(ret, ast.Return) and \
-                        isinstance(ret.value, ast.Dict) and any(
-                            isinstance(k, ast.Constant)
-                            and isinstance(k.value, str)
-                            and k.value.endswith("_version")
-                            for k in ret.value.keys):
-                    versioned.append(literals[0])
-    return versioned
-
-
 class FingerprintCompletenessRule(Rule):
     id = "REP009"
     name = "fingerprint-completeness"
-    summary = ("every non-golden engine — repro.engines.register() calls "
-               "and legacy *ENGINES tuples — must carry a *_version "
-               "fingerprint (scalar exempt), or ResultCache serves stale "
-               "entries")
-    interests = ("Assign", "FunctionDef", "Call")
+    summary = ("every non-golden engine registered with "
+               "repro.engines.register() must carry a version (scalar "
+               "exempt), or ResultCache serves stale entries")
+    interests = ("Call",)
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
-        if isinstance(node, ast.Call):
-            resolved = ctx.resolve_call(node)
-            if resolved != _REGISTER_FN and not (
-                    resolved == "register"
-                    and ctx.module == "repro.engines"):
-                return
-            info = _register_call(node)
-            if info is None:
-                return
-            engine, has_version = info
-            if engine in _EXEMPT or has_version:
-                return
-            ctx.report(self.id, node,
-                       f"engine '{engine}' registered without a version; "
-                       "cached results for it survive kernel changes — "
-                       "pass version=<MODULE>_VERSION (the registry "
-                       "derives the fingerprint from it)")
+        resolved = ctx.resolve_call(node)
+        if resolved != _REGISTER_FN and not (
+                resolved == "register" and ctx.module == "repro.engines"):
             return
-        if isinstance(node, ast.Assign):
-            if ctx.function_stack or ctx.class_stack:
-                return              # only module-level registries
-            engines = _registered_engines(node)
-            if engines is not None:
-                ctx.add_fact(self.id, {
-                    "kind": "registry", "engines": engines,
-                    "path": ctx.path, "line": node.lineno,
-                    "name": node.targets[0].id,
-                    "snippet": ctx.source_segment(node)})
+        info = _register_call(node)
+        if info is None:
             return
-        if node.name != _FINGERPRINT_FN:
+        engine, has_version = info
+        if engine in _EXEMPT or has_version:
             return
-        ctx.add_fact(self.id, {
-            "kind": "fingerprint",
-            "engines": _fingerprinted_engines(node),
-            "path": ctx.path, "line": node.lineno})
-
-    def finalize(self, facts: list[dict], report) -> None:
-        fingerprint_sites = [f for f in facts if f["kind"] == "fingerprint"]
-        if not fingerprint_sites:
-            return          # engine_fingerprint not in the linted path set
-        versioned: set[str] = set()
-        for fact in fingerprint_sites:
-            versioned.update(fact["engines"])
-        for fact in facts:
-            if fact["kind"] != "registry":
-                continue
-            for engine in fact["engines"]:
-                if engine in _EXEMPT or engine in versioned:
-                    continue
-                report(self.id, fact["path"], fact["line"], 0,
-                       f"engine '{engine}' (registered in `{fact['name']}`)"
-                       " contributes no *_version field in "
-                       "engine_fingerprint; cached results for it survive "
-                       "engine changes — add a versioned branch",
-                       fact["snippet"])
+        ctx.report(self.id, node,
+                   f"engine '{engine}' registered without a version; "
+                   "cached results for it survive kernel changes — "
+                   "pass version=<MODULE>_VERSION (the registry "
+                   "derives the fingerprint from it)")

@@ -1,7 +1,7 @@
 """REP004 — golden-model parity: optimized twins must track their golden.
 
-The optimized mesh engine is validated flit-for-flit against the
-retained reference implementation (``tests/test_mesh_equivalence.py``),
+The batched VC mesh is validated flit-for-flit against the scalar
+:class:`~repro.noc.mesh.vc.VCMesh` (``tests/test_vcmesh_equivalence.py``),
 but that suite only covers API surface *both* classes expose.  This rule
 compares the public API of each watched class pair across files during
 :meth:`finalize`:
@@ -11,8 +11,8 @@ compares the public API of each watched class pair across files during
 * required (default-less) parameter drift in name or order.
 
 Extra *defaulted* parameters on either side are allowed — that is how
-the optimized engine grows opt-in features (``retain_packets=False``)
-without forking the golden model's contract.
+an optimized twin grows opt-in features without forking the golden
+model's contract.
 
 The same discipline covers the vectorized measurement engine and the
 batched mesh kernel (:data:`WATCHED_FUNCTION_PAIRS`): each scalar
@@ -32,8 +32,6 @@ from repro.analysis.lint.rules import Rule
 
 #: (module_a, class_a, module_b, class_b) pairs kept in lockstep.
 WATCHED_PAIRS = (
-    ("repro.noc.mesh.network", "Mesh2D",
-     "repro.noc.mesh.reference", "ReferenceMesh2D"),
     ("repro.noc.mesh.vc", "VCMesh",
      "repro.noc.mesh.vcmesh_batched", "BatchedVCMesh"),
 )
@@ -123,7 +121,7 @@ def _function_fact(path: str, node) -> dict:
 class GoldenModelParityRule(Rule):
     id = "REP004"
     name = "golden-model-parity"
-    summary = ("golden-model APIs must not drift: Mesh2D vs ReferenceMesh2D "
+    summary = ("golden-model APIs must not drift: VCMesh vs BatchedVCMesh "
                "(methods, kinds, required params) and scalar measurement "
                "functions vs their repro.core.fastpath twins")
     interests = ("ClassDef", "FunctionDef")

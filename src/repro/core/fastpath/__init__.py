@@ -3,7 +3,7 @@
 The scalar interpreter path (``repro.runtime`` warps driven by
 ``repro.core.latency_bench`` / ``bandwidth_bench``) is the *golden
 model*: every fast-path result must be bit-identical to it, the same
-contract ``Mesh2D`` holds against ``ReferenceMesh2D``.  This package
+contract ``BatchedMesh`` holds against ``Mesh2D``.  This package
 computes entire SM x slice matrices, bandwidth distributions, saturation
 curves and speedup tables as batched NumPy array operations while
 consuming the *same* deterministic ``repro.rng`` noise streams:
@@ -27,28 +27,8 @@ surfaces from drifting.
 from __future__ import annotations
 
 from repro import engines as _engines
-from repro.engines import FASTPATH_VERSION  # noqa: F401 (re-export)
-
-#: Engine names accepted by every device ``engine=`` selector, sourced
-#: from the :mod:`repro.engines` registry.
-ENGINES = _engines.names("device")
 
 
 def resolve_engine(engine: str | None) -> str:
     """Validate an ``engine=`` argument (``None`` means scalar)."""
     return _engines.resolve("device", engine, default="scalar")
-
-
-def engine_fingerprint(engine: str | None) -> dict:
-    """Cache-key fragment identifying the engine that produced a result.
-
-    Thin shim over :func:`repro.engines.fingerprint_for`: the scalar
-    golden model is version-free (its results define correctness);
-    versioned engines carry their registered ``*_version`` field so
-    recalibrating a fast path invalidates exactly its own entries.
-    Bare ``"batched"`` keeps its historical meaning — the mesh-domain
-    kernel — for callers predating qualified ``"domain:name"`` refs.
-    """
-    if engine == "batched":
-        return _engines.fingerprint("mesh", "batched")
-    return _engines.fingerprint("device", resolve_engine(engine))

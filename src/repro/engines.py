@@ -26,8 +26,7 @@ name.  Every non-golden engine MUST register a ``version`` plus the
 lint rule fails the build otherwise (a missing version silently serves
 stale cache entries across kernel changes).
 
-Version constants live here (the registry owns fingerprints); the
-engine packages re-export them for backwards compatibility.
+Version constants live here (the registry owns fingerprints).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from repro.noc.mesh.arbiter import RoundRobinArbiter, AgeArbiter, make_arbiter
 from repro.noc.mesh.routing import xy_route, Port
 from repro.noc.mesh.router import Router
 from repro.noc.mesh.network import Mesh2D, DeliveryStats
-from repro.noc.mesh.reference import ReferenceMesh2D
 from repro.noc.mesh.traffic import (ManyToFewTraffic, run_fairness_experiment,
                                     FairnessResult)
 from repro.noc.mesh.interfaces import (MemoryNode, run_reply_bottleneck,
@@ -23,9 +22,8 @@ from repro.noc.mesh.loadcurve import (LoadCurve, LoadPoint,
                                       measure_load_point, sweep_load)
 from repro.noc.mesh.vc import (VCMesh, VCRouter, SharedNetworkResult,
                                run_shared_network_experiment)
-from repro.noc.mesh.fastmesh import (MESH_ENGINES, FASTMESH_VERSION,
-                                     resolve_mesh_engine, BatchedMesh,
-                                     BatchedManyToFew, batched_load_curves,
+from repro.noc.mesh.fastmesh import (BatchedMesh, BatchedManyToFew,
+                                     batched_load_curves,
                                      batched_sweep_load,
                                      batched_fairness_experiment,
                                      batched_fairness_experiments,
@@ -34,14 +32,12 @@ from repro.noc.mesh.fastmesh import (MESH_ENGINES, FASTMESH_VERSION,
 __all__ = [
     "Packet", "Flit", "PacketKind",
     "RoundRobinArbiter", "AgeArbiter", "make_arbiter",
-    "xy_route", "Port", "Router", "Mesh2D", "ReferenceMesh2D",
-    "DeliveryStats",
+    "xy_route", "Port", "Router", "Mesh2D", "DeliveryStats",
     "ManyToFewTraffic", "run_fairness_experiment", "FairnessResult",
     "MemoryNode", "run_reply_bottleneck", "ReplyBottleneckResult",
     "LoadCurve", "LoadPoint", "measure_load_point", "sweep_load",
     "VCMesh", "VCRouter", "SharedNetworkResult",
     "run_shared_network_experiment",
-    "MESH_ENGINES", "FASTMESH_VERSION", "resolve_mesh_engine",
     "BatchedMesh", "BatchedManyToFew", "batched_load_curves",
     "batched_sweep_load", "batched_fairness_experiment",
     "batched_fairness_experiments", "batched_reply_bottleneck",

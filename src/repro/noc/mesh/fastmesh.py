@@ -1,19 +1,19 @@
 """Batched struct-of-arrays cycle kernel for the 2-D mesh (fast engine).
 
-:class:`Mesh2D` interprets one mesh, one flit at a time, through Python
-objects; every load-curve point, fairness arbiter and reply-bottleneck
-mesh pays that interpreter again.  This module simulates **B independent
-mesh instances in lockstep** as flat NumPy arrays — buffer rings, head
-caches, wormhole locks, per-port round-robin pointers and source queues
-all stored as per-field 1-D arrays indexed by one global slot id
+:class:`Mesh2D` (the golden model) interprets one mesh, one flit at a
+time, through Python objects; every load-curve point, fairness arbiter
+and reply-bottleneck mesh pays that interpreter again.  This module
+simulates **B independent mesh instances in lockstep** as flat NumPy
+arrays — buffer rings, head caches, wormhole locks, per-port
+round-robin pointers and source queues all stored as per-field 1-D
+arrays indexed by one global slot id
 ``g = lane*slots + node*ports + port`` — so an entire load sweep (every
 arbiter x seed x injection rate, :func:`batched_load_curves`), the
 rr-vs-age fairness pair and the reply-bottleneck request/reply mesh pair
 each run as ONE batched simulation.
 
-The contract is the same one :class:`Mesh2D` holds against
-:class:`ReferenceMesh2D`: **flit-for-flit and statistic-identical**
-results.  Three properties make the vectorisation exact:
+The contract is **flit-for-flit and statistic-identical** results
+against :class:`Mesh2D`.  Three properties make the vectorisation exact:
 
 * every downstream input buffer has exactly one upstream (router,
   output-port) contender per cycle, so the scalar engine's in-cycle
@@ -46,21 +46,22 @@ from collections import deque
 
 import numpy as np
 
-from repro import engines as _engines
 from repro import rng
-from repro.engines import FASTMESH_VERSION  # noqa: F401 (re-export)
 from repro.errors import MeshConfigError
-from repro.noc.mesh.network import _NUM_PORTS, _OPP, _RR_PICK, DeliveryStats
+from repro.noc.mesh.network import DeliveryStats
 from repro.noc.mesh.routing import Port, xy_route
 
-#: Mesh engine names accepted by every mesh ``engine=`` selector,
-#: sourced from the :mod:`repro.engines` registry.
-MESH_ENGINES = _engines.names("mesh")
-
-
-def resolve_mesh_engine(engine: str | None, default: str = "batched") -> str:
-    """Validate a mesh ``engine=`` argument (``None`` means ``default``)."""
-    return _engines.resolve("mesh", engine, default=default)
+_NUM_PORTS = len(Port)
+# opposite[port] for the four cardinal ports; LOCAL has no opposite
+_OPP = (0, int(Port.WEST), int(Port.EAST), int(Port.SOUTH), int(Port.NORTH))
+# _RR_PICK[last][mask] is the rotating-priority winner among the input
+# ports set in the 5-bit candidate ``mask`` (the scalar
+# RoundRobinArbiter's grant as one table lookup)
+_RR_PICK = tuple(
+    tuple(next((idx for off in range(1, _NUM_PORTS + 1)
+                for idx in [(last + off) % _NUM_PORTS] if mask >> idx & 1), 0)
+          for mask in range(1 << _NUM_PORTS))
+    for last in range(_NUM_PORTS))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +243,8 @@ class BatchedMesh:
     """``B`` independent ``Mesh2D`` instances stepped in lockstep.
 
     Per-lane arbiter kinds may differ (the fairness pair runs rr and age
-    side by side).  The kernel always runs in the aggregate-statistics
-    mode (``Mesh2D(retain_packets=False)``): delivered packets update
-    :class:`DeliveryStats`-shaped per-lane arrays, never Python objects.
+    side by side).  Delivered packets update :class:`DeliveryStats`-shaped
+    per-lane arrays, never Python objects.
 
     All router state lives in per-field flat arrays indexed by the
     global slot id ``g = lane*slots + node*5 + port``; an *output*
@@ -959,6 +959,8 @@ def batched_load_curves(rates, arbiters=("rr", "age"), seeds=(0,),
     seeds = list(seeds)
     if not seeds:
         raise MeshConfigError("need at least one seed")
+    if warmup < 0:
+        raise MeshConfigError("warmup must be >= 0")
     if cycles <= warmup:
         raise MeshConfigError("cycles must exceed warmup")
     combos = [(arbiter, seed) for arbiter in arbiters for seed in seeds]
@@ -1037,6 +1039,8 @@ def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
     arbiters = list(arbiters)
     if not arbiters:
         raise MeshConfigError("need at least one arbiter kind")
+    if warmup < 0:
+        raise MeshConfigError("warmup must be >= 0")
     if cycles <= warmup:
         raise MeshConfigError("cycles must exceed warmup")
     mesh = BatchedMesh(width, height, batch=len(arbiters),

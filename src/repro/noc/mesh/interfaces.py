@@ -109,12 +109,8 @@ def run_reply_bottleneck(cycles: int = 20000, window: int = 100,
             width=width, height=height, seed=seed, arbiter=arbiter)
     if cycles <= 0 or window <= 0 or cycles < window:
         raise MeshConfigError("need cycles >= window > 0")
-    # long Fig 21 runs deliver tens of thousands of packets; keep only
-    # aggregate statistics so memory stays bounded
-    request_mesh = Mesh2D(width, height, arbiter_kind=arbiter,
-                          retain_packets=False)
-    reply_mesh = Mesh2D(width, height, arbiter_kind=arbiter,
-                        retain_packets=False)
+    request_mesh = Mesh2D(width, height, arbiter_kind=arbiter)
+    reply_mesh = Mesh2D(width, height, arbiter_kind=arbiter)
     mc_nodes = default_mc_nodes(width, height)
     traffic = ManyToFewTraffic(request_mesh, mc_nodes, seed=seed)
     memories = [MemoryNode(request_mesh, reply_mesh, n,

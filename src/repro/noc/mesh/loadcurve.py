@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import engines
 from repro.errors import MeshConfigError
 from repro.noc.mesh.network import Mesh2D
 from repro.noc.mesh.traffic import ManyToFewTraffic, default_mc_nodes
@@ -53,9 +54,11 @@ def measure_load_point(rate: float, arbiter: str = "rr", width: int = 6,
     """Run one injection rate; average latency over the steady window."""
     if not 0 < rate <= 1:
         raise MeshConfigError("rate must be in (0, 1]")
+    if warmup < 0:
+        raise MeshConfigError("warmup must be >= 0")
     if cycles <= warmup:
         raise MeshConfigError("cycles must exceed warmup")
-    mesh = Mesh2D(width, height, arbiter_kind=arbiter, retain_packets=False)
+    mesh = Mesh2D(width, height, arbiter_kind=arbiter)
     traffic = ManyToFewTraffic(mesh, default_mc_nodes(width, height),
                                seed=seed, injection_rate=rate,
                                max_source_backlog=64)
@@ -97,8 +100,7 @@ def sweep_load(rates, arbiter: str = "rr", jobs: int | None = None,
     over a process pool without changing any point's result; the batched
     engine is already one run and ignores ``jobs``.
     """
-    from repro.noc.mesh.fastmesh import resolve_mesh_engine
-    engine = resolve_mesh_engine(engine)
+    engine = engines.resolve("mesh", engine)
     rates = list(rates)
     if not rates:
         raise MeshConfigError("need at least one rate")

@@ -1,27 +1,21 @@
-"""Cycle-driven 2-D mesh network (optimized engine).
+"""Cycle-driven 2-D mesh network (the golden model).
 
-Same semantics as :class:`repro.noc.mesh.reference.ReferenceMesh2D` —
-each cycle every output port of every router may forward one flit
+The plain implementation of the wormhole mesh: one
+:class:`~repro.noc.mesh.router.Router` object per node, per-port arbiter
+objects and a loop over the :class:`~repro.noc.mesh.routing.Port` enum.
+Each cycle every output port of every router may forward one flit
 (subject to arbitration, wormhole locks and downstream credit), each
 node may inject one flit from its source queue and eject one flit at its
-local port — but restructured for speed:
+local port.
 
-* the XY route table is precomputed per (node, dst) at construction,
-* neighbour and opposite-port lookups are flat precomputed arrays,
-* per-router candidate sets are cached and invalidated only when a flit
-  moves through (or into) the router,
-* the per-cycle ``scheduled_in`` credit bookkeeping is a flat
-  preallocated array instead of a dict of tuples,
-* routers with no buffered flits are skipped entirely (idle fast path),
-* arbitration is inlined (round-robin pointer array / age scan) instead
-  of per-port arbiter objects.
+The batched kernel in :mod:`repro.noc.mesh.fastmesh` must match this
+model flit-for-flit on identical traffic
+(``tests/test_fastmesh_equivalence.py``); keep this module boring and
+obviously correct.
 
-Cycle-exact equivalence with the reference engine on seeded traffic is
-asserted by ``tests/test_mesh_equivalence.py``.
-
-``retain_packets=False`` bounds memory on long runs: delivered
-:class:`Packet` objects are not kept; aggregate per-source counts and
-latency statistics are maintained instead.
+Delivered :class:`Packet` objects are not kept: each tail ejection
+updates :class:`DeliveryStats` (aggregate and per-source counts and
+latencies), so memory stays bounded on long runs.
 """
 
 from __future__ import annotations
@@ -31,29 +25,16 @@ from dataclasses import dataclass, field
 
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet
-from repro.noc.mesh.routing import Port, xy_route
+from repro.noc.mesh.router import Router
+from repro.noc.mesh.routing import Port, neighbor, xy_route
 
-_NUM_PORTS = len(Port)
-# opposite[port] for the four cardinal ports; LOCAL has no opposite
-_OPP = (0, int(Port.WEST), int(Port.EAST), int(Port.SOUTH), int(Port.NORTH))
-# full route tables are only built while n^2 stays small; beyond that the
-# per-lookup XY comparison is used (it is branch-cheap either way)
-_ROUTE_TABLE_MAX_NODES = 256
-# candidate sets are 5-bit masks over input ports; _BITS[mask] lists the
-# set ports, _RR_PICK[last][mask] is the rotating-priority winner —
-# round-robin arbitration becomes one table lookup
-_BITS = tuple(tuple(i for i in range(_NUM_PORTS) if mask >> i & 1)
-              for mask in range(1 << _NUM_PORTS))
-_RR_PICK = tuple(
-    tuple(next((idx for off in range(1, _NUM_PORTS + 1)
-                for idx in [(last + off) % _NUM_PORTS] if mask >> idx & 1), 0)
-          for mask in range(1 << _NUM_PORTS))
-    for last in range(_NUM_PORTS))
+_OPPOSITE = {Port.EAST: Port.WEST, Port.WEST: Port.EAST,
+             Port.NORTH: Port.SOUTH, Port.SOUTH: Port.NORTH}
 
 
 @dataclass
 class DeliveryStats:
-    """Aggregate delivery statistics (the ``retain_packets=False`` view)."""
+    """Aggregate delivery statistics, updated at each tail ejection."""
     count: int = 0
     latency_sum: float = 0.0
     latency_min: float = float("inf")
@@ -83,87 +64,29 @@ class Mesh2D:
     """A width x height wormhole mesh with XY routing."""
 
     def __init__(self, width: int, height: int, buffer_flits: int = 8,
-                 arbiter_kind: str = "rr", retain_packets: bool = True):
+                 arbiter_kind: str = "rr"):
         if width <= 0 or height <= 0:
             raise MeshConfigError("mesh dimensions must be positive")
-        if buffer_flits <= 0:
-            raise MeshConfigError("buffer_flits must be positive")
-        if arbiter_kind not in ("rr", "age"):
-            raise MeshConfigError(f"unknown arbiter kind {arbiter_kind!r}")
         self.width = width
         self.height = height
-        self.buffer_flits = buffer_flits
-        self.arbiter_kind = arbiter_kind
-        self.retain_packets = retain_packets
-        n = width * height
-        self._n = n
-        self.source_queues = [deque() for _ in range(n)]
+        self.routers = [Router(n, buffer_flits, arbiter_kind)
+                        for n in range(width * height)]
+        self.source_queues = [deque() for _ in range(width * height)]
         self.cycle = 0
-        self.delivered: list[Packet] = []
         self.stats = DeliveryStats()
         self.flits_delivered = 0
         self.sinks = {}           # node -> callback(packet, cycle)
-
-        # ---- flat per-(node, port) state, index = node * 5 + port ------
-        self._bufs = [deque() for _ in range(n * _NUM_PORTS)]
-        self._locks = [None] * (n * _NUM_PORTS)      # wormhole output locks
-        self._body_out = [0] * (n * _NUM_PORTS)      # in-buffer -> locked out
-        self._rr_last = [_NUM_PORTS - 1] * (n * _NUM_PORTS)
-        self._occ = [0] * n                           # flits buffered per node
-        self._scheduled = [0] * (n * _NUM_PORTS)      # per-cycle credits used
-        self._touched: list[int] = []                 # scheduled slots to reset
-        self._moves: list = []                        # reused per cycle
-        # candidate cache: per node, a 25-bit mask with bit (out*5 + in)
-        # set when the head flit of input ``in`` wants output ``out``
-        self._cand_cache = [0] * n
-        self._dirty = [True] * n
-
-        # ---- precomputed topology --------------------------------------
-        # neighbour id through each port (-1 at mesh edges / LOCAL)
-        nbr = [-1] * (n * _NUM_PORTS)
-        for node in range(n):
-            x, y = node % width, node // width
-            base = node * _NUM_PORTS
-            if x + 1 < width:
-                nbr[base + int(Port.EAST)] = node + 1
-            if x > 0:
-                nbr[base + int(Port.WEST)] = node - 1
-            if y + 1 < height:
-                nbr[base + int(Port.SOUTH)] = node + width
-            if y > 0:
-                nbr[base + int(Port.NORTH)] = node - width
-        self._nbr = nbr
-        if n <= _ROUTE_TABLE_MAX_NODES:
-            self._route = [[int(xy_route(node, dst, width))
-                            for dst in range(n)] for node in range(n)]
-        else:
-            self._route = None
 
     @property
     def num_nodes(self) -> int:
         return self.width * self.height
 
-    def _route_port(self, node: int, dst: int) -> int:
-        """XY route lookup for meshes too large for the full table."""
-        width = self.width
-        cx, cy = node % width, node // width
-        dx, dy = dst % width, dst // width
-        if cx < dx:
-            return int(Port.EAST)
-        if cx > dx:
-            return int(Port.WEST)
-        if cy < dy:
-            return int(Port.SOUTH)
-        if cy > dy:
-            return int(Port.NORTH)
-        return int(Port.LOCAL)
-
     # ---- injection -------------------------------------------------------
     def inject(self, packet: Packet) -> None:
         """Queue a packet for injection at its source node."""
-        if not 0 <= packet.src < self._n:
+        if not 0 <= packet.src < self.num_nodes:
             raise MeshConfigError(f"source {packet.src} outside mesh")
-        if not 0 <= packet.dst < self._n:
+        if not 0 <= packet.dst < self.num_nodes:
             raise MeshConfigError(f"destination {packet.dst} outside mesh")
         packet.birth_cycle = self.cycle
         self.source_queues[packet.src].extend(packet.flits())
@@ -176,150 +99,76 @@ class Mesh2D:
         self.sinks[node] = callback
 
     # ---- simulation ------------------------------------------------------
+    def _route_of(self, node: int):
+        def route(flit):
+            return xy_route(node, flit.dst, self.width)
+        return route
+
     def step(self) -> None:
         """Advance the network one cycle."""
-        bufs = self._bufs
-        locks = self._locks
-        body_out = self._body_out
-        rr = self.arbiter_kind == "rr"
-        rr_last = self._rr_last
-        nbr = self._nbr
-        occ = self._occ
-        scheduled = self._scheduled
-        touched = self._touched
-        cand_cache = self._cand_cache
-        dirty = self._dirty
-        route = self._route
-        buffer_flits = self.buffer_flits
-        moves = self._moves
-        moves.clear()
+        moves = []      # (src_router, in_port, out_port, dst_router|None)
+        scheduled_in = {}   # (dst_node, port) -> flits already arriving
 
-        # ---- schedule: pure function of pre-cycle state ----------------
-        bits = _BITS
-        rr_pick = _RR_PICK
-        for node in range(self._n):
-            if not occ[node]:
-                continue            # idle fast path: nothing buffered
-            base = node * 5
-            if dirty[node]:
-                mask = 0
-                rt = route[node] if route is not None else None
-                for in_port in range(5):
-                    buf = bufs[base + in_port]
-                    if not buf:
-                        continue
-                    flit = buf[0]
-                    if flit.is_head:
-                        pkt = flit.packet
-                        o = (rt[pkt.dst] if rt is not None
-                             else self._route_port(node, pkt.dst))
-                        lock = locks[base + o]
-                        if lock is None or lock is pkt:
-                            mask |= 1 << (o * 5 + in_port)
-                    else:
-                        mask |= 1 << (body_out[base + in_port] * 5 + in_port)
-                cand_cache[node] = mask
-                dirty[node] = False
-            else:
-                mask = cand_cache[node]
-            o = 0
-            while mask:
-                ports = mask & 31
-                mask >>= 5
-                o_now, o = o, o + 1
-                if not ports:
+        for router in self.routers:
+            route_of = self._route_of(router.node)
+            for out_port in Port:
+                candidates = router.candidates_for(out_port, route_of)
+                if not candidates:
                     continue
-                if o_now:
-                    dst = nbr[base + o_now]
-                    slot = dst * 5 + _OPP[o_now]
-                    if buffer_flits - len(bufs[slot]) - scheduled[slot] <= 0:
-                        continue
-                    scheduled[slot] += 1
-                    touched.append(slot)
+                if out_port is Port.LOCAL:
+                    dst = None      # ejection: always one flit per cycle
                 else:
-                    dst = -1        # ejection: always one flit per cycle
-                if rr:
-                    winner = rr_pick[rr_last[base + o_now]][ports]
-                    rr_last[base + o_now] = winner
-                elif ports & (ports - 1) == 0:
-                    winner = bits[ports][0]
-                else:               # age: oldest packet, pid tie-break
-                    winner = -1
-                    wkey = None
-                    for p in bits[ports]:
-                        f = bufs[base + p][0].packet
-                        key = (f.birth_cycle, f.pid)
-                        if wkey is None or key < wkey:
-                            winner, wkey = p, key
-                moves.append((node, winner, o_now, dst))
+                    dst = neighbor(router.node, out_port, self.width,
+                                   self.height)
+                    in_slot = (dst, _OPPOSITE[out_port])
+                    space = (self.routers[dst].space(_OPPOSITE[out_port])
+                             - scheduled_in.get(in_slot, 0))
+                    if space <= 0:
+                        continue
+                    scheduled_in[in_slot] = scheduled_in.get(in_slot, 0) + 1
+                winner = router.arbiters[out_port].grant(candidates)
+                moves.append((router.node, Port(winner), out_port, dst))
 
-        # ---- apply moves ----------------------------------------------
-        cycle = self.cycle
-        sinks = self.sinks
-        retain = self.retain_packets
-        for node, in_port, o, dst in moves:
-            base = node * 5
-            flit = bufs[base + in_port].popleft()
-            occ[node] -= 1
-            dirty[node] = True
-            pkt = flit.packet
-            if flit.is_tail:
-                locks[base + o] = None
-            elif flit.is_head:
-                locks[base + o] = pkt
-                body_out[base + in_port] = o
-            if dst < 0:
+        for node, in_port, out_port, dst in moves:
+            flit = self.routers[node].pop(in_port, out_port)
+            if dst is None:
                 self.flits_delivered += 1
                 if flit.is_tail:
-                    pkt.delivered_cycle = cycle
-                    if retain:
-                        self.delivered.append(pkt)
-                    self.stats.observe(pkt.src, cycle - pkt.birth_cycle)
-                    sink = sinks.get(node)
+                    packet = flit.packet
+                    packet.delivered_cycle = self.cycle
+                    self.stats.observe(packet.src, packet.latency)
+                    sink = self.sinks.get(node)
                     if sink is not None:
-                        sink(pkt, cycle)
+                        sink(packet, self.cycle)
             else:
-                slot = dst * 5 + _OPP[o]
-                buf = bufs[slot]
-                buf.append(flit)
-                if len(buf) == 1:
-                    dirty[dst] = True
-                occ[dst] += 1
-        for slot in touched:
-            scheduled[slot] = 0
-        touched.clear()
+                self.routers[dst].accept(_OPPOSITE[out_port], flit)
 
-        # ---- injection: one flit per node per cycle --------------------
+        # injection: one flit per node per cycle from the source queue
         for node, queue in enumerate(self.source_queues):
-            if queue:
-                buf = bufs[node * 5]
-                if len(buf) < buffer_flits:
-                    buf.append(queue.popleft())
-                    if len(buf) == 1:
-                        dirty[node] = True
-                    occ[node] += 1
+            if queue and self.routers[node].space(Port.LOCAL) > 0:
+                self.routers[node].accept(Port.LOCAL, queue.popleft())
 
-        self.cycle = cycle + 1
+        self.cycle += 1
 
     def run(self, cycles: int) -> None:
         if cycles < 0:
             raise MeshConfigError("cannot run negative cycles")
-        step = self.step
         for _ in range(cycles):
-            step()
+            self.step()
 
     # ---- accounting ------------------------------------------------------
     @property
     def delivered_count(self) -> int:
-        """Delivered packets (available in both retention modes)."""
+        """Delivered packets."""
         return self.stats.count
 
     def in_flight_flits(self) -> int:
-        return sum(self._occ)
+        return sum(r.occupancy for r in self.routers)
 
     def buffer_occupancy(self) -> list:
         """Flit count of every input buffer (invariant checks in tests)."""
-        return [len(buf) for buf in self._bufs]
+        return [len(buf) for router in self.routers
+                for buf in router.in_buffers.values()]
 
     def delivered_by_source(self) -> dict:
         """Delivered packet count per source node."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import rng
+from repro import engines, rng
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet, PacketKind
 from repro.noc.mesh.network import Mesh2D
@@ -109,17 +109,17 @@ def run_fairness_experiment(arbiter: str = "rr", width: int = 6,
     ``"batched"`` delegates to the lockstep fastmesh twin (bit-identical
     by contract), ``"scalar"`` steps a :class:`Mesh2D`.
     """
-    from repro.noc.mesh.fastmesh import resolve_mesh_engine
-    engine = resolve_mesh_engine(engine)
+    engine = engines.resolve("mesh", engine)
     if engine == "batched":
         from repro.noc.mesh.fastmesh import batched_fairness_experiment
         return batched_fairness_experiment(
             arbiter, width=width, height=height, cycles=cycles,
             warmup=warmup, seed=seed, injection_rate=injection_rate)
+    if warmup < 0:
+        raise MeshConfigError("warmup must be >= 0")
     if cycles <= warmup:
         raise MeshConfigError("cycles must exceed warmup")
-    # aggregate stats are enough here; don't retain every Packet object
-    mesh = Mesh2D(width, height, arbiter_kind=arbiter, retain_packets=False)
+    mesh = Mesh2D(width, height, arbiter_kind=arbiter)
     traffic = ManyToFewTraffic(mesh, default_mc_nodes(width, height),
                                seed=seed, injection_rate=injection_rate)
     # warm up into steady state, then count deliveries over the window
@@ -156,8 +156,7 @@ def run_fairness_experiments(arbiters=("rr", "age"),
     builds its own mesh and traffic from (arbiter, seed), so parallel
     results match serial ones exactly.
     """
-    from repro.noc.mesh.fastmesh import resolve_mesh_engine
-    engine = resolve_mesh_engine(engine)
+    engine = engines.resolve("mesh", engine)
     arbiters = list(arbiters)
     if not arbiters:
         raise MeshConfigError("need at least one arbiter kind")

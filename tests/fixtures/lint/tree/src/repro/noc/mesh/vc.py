@@ -17,6 +17,10 @@ class VCMesh:
     def credit_snapshot(self):
         return []
 
+    @property
+    def delivered_count(self):
+        return 0
+
     def step(self):
         pass
 

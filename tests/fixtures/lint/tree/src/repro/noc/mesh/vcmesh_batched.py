@@ -2,7 +2,8 @@
 
 The lane-batched accessors (``inject(lane, packet)``) and the
 ``last_ejected`` extra are *allowed* drifts; the missing
-``credit_snapshot``, the ``step`` signature, the extra required
+``credit_snapshot``, the ``step`` signature, ``delivered_count`` as a
+method where the scalar side has a property, the extra required
 parameter on the experiment twin and the missing grid twin are the
 violations.
 """
@@ -23,6 +24,9 @@ class BatchedVCMesh:
 
     def step(self, cycles):             # required-param drift: finding
         pass
+
+    def delivered_count(self, lane):    # property on the scalar side:
+        return 0                        # kind drift, finding
 
     @property
     def last_ejected(self):             # batched-only extra: allowed

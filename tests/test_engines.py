@@ -107,13 +107,3 @@ def test_register_rejects_duplicates_and_bad_versions():
                        match="version_field without a version"):
         engines.register("mesh", "fieldonly",
                          version_field="field_version")
-
-
-def test_legacy_wrappers_are_registry_views():
-    from repro.core import fastpath
-    from repro.noc.mesh import fastmesh
-    assert tuple(fastpath.ENGINES) == engines.names("device")
-    assert tuple(fastmesh.MESH_ENGINES) == engines.names("mesh")
-    # the historical bare-"batched" alias keeps meaning the mesh kernel
-    assert fastpath.engine_fingerprint("batched") == \
-        engines.fingerprint("mesh", "batched")

@@ -36,16 +36,16 @@ def test_key_changes_with_any_input():
 
 def test_key_separates_engines():
     """Engine-addressed entries never alias across engines or versions."""
-    from repro.core.fastpath import FASTPATH_VERSION, engine_fingerprint
+    from repro.engines import FASTPATH_VERSION, fingerprint_for
     base = cache_key("latency", {"seed": 0})
     scalar = cache_key("latency", {"seed": 0}, engine="scalar")
     fast = cache_key("latency", {"seed": 0}, engine="vectorized")
     assert len({base, scalar, fast}) == 3
     # the vectorized fingerprint pins the fastpath version, so bumping it
     # invalidates vectorized entries without touching scalar ones
-    assert engine_fingerprint("vectorized") == {
+    assert fingerprint_for("vectorized") == {
         "name": "vectorized", "fastpath_version": FASTPATH_VERSION}
-    assert engine_fingerprint("scalar") == {"name": "scalar"}
+    assert fingerprint_for("scalar") == {"name": "scalar"}
     with pytest.raises(ConfigurationError):
         cache_key("latency", {"seed": 0}, engine="turbo")
 

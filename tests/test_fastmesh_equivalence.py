@@ -1,12 +1,11 @@
 """Batched (fastmesh) vs scalar mesh engine: exact equivalence.
 
-The batched engine's contract is the same one ``Mesh2D`` holds against
-``ReferenceMesh2D``: flit-for-flit and statistic-identical results.  So
-every assertion here is ``==`` — no tolerances.  Covered axes: mesh
-width/height, both arbiters, Bernoulli and greedy sources, seeds,
-``retain_packets`` on/off on the scalar side, batch slicings (one lane
-per config vs many lanes in one ``BatchedMesh``), and every public
-entry-point pair (``sweep_load``, ``batched_load_curves``,
+The batched engine must reproduce the golden ``Mesh2D`` flit-for-flit
+with identical statistics.  So every assertion here is ``==`` — no
+tolerances.  Covered axes: mesh width/height, both arbiters, Bernoulli
+and greedy sources, seeds, multi-flit wormhole packets, batch slicings
+(one lane per config vs many lanes in one ``BatchedMesh``), and every
+public entry-point pair (``sweep_load``, ``batched_load_curves``,
 ``run_fairness_experiment(s)``, ``run_reply_bottleneck``).
 
 Mirrors ``tests/test_fastpath_equivalence.py``, which pins the
@@ -18,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro import rng
+from repro.errors import ConfigurationError, MeshConfigError
 from repro.noc.mesh.fastmesh import (
-    FASTMESH_VERSION,
-    MESH_ENGINES,
     BatchedManyToFew,
     BatchedMesh,
     batched_fairness_experiment,
@@ -29,8 +27,8 @@ from repro.noc.mesh.fastmesh import (
     batched_load_curves,
     batched_reply_bottleneck,
     batched_sweep_load,
-    resolve_mesh_engine,
 )
+from repro.noc.mesh.flit import Packet
 from repro.noc.mesh.interfaces import run_reply_bottleneck
 from repro.noc.mesh.loadcurve import sweep_load
 from repro.noc.mesh.network import Mesh2D
@@ -60,10 +58,10 @@ CYCLES = 500
 
 
 def run_scalar(width, height, arbiter, rate, seed, cycles=CYCLES,
-               retain_packets=False, mc_nodes=None, buffer_flits=8):
+               mc_nodes=None, buffer_flits=8):
     """One scalar mesh run; returns the mesh for stats inspection."""
     mesh = Mesh2D(width, height, buffer_flits=buffer_flits,
-                  arbiter_kind=arbiter, retain_packets=retain_packets)
+                  arbiter_kind=arbiter)
     traffic = ManyToFewTraffic(
         mesh, mc_nodes if mc_nodes is not None
         else default_mc_nodes(width, height),
@@ -108,23 +106,6 @@ def assert_stats_equal(scalar_mesh, batched_mesh, lane=0):
 # Engine selection
 # ---------------------------------------------------------------------------
 
-def test_mesh_engines_tuple():
-    assert MESH_ENGINES == ("scalar", "batched")
-    assert isinstance(FASTMESH_VERSION, int)
-
-
-def test_resolve_mesh_engine_default():
-    assert resolve_mesh_engine(None) == "batched"
-    assert resolve_mesh_engine(None, default="scalar") == "scalar"
-    assert resolve_mesh_engine("scalar") == "scalar"
-    assert resolve_mesh_engine("batched") == "batched"
-
-
-def test_resolve_mesh_engine_rejects_unknown():
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        resolve_mesh_engine("vectorized")
-
-
 @pytest.mark.parametrize("call", [
     lambda: sweep_load([0.1], cycles=40, warmup=10, engine="turbo"),
     lambda: run_fairness_experiment(cycles=40, warmup=10, engine="turbo"),
@@ -148,17 +129,6 @@ def test_single_lane_bit_identical(width, height, arbiter, rate, seed, mc):
     assert_stats_equal(scalar, batched)
 
 
-def test_retain_packets_does_not_change_stats():
-    """``retain_packets=True`` is a scalar-only debugging aid; the
-
-    aggregate statistics the batched engine reproduces are identical
-    either way."""
-    kept = run_scalar(6, 6, "rr", 0.2, 0, retain_packets=True)
-    batched = run_batched_lane(6, 6, "rr", 0.2, 0)
-    assert_stats_equal(kept, batched)
-    assert len(kept.delivered) == kept.stats.count
-
-
 def test_custom_mc_placement_and_buffer_depth():
     mc = [1, 3, 11, 13]
     scalar = run_scalar(5, 3, "rr", 0.25, 1, mc_nodes=mc, buffer_flits=4)
@@ -171,7 +141,7 @@ def test_lockstep_trace_matches_every_cycle():
     """Delivered count and occupancy agree at *every* cycle, not only at
 
     the end — the engines are in lockstep, not merely convergent."""
-    scalar = Mesh2D(6, 6, arbiter_kind="age", retain_packets=False)
+    scalar = Mesh2D(6, 6, arbiter_kind="age")
     st_traffic = ManyToFewTraffic(scalar, default_mc_nodes(6, 6), seed=5,
                                   injection_rate=0.3, max_source_backlog=64)
     batched = BatchedMesh(6, 6, batch=1, arbiter_kinds="age",
@@ -186,6 +156,38 @@ def test_lockstep_trace_matches_every_cycle():
         batched.step()
         assert scalar.delivered_count == int(batched.delivered_count[0]), cycle
         assert scalar.buffer_occupancy() == batched.buffer_occupancy(0), cycle
+
+
+@pytest.mark.parametrize("arbiter", ["rr", "age"])
+def test_multiflit_wormhole_matches(arbiter):
+    """Multi-flit packets on a non-square mesh (body/tail lock paths),
+
+    checked in lockstep at every cycle."""
+    gen = rng.generator_for(3, "equivalence-multiflit")
+    width, height = 5, 3
+    n = width * height
+    schedule = []           # (cycle, src, dst, size)
+    for cycle in range(600):
+        for _ in range(int(gen.integers(3))):
+            src = int(gen.integers(n))
+            dst = int(gen.integers(n))
+            if src != dst:
+                schedule.append((cycle, src, dst, 1 + int(gen.integers(4))))
+    scalar = Mesh2D(width, height, buffer_flits=4, arbiter_kind=arbiter)
+    batched = BatchedMesh(width, height, batch=1, buffer_flits=4,
+                          arbiter_kinds=arbiter)
+    pending = iter(schedule)
+    event = next(pending, None)
+    for cycle in range(900):
+        while event is not None and event[0] == cycle:
+            _, src, dst, size = event
+            scalar.inject(Packet(src=src, dst=dst, size=size))
+            batched.inject(0, src, dst, size)
+            event = next(pending, None)
+        scalar.step()
+        batched.step()
+        assert_stats_equal(scalar, batched)
+    assert scalar.flits_delivered > len(schedule)   # multi-flit packets landed
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,19 @@ def test_reply_bottleneck_engines_identical(seed):
         assert scalar.mean_utilization == other.mean_utilization
         assert scalar.peak_utilization == other.peak_utilization
         assert scalar.window == other.window
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+@pytest.mark.parametrize("call", [
+    lambda engine: sweep_load([0.1], cycles=40, warmup=-5, engine=engine),
+    lambda engine: run_fairness_experiment(cycles=40, warmup=-5,
+                                           engine=engine),
+    lambda engine: run_fairness_experiments(cycles=40, warmup=-5,
+                                            engine=engine),
+], ids=["sweep_load", "fairness", "fairness_pair"])
+def test_entry_points_reject_negative_warmup(call, engine):
+    with pytest.raises(MeshConfigError, match="warmup must be >= 0"):
+        call(engine)
 
 
 # ---------------------------------------------------------------------------

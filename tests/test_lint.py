@@ -120,18 +120,18 @@ def test_rep003_const_eval_helpers():
 # ------------------------------------------------------------------ REP004
 
 def test_rep004_positive():
-    # the fixture mesh tree carries 4 Mesh2D class-pair drifts, 3 mesh
-    # function-pair drifts (see test_rep004_mesh_function_pairs_positive)
-    # and 4 VC-pair drifts (see test_rep004_vc_pair_positive)
+    # the fixture mesh tree carries 3 mesh function-pair drifts (see
+    # test_rep004_mesh_function_pairs_positive) and 5 VC-pair drifts
+    # (see test_rep004_vc_pair_positive)
     result = run_lint(["src/repro/noc/mesh"], root=TREE, select=("REP004",))
     assert rules_found(result) == {"REP004"}
     messages = [f.message for f in result.findings]
-    assert len(messages) == 11
-    assert any("missing public method `drain`" in m for m in messages)
-    assert any("missing public method `golden_only`" in m for m in messages)
-    assert any("`delivered_count` is a method on ReferenceMesh2D but a "
-               "property on Mesh2D" in m for m in messages)
-    assert any("`inject` required parameters differ" in m for m in messages)
+    assert len(messages) == 8
+    assert any("missing public method `credit_snapshot`" in m
+               for m in messages)
+    assert any("`delivered_count` is a method on BatchedVCMesh but a "
+               "property on VCMesh" in m for m in messages)
+    assert any("`step` required parameters differ" in m for m in messages)
 
 
 def test_rep004_vc_pair_positive():
@@ -143,9 +143,11 @@ def test_rep004_vc_pair_positive():
                       root=TREE, select=("REP004",))
     assert rules_found(result) == {"REP004"}
     messages = [f.message for f in result.findings]
-    assert len(messages) == 4
+    assert len(messages) == 5
     assert any("missing public method `credit_snapshot`" in m
                for m in messages)
+    assert any("`delivered_count` is a method on BatchedVCMesh but a "
+               "property on VCMesh" in m for m in messages)
     assert any("`step` required parameters differ" in m for m in messages)
     assert any("`batched_shared_network_experiment` required parameters "
                "differ" in m for m in messages)
@@ -163,8 +165,9 @@ def test_rep004_clean_on_real_tree():
 
 
 def test_rep004_needs_both_sides():
-    # linting only one side of the pair cannot diff: no findings
-    result = run_lint(["src/repro/noc/mesh/network.py"], root=TREE,
+    # linting only the batched side of the VC pair cannot diff: no
+    # findings (function pairs skip without their scalar side too)
+    result = run_lint(["src/repro/noc/mesh/vcmesh_batched.py"], root=TREE,
                       select=("REP004",))
     assert result.findings == []
 
@@ -356,33 +359,8 @@ def test_rep008_scope_covers_exec_and_ipc():
 
 # ------------------------------------------------------------------ REP009
 
-def test_rep009_cross_file_positive():
-    result = run_lint(["src/repro/core/rep009_bad.py",
-                       "src/repro/core/rep009_ok.py"],
-                      root=TREE, select=("REP009",))
-    assert [f.rule for f in result.findings] == ["REP009"]
-    finding = result.findings[0]
-    assert finding.path == "src/repro/core/rep009_bad.py"
-    assert "engine 'turbo'" in finding.message
-    assert "SOLVER_ENGINES" in finding.message
-
-
-def test_rep009_partial_path_set_is_silent():
-    # without the engine_fingerprint side there is nothing to diff
-    result = run_lint(["src/repro/core/rep009_bad.py"], root=TREE,
-                      select=("REP009",))
-    assert result.findings == []
-
-
-def test_rep009_scalar_and_versioned_exempt():
-    result = run_lint(["src/repro/core/rep009_ok.py"], root=TREE,
-                      select=("REP009",))
-    assert result.findings == []
-
-
 def test_rep009_register_call_positive():
-    # the registry form is file-local: a versionless register() call
-    # reports without any engine_fingerprint in the path set
+    # a versionless register() call reports, file-locally
     result = run_lint(["src/repro/core/rep009_register_bad.py"],
                       root=TREE, select=("REP009",))
     assert [f.rule for f in result.findings] == ["REP009"]

@@ -32,13 +32,14 @@ def test_latency_grows_with_distance():
 def test_flit_conservation():
     """Injected flits = delivered flits + in-flight + source backlog."""
     mesh = Mesh2D(4, 4)
-    total_flits = 0
+    packets = []
     for i in range(20):
         p = Packet(src=i % 16, dst=(i * 7) % 16, size=2)
         if p.src == p.dst:
             continue
         mesh.inject(p)
-        total_flits += p.size
+        packets.append(p)
+    total_flits = sum(p.size for p in packets)
     for _ in range(10):
         mesh.step()
         in_system = (mesh.flits_delivered + mesh.in_flight_flits()
@@ -46,8 +47,9 @@ def test_flit_conservation():
         assert in_system == total_flits
     mesh.run(200)
     assert mesh.flits_delivered == total_flits
-    # per-packet conservation: every delivered packet ejected whole
-    assert sum(p.size for p in mesh.delivered) == mesh.flits_delivered
+    # per-packet conservation: every injected packet ejected whole
+    assert all(p.delivered_cycle is not None for p in packets)
+    assert mesh.delivered_count == len(packets)
 
 
 def test_multi_flit_packets_arrive_whole():
