@@ -14,8 +14,9 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   latency matrix (floor 10x) and the Fig 13 bandwidth distribution
   (floor 5x), with bit-identity verified on the timed results;
 * ``fastmesh_engine`` — the batched struct-of-arrays mesh kernel
-  (``repro.noc.mesh.fastmesh``) vs per-point scalar ``Mesh2D`` runs on
-  the full Fig 23 load-curve sweep (every rate x arbiter x seed as ONE
+  (``repro.noc.mesh.fastmesh``) vs per-point runs of the scalar golden
+  model (a one-VC ``VCMesh``, ``repro.noc.mesh.vc.one_vc_mesh``) on the
+  full Fig 23 load-curve sweep (every rate x arbiter x seed as ONE
   lockstep simulation; floor 5x), bit-identity verified on the timed
   curves.
 """
@@ -106,8 +107,8 @@ def fastmesh_engine_timings(floor: float = 5.0, attempts: int = 4) -> dict:
 
     The canonical workload is the full Fig 23 sweep: 6 injection rates x
     both arbiters x 2 seeds = 24 mesh instances.  The scalar engine
-    steps them one ``Mesh2D`` at a time; the batched engine runs all 24
-    lanes in lockstep as flat NumPy arrays.
+    steps them one golden one-VC ``VCMesh`` at a time; the batched
+    engine runs all 24 lanes in lockstep as flat NumPy arrays.
 
     Timing is min-of-N per side: scheduler noise only ever inflates a
     run, so the minimum is the honest cost.  Further attempts stop as

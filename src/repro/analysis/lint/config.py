@@ -11,7 +11,7 @@ live in a ``[tool.repro.lint.scopes.<RULE>]`` section::
 
 Patterns are dotted-module globs: a pattern without wildcards matches
 the module itself and everything under it (``repro.noc`` covers
-``repro.noc.mesh.router``); ``fnmatch`` wildcards are honoured
+``repro.noc.mesh.vc``); ``fnmatch`` wildcards are honoured
 (``repro.*.fastpath``).  An absent/empty ``include`` means *every*
 module; ``exclude`` always wins over ``include``.
 

@@ -3,7 +3,7 @@
 The scalar interpreter path (``repro.runtime`` warps driven by
 ``repro.core.latency_bench`` / ``bandwidth_bench``) is the *golden
 model*: every fast-path result must be bit-identical to it, the same
-contract ``BatchedMesh`` holds against ``Mesh2D``.  This package
+contract ``BatchedMesh`` holds against the one-VC ``VCMesh``.  This package
 computes entire SM x slice matrices, bandwidth distributions, saturation
 curves and speedup tables as batched NumPy array operations while
 consuming the *same* deterministic ``repro.rng`` noise streams:

@@ -215,7 +215,8 @@ register("device", "vectorized", default=True,
 
 register("mesh", "scalar",
          capabilities=("golden",),
-         summary="per-flit Mesh2D interpreter (golden model)")
+         summary="per-flit one-VC VCMesh interpreter (golden model, "
+                 "repro.noc.mesh.vc.one_vc_mesh)")
 register("mesh", "batched", default=True,
          version=FASTMESH_VERSION, version_field="fastmesh_version",
          capabilities=("batched", "lockstep-lanes"),

@@ -1,6 +1,7 @@
 """Batched struct-of-arrays cycle kernel for the 2-D mesh (fast engine).
 
-:class:`Mesh2D` (the golden model) interprets one mesh, one flit at a
+The golden model, :func:`~repro.noc.mesh.vc.one_vc_mesh` (a one-VC
+:class:`~repro.noc.mesh.vc.VCMesh`), interprets one mesh, one flit at a
 time, through Python objects; every load-curve point, fairness arbiter
 and reply-bottleneck mesh pays that interpreter again.  This module
 simulates **B independent mesh instances in lockstep** as flat NumPy
@@ -13,12 +14,14 @@ rr-vs-age fairness pair and the reply-bottleneck request/reply mesh pair
 each run as ONE batched simulation.
 
 The contract is **flit-for-flit and statistic-identical** results
-against :class:`Mesh2D`.  Three properties make the vectorisation exact:
+against that one-VC golden model.  Three properties make the
+vectorisation exact:
 
 * every downstream input buffer has exactly one upstream (router,
-  output-port) contender per cycle, so the scalar engine's in-cycle
-  ``scheduled`` credit bookkeeping never actually interacts across
-  routers and the credit check is a pure function of pre-cycle state;
+  output-port) contender per cycle, and with a one-cycle credit loop the
+  scalar router's credit counter equals that buffer's free space at the
+  start of the cycle, so the credit check is a pure function of
+  pre-cycle state;
 * the scalar traffic classes interleave ``Generator.random()`` and
   ``Generator.integers(n)`` draws on one ``repro.rng`` stream, which
   :class:`_RawStream` replays *exactly* from ``bit_generator
@@ -48,15 +51,15 @@ import numpy as np
 
 from repro import rng
 from repro.errors import MeshConfigError
-from repro.noc.mesh.network import DeliveryStats
-from repro.noc.mesh.routing import Port, xy_route
+from repro.noc.mesh.routing import Port, default_mc_nodes, xy_route
+from repro.noc.mesh.vc import DeliveryStats
 
 _NUM_PORTS = len(Port)
 # opposite[port] for the four cardinal ports; LOCAL has no opposite
 _OPP = (0, int(Port.WEST), int(Port.EAST), int(Port.SOUTH), int(Port.NORTH))
 # _RR_PICK[last][mask] is the rotating-priority winner among the input
-# ports set in the 5-bit candidate ``mask`` (the scalar
-# RoundRobinArbiter's grant as one table lookup)
+# ports set in the 5-bit candidate ``mask`` (the scalar one-VC
+# ``VCRouter.grant`` round-robin as one table lookup)
 _RR_PICK = tuple(
     tuple(next((idx for off in range(1, _NUM_PORTS + 1)
                 for idx in [(last + off) % _NUM_PORTS] if mask >> idx & 1), 0)
@@ -240,7 +243,7 @@ _STATS_FLUSH_CYCLES = 256
 
 
 class BatchedMesh:
-    """``B`` independent ``Mesh2D`` instances stepped in lockstep.
+    """``B`` independent one-VC ``VCMesh`` instances stepped in lockstep.
 
     Per-lane arbiter kinds may differ (the fairness pair runs rr and age
     side by side).  Delivered packets update :class:`DeliveryStats`-shaped
@@ -761,15 +764,6 @@ class BatchedMesh:
                                                                     src])
         return stats
 
-    def delivered_by_source(self, lane: int) -> dict:
-        """Delivered packet count per source node for one lane."""
-        self._flush_stats()
-        return {src: int(self._d_by_src[lane, src])
-                for src in np.flatnonzero(self._d_by_src[lane]).tolist()}
-
-    def in_flight_flits(self, lane: int) -> int:
-        return int(self._ln.reshape(self.batch, self._slots)[lane].sum())
-
     def buffer_occupancy(self, lane: int) -> list:
         """Flit count of every input buffer (invariant checks in tests)."""
         return self._ln.reshape(self.batch, self._slots)[lane].tolist()
@@ -945,7 +939,6 @@ def batched_load_curves(rates, arbiters=("rr", "age"), seeds=(0,),
     identical :class:`LoadCurve`s keyed by ``(arbiter, seed)``.
     """
     from repro.noc.mesh.loadcurve import LoadCurve, LoadPoint
-    from repro.noc.mesh.traffic import default_mc_nodes
 
     rates = list(rates)
     if not rates:
@@ -1034,7 +1027,7 @@ def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
     one lane per arbiter, identical traffic, identical
     :class:`FairnessResult`s.
     """
-    from repro.noc.mesh.traffic import FairnessResult, default_mc_nodes
+    from repro.noc.mesh.traffic import FairnessResult
 
     arbiters = list(arbiters)
     if not arbiters:
@@ -1145,7 +1138,6 @@ def batched_reply_bottleneck(cycles: int = 20000, window: int = 100,
     run does.
     """
     from repro.noc.mesh.interfaces import ReplyBottleneckResult
-    from repro.noc.mesh.traffic import default_mc_nodes
 
     if cycles <= 0 or window <= 0 or cycles < window:
         raise MeshConfigError("need cycles >= window > 0")

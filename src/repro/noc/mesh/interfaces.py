@@ -19,8 +19,9 @@ import numpy as np
 
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet, PacketKind
-from repro.noc.mesh.network import Mesh2D
-from repro.noc.mesh.traffic import ManyToFewTraffic, default_mc_nodes
+from repro.noc.mesh.routing import default_mc_nodes
+from repro.noc.mesh.traffic import ManyToFewTraffic
+from repro.noc.mesh.vc import VCMesh, one_vc_mesh
 
 
 class MemoryNode:
@@ -34,7 +35,7 @@ class MemoryNode:
     backpressure stalls the channel (Fig 21).
     """
 
-    def __init__(self, request_mesh: Mesh2D, reply_mesh: Mesh2D, node: int,
+    def __init__(self, request_mesh: VCMesh, reply_mesh: VCMesh, node: int,
                  reply_flits: int = 5, service_cycles: int = 1,
                  reply_queue_limit: int = 8):
         if reply_flits <= 0 or service_cycles <= 0 or reply_queue_limit <= 0:
@@ -98,7 +99,8 @@ def run_reply_bottleneck(cycles: int = 20000, window: int = 100,
     ``engine`` selects the kernel: the default ``"batched"`` runs the
     request/reply mesh pair as one two-lane lockstep simulation
     (:func:`repro.noc.mesh.fastmesh.batched_reply_bottleneck`,
-    bit-identical by contract); ``"scalar"`` steps two :class:`Mesh2D`.
+    bit-identical by contract); ``"scalar"`` steps two golden
+    :func:`~repro.noc.mesh.vc.one_vc_mesh` meshes.
     """
     from repro import engines as engine_registry
     engine = engine_registry.resolve("mesh", engine)
@@ -109,8 +111,8 @@ def run_reply_bottleneck(cycles: int = 20000, window: int = 100,
             width=width, height=height, seed=seed, arbiter=arbiter)
     if cycles <= 0 or window <= 0 or cycles < window:
         raise MeshConfigError("need cycles >= window > 0")
-    request_mesh = Mesh2D(width, height, arbiter_kind=arbiter)
-    reply_mesh = Mesh2D(width, height, arbiter_kind=arbiter)
+    request_mesh = one_vc_mesh(width, height, arbiter_kind=arbiter)
+    reply_mesh = one_vc_mesh(width, height, arbiter_kind=arbiter)
     mc_nodes = default_mc_nodes(width, height)
     traffic = ManyToFewTraffic(request_mesh, mc_nodes, seed=seed)
     memories = [MemoryNode(request_mesh, reply_mesh, n,

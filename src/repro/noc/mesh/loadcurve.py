@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from repro import engines
 from repro.errors import MeshConfigError
-from repro.noc.mesh.network import Mesh2D
-from repro.noc.mesh.traffic import ManyToFewTraffic, default_mc_nodes
+from repro.noc.mesh.routing import default_mc_nodes
+from repro.noc.mesh.traffic import ManyToFewTraffic
+from repro.noc.mesh.vc import one_vc_mesh
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def measure_load_point(rate: float, arbiter: str = "rr", width: int = 6,
         raise MeshConfigError("warmup must be >= 0")
     if cycles <= warmup:
         raise MeshConfigError("cycles must exceed warmup")
-    mesh = Mesh2D(width, height, arbiter_kind=arbiter)
+    mesh = one_vc_mesh(width, height, arbiter_kind=arbiter)
     traffic = ManyToFewTraffic(mesh, default_mc_nodes(width, height),
                                seed=seed, injection_rate=rate,
                                max_source_backlog=64)
@@ -94,8 +95,8 @@ def sweep_load(rates, arbiter: str = "rr", jobs: int | None = None,
     ``engine`` selects the kernel: the default ``"batched"`` runs the
     whole sweep as ONE lockstep simulation
     (:func:`repro.noc.mesh.fastmesh.batched_sweep_load`, bit-identical
-    to scalar by contract); ``"scalar"`` steps one :class:`Mesh2D` per
-    rate.  Every scalar point builds its own mesh from the (rate,
+    to scalar by contract); ``"scalar"`` steps one golden
+    :func:`~repro.noc.mesh.vc.one_vc_mesh` per rate.  Every scalar point builds its own mesh from the (rate,
     arbiter, seed) parameters, so ``jobs`` can fan the scalar sweep out
     over a process pool without changing any point's result; the batched
     engine is already one run and ignores ``jobs``.

@@ -1,4 +1,4 @@
-"""Dimension-ordered (XY) routing for the 2-D mesh."""
+"""Dimension-ordered (XY) routing and node placement for the 2-D mesh."""
 
 from __future__ import annotations
 
@@ -53,3 +53,9 @@ def neighbor(node: int, port: Port, width: int, height: int) -> int:
     if port is Port.NORTH and y > 0:
         return node - width
     raise MeshConfigError(f"no neighbour through {port.name} from node {node}")
+
+
+def default_mc_nodes(width: int = 6, height: int = 6) -> list:
+    """Memory-controller placement: spread along top and bottom edges."""
+    cols = [1, 3, 5]
+    return cols + [(height - 1) * width + c for c in cols]

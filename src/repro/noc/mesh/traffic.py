@@ -17,13 +17,8 @@ import numpy as np
 from repro import engines, rng
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet, PacketKind
-from repro.noc.mesh.network import Mesh2D
-
-
-def default_mc_nodes(width: int = 6, height: int = 6) -> list:
-    """Memory-controller placement: spread along top and bottom edges."""
-    cols = [1, 3, 5]
-    return [c for c in cols] + [(height - 1) * width + c for c in cols]
+from repro.noc.mesh.routing import default_mc_nodes
+from repro.noc.mesh.vc import VCMesh, one_vc_mesh
 
 
 class ManyToFewTraffic:
@@ -34,7 +29,7 @@ class ManyToFewTraffic:
     sources that keep their queues saturated.
     """
 
-    def __init__(self, mesh: Mesh2D, mc_nodes, seed: int = 0,
+    def __init__(self, mesh: VCMesh, mc_nodes, seed: int = 0,
                  injection_rate: float | None = None,
                  max_source_backlog: int = 4):
         self.mesh = mesh
@@ -107,7 +102,8 @@ def run_fairness_experiment(arbiter: str = "rr", width: int = 6,
     shows (paper Fig 23).  Pass an ``injection_rate`` for open-loop
     Bernoulli load instead.  ``engine`` selects the kernel: the default
     ``"batched"`` delegates to the lockstep fastmesh twin (bit-identical
-    by contract), ``"scalar"`` steps a :class:`Mesh2D`.
+    by contract), ``"scalar"`` steps the golden
+    :func:`~repro.noc.mesh.vc.one_vc_mesh`.
     """
     engine = engines.resolve("mesh", engine)
     if engine == "batched":
@@ -119,18 +115,18 @@ def run_fairness_experiment(arbiter: str = "rr", width: int = 6,
         raise MeshConfigError("warmup must be >= 0")
     if cycles <= warmup:
         raise MeshConfigError("cycles must exceed warmup")
-    mesh = Mesh2D(width, height, arbiter_kind=arbiter)
+    mesh = one_vc_mesh(width, height, arbiter_kind=arbiter)
     traffic = ManyToFewTraffic(mesh, default_mc_nodes(width, height),
                                seed=seed, injection_rate=injection_rate)
     # warm up into steady state, then count deliveries over the window
     for _ in range(warmup):
         traffic.feed()
         mesh.step()
-    baseline = mesh.delivered_by_source()
+    baseline = dict(mesh.stats.by_source)
     for _ in range(cycles - warmup):
         traffic.feed()
         mesh.step()
-    final = mesh.delivered_by_source()
+    final = mesh.stats.by_source
     window = cycles - warmup
     throughput = {node: (final.get(node, 0) - baseline.get(node, 0)) / window
                   for node in traffic.compute_nodes}

@@ -30,6 +30,11 @@ free space delayed by the credit loop.  Class-based VC assignment
 sharp: with one VC the request/reply cycle throttles the memory
 controllers to a crawl; with two VCs the shared network behaves.
 
+At one VC, with a one-cycle credit loop and a one-stage pipeline
+(:func:`one_vc_mesh`), the same router is the plain wormhole mesh the
+``"mesh"`` engine domain simulates for Fig 21/23, so both NoC domains
+share this one scalar router model.
+
 The batched twin (:class:`repro.noc.mesh.vcmesh_batched.BatchedVCMesh`)
 runs whole VC-count x buffer-depth x credit-latency x seed grids in
 lockstep, flit-identical to this scalar model; engines resolve through
@@ -39,16 +44,14 @@ the :mod:`repro.engines` registry (domain ``"vcmesh"``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import rng
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet, PacketKind
-from repro.noc.mesh.router import update_wormhole_lock
-from repro.noc.mesh.routing import Port, neighbor, xy_route
-from repro.noc.mesh.traffic import default_mc_nodes
+from repro.noc.mesh.routing import Port, default_mc_nodes, neighbor, xy_route
 
 _OPPOSITE = {Port.EAST: Port.WEST, Port.WEST: Port.EAST,
              Port.NORTH: Port.SOUTH, Port.SOUTH: Port.NORTH}
@@ -66,6 +69,47 @@ _VC_SWEEP_SHARDS = 8
 def class_vc(packet: Packet, num_vcs: int) -> int:
     """VC assigned to a packet: its message class, folded into num_vcs."""
     return _CLASS_VC[packet.kind] % num_vcs
+
+
+def update_wormhole_lock(locks: dict, key, flit) -> None:
+    """Wormhole lock transition for one traversing flit.
+
+    A head flit acquires the (output, VC) channel for its packet, the
+    tail flit releases it, and a single-flit packet (head *and* tail)
+    passes without ever holding the lock.
+    """
+    if flit.is_head and not flit.is_tail:
+        locks[key] = flit.packet
+    if flit.is_tail:
+        locks[key] = None
+
+
+@dataclass
+class DeliveryStats:
+    """Aggregate delivery statistics, updated at each tail ejection."""
+    count: int = 0
+    latency_sum: float = 0.0
+    latency_min: float = float("inf")
+    latency_max: float = float("-inf")
+    by_source: dict = field(default_factory=dict)          # src -> packets
+    latency_by_source: dict = field(default_factory=dict)  # src -> sum cycles
+
+    def observe(self, src: int, latency: int) -> None:
+        self.count += 1
+        self.latency_sum += latency
+        if latency < self.latency_min:
+            self.latency_min = latency
+        if latency > self.latency_max:
+            self.latency_max = latency
+        self.by_source[src] = self.by_source.get(src, 0) + 1
+        self.latency_by_source[src] = (self.latency_by_source.get(src, 0.0)
+                                       + latency)
+
+    @property
+    def mean_latency(self) -> float:
+        if self.count == 0:
+            raise MeshConfigError("no packets delivered yet")
+        return self.latency_sum / self.count
 
 
 class VCRouter:
@@ -150,7 +194,12 @@ class VCRouter:
 
 
 class VCMesh:
-    """2-D mesh of :class:`VCRouter` with XY routing and credit return."""
+    """2-D mesh of :class:`VCRouter` with XY routing and credit return.
+
+    Delivered :class:`Packet` objects are not kept: each tail ejection
+    updates :class:`DeliveryStats` (aggregate and per-source counts and
+    latencies), so memory stays bounded on long runs.
+    """
 
     def __init__(self, width: int, height: int, num_vcs: int = 2,
                  buffer_flits: int = 4, credit_latency: int = 1,
@@ -171,7 +220,7 @@ class VCMesh:
                         for n in range(width * height)]
         self.source_queues = [deque() for _ in range(width * height)]
         self.cycle = 0
-        self.delivered: list = []
+        self.stats = DeliveryStats()
         self.flits_delivered = 0
         self.sinks = {}
         # credit ring: slot (cycle % credit_latency) drains at the start
@@ -198,7 +247,7 @@ class VCMesh:
 
     def delivered_count(self) -> int:
         """Packets fully ejected so far."""
-        return len(self.delivered)
+        return self.stats.count
 
     def delivered_flits(self) -> int:
         """Flits ejected at LOCAL ports so far."""
@@ -267,11 +316,12 @@ class VCMesh:
             if out_port is Port.LOCAL:
                 self.flits_delivered += 1
                 if flit.is_tail:
-                    flit.packet.delivered_cycle = cycle
-                    self.delivered.append(flit.packet)
+                    packet = flit.packet
+                    packet.delivered_cycle = cycle
+                    self.stats.observe(packet.src, packet.latency)
                     sink = self.sinks.get(node)
                     if sink is not None:
-                        sink(flit.packet, cycle)
+                        sink(packet, cycle)
             else:
                 router.credits[(out_port, vc)] -= 1
                 dst = neighbor(node, out_port, self.width, self.height)
@@ -300,6 +350,21 @@ class VCMesh:
             raise MeshConfigError("cannot run negative cycles")
         for _ in range(cycles):
             self.step()
+
+
+def one_vc_mesh(width: int, height: int, buffer_flits: int = 8,
+                arbiter_kind: str = "rr") -> VCMesh:
+    """The ``"mesh"`` domain's golden model: a :class:`VCMesh` at one VC.
+
+    One VC, a one-cycle credit loop and a one-stage input pipeline make
+    the credit-based router the plain Booksim-style wormhole mesh of the
+    paper's Section VI (Fig 21/23); the batched
+    :class:`~repro.noc.mesh.fastmesh.BatchedMesh` matches it flit for
+    flit.
+    """
+    return VCMesh(width, height, num_vcs=1, buffer_flits=buffer_flits,
+                  credit_latency=1, pipeline_stages=1,
+                  arbiter_kind=arbiter_kind)
 
 
 @dataclass(frozen=True)
@@ -378,6 +443,8 @@ def run_shared_network_experiment(num_vcs: int, width: int = 6,
             injection_rate=injection_rate)
     if cycles <= 0 or window <= 0 or cycles < window:
         raise MeshConfigError("need cycles >= window > 0")
+    if reply_flits <= 0:
+        raise MeshConfigError("reply_flits must be positive")
     if injection_rate is not None and not 0 < injection_rate <= 1:
         raise MeshConfigError("injection_rate must be in (0, 1]")
     mesh = VCMesh(width, height, num_vcs=num_vcs, buffer_flits=buffer_flits,

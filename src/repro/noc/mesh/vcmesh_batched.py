@@ -52,8 +52,7 @@ from repro.noc.mesh.fastmesh import (_A_DST_SHIFT, _A_SRC_MASK,
                                      _F_TAIL, _MAX_NODES, _NO_KEY,
                                      make_stream)
 from repro.noc.mesh.flit import Packet, PacketKind
-from repro.noc.mesh.routing import Port, xy_route
-from repro.noc.mesh.traffic import default_mc_nodes
+from repro.noc.mesh.routing import Port, default_mc_nodes, xy_route
 from repro.noc.mesh.vc import SharedNetworkResult
 
 _NUM_PORTS = len(Port)
@@ -601,6 +600,8 @@ def batched_vc_points(points, *, width: int = 6, height: int = 6,
         return []
     if cycles <= 0 or window <= 0 or cycles < window:
         raise MeshConfigError("need cycles >= window > 0")
+    if reply_flits <= 0:
+        raise MeshConfigError("reply_flits must be positive")
     for _v, _d, _la, rate, _s in grid:
         if rate is not None and not 0 < rate <= 1:
             raise MeshConfigError("injection_rate must be in (0, 1]")

@@ -209,7 +209,7 @@ def _mesh_load_sweep(params) -> dict:
 
     The default ``mesh_engine="batched"`` runs every injection rate as
     one lockstep fastmesh simulation; results are bit-identical to the
-    per-rate scalar ``Mesh2D`` runs.  Infinite latency (a point that
+    per-rate scalar one-VC ``VCMesh`` runs.  Infinite latency (a point that
     delivered nothing) is encoded as JSON ``null``.
     """
     from repro.noc.mesh.loadcurve import sweep_load
@@ -302,7 +302,7 @@ _ENGINE_FAST = Param("engine", "str", engine_registry.default_name("device"),
                      choices=tuple(engine_registry.names("device")),
                      doc="measurement engine (results bit-identical)")
 #: Mesh sections default to the batched fastmesh kernel (bit-identical
-#: to the scalar Mesh2D golden model).
+#: to the scalar golden model, a one-VC VCMesh).
 _MESH_ENGINE = Param("mesh_engine", "str",
                      engine_registry.default_name("mesh"),
                      choices=tuple(engine_registry.names("mesh")),

@@ -15,7 +15,7 @@ from repro.gpu.device import SimulatedGPU
 from repro.memory.l2cache import L2Slice
 from repro.noc.flows import FlowNetwork
 from repro.noc.mesh.flit import Packet
-from repro.noc.mesh.network import Mesh2D
+from repro.noc.mesh.vc import one_vc_mesh
 from repro.workloads import streaming_trace
 
 
@@ -67,7 +67,7 @@ def test_solver_conflicting_caps():
 
 def test_mesh_gridlock_recovers():
     """Flooding a 2x2 mesh fills every buffer; draining still completes."""
-    mesh = Mesh2D(2, 2, buffer_flits=1)
+    mesh = one_vc_mesh(2, 2, buffer_flits=1)
     packets = []
     for i in range(40):
         p = Packet(src=i % 4, dst=(i + 1) % 4, size=2)
@@ -78,7 +78,7 @@ def test_mesh_gridlock_recovers():
 
 
 def test_mesh_buffer_never_overflows_under_flood():
-    mesh = Mesh2D(3, 3, buffer_flits=2)
+    mesh = one_vc_mesh(3, 3, buffer_flits=2)
     for i in range(100):
         mesh.inject(Packet(src=i % 9, dst=(i * 5 + 1) % 9, size=3))
     for _ in range(500):
@@ -88,7 +88,7 @@ def test_mesh_buffer_never_overflows_under_flood():
 
 def test_self_addressed_packets_rejected_or_delivered():
     """src == dst is legal: ejected immediately via the LOCAL port."""
-    mesh = Mesh2D(2, 2)
+    mesh = one_vc_mesh(2, 2)
     p = Packet(src=1, dst=1, size=1)
     mesh.inject(p)
     mesh.run(10)
@@ -117,4 +117,4 @@ def test_empty_flow_network_is_harmless():
 
 def test_zero_size_mesh_rejected():
     with pytest.raises(MeshConfigError):
-        Mesh2D(0, 0)
+        one_vc_mesh(0, 0)

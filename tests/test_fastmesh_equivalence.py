@@ -1,6 +1,7 @@
 """Batched (fastmesh) vs scalar mesh engine: exact equivalence.
 
-The batched engine must reproduce the golden ``Mesh2D`` flit-for-flit
+The batched engine must reproduce the golden one-VC ``VCMesh``
+(``one_vc_mesh``) flit-for-flit
 with identical statistics.  So every assertion here is ``==`` — no
 tolerances.  Covered axes: mesh width/height, both arbiters, Bernoulli
 and greedy sources, seeds, multi-flit wormhole packets, batch slicings
@@ -31,13 +32,13 @@ from repro.noc.mesh.fastmesh import (
 from repro.noc.mesh.flit import Packet
 from repro.noc.mesh.interfaces import run_reply_bottleneck
 from repro.noc.mesh.loadcurve import sweep_load
-from repro.noc.mesh.network import Mesh2D
+from repro.noc.mesh.routing import default_mc_nodes
 from repro.noc.mesh.traffic import (
     ManyToFewTraffic,
-    default_mc_nodes,
     run_fairness_experiment,
     run_fairness_experiments,
 )
+from repro.noc.mesh.vc import one_vc_mesh
 
 # (width, height, arbiter, injection_rate [None = greedy], seed, mc_nodes)
 # ``default_mc_nodes`` assumes a 6-wide mesh, so narrower meshes carry
@@ -60,8 +61,8 @@ CYCLES = 500
 def run_scalar(width, height, arbiter, rate, seed, cycles=CYCLES,
                mc_nodes=None, buffer_flits=8):
     """One scalar mesh run; returns the mesh for stats inspection."""
-    mesh = Mesh2D(width, height, buffer_flits=buffer_flits,
-                  arbiter_kind=arbiter)
+    mesh = one_vc_mesh(width, height, buffer_flits=buffer_flits,
+                       arbiter_kind=arbiter)
     traffic = ManyToFewTraffic(
         mesh, mc_nodes if mc_nodes is not None
         else default_mc_nodes(width, height),
@@ -97,7 +98,8 @@ def assert_stats_equal(scalar_mesh, batched_mesh, lane=0):
     assert s.latency_max == b.latency_max
     assert s.by_source == b.by_source
     assert s.latency_by_source == b.latency_by_source
-    assert scalar_mesh.delivered_count == int(batched_mesh.delivered_count[lane])
+    assert scalar_mesh.delivered_count() == int(
+        batched_mesh.delivered_count[lane])
     assert scalar_mesh.flits_delivered == int(batched_mesh.flits_delivered[lane])
     assert scalar_mesh.buffer_occupancy() == batched_mesh.buffer_occupancy(lane)
 
@@ -141,7 +143,7 @@ def test_lockstep_trace_matches_every_cycle():
     """Delivered count and occupancy agree at *every* cycle, not only at
 
     the end — the engines are in lockstep, not merely convergent."""
-    scalar = Mesh2D(6, 6, arbiter_kind="age")
+    scalar = one_vc_mesh(6, 6, arbiter_kind="age")
     st_traffic = ManyToFewTraffic(scalar, default_mc_nodes(6, 6), seed=5,
                                   injection_rate=0.3, max_source_backlog=64)
     batched = BatchedMesh(6, 6, batch=1, arbiter_kinds="age",
@@ -154,7 +156,8 @@ def test_lockstep_trace_matches_every_cycle():
         bt_traffic.feed()
         scalar.step()
         batched.step()
-        assert scalar.delivered_count == int(batched.delivered_count[0]), cycle
+        assert scalar.delivered_count() == int(batched.delivered_count[0]), \
+            cycle
         assert scalar.buffer_occupancy() == batched.buffer_occupancy(0), cycle
 
 
@@ -173,7 +176,7 @@ def test_multiflit_wormhole_matches(arbiter):
             dst = int(gen.integers(n))
             if src != dst:
                 schedule.append((cycle, src, dst, 1 + int(gen.integers(4))))
-    scalar = Mesh2D(width, height, buffer_flits=4, arbiter_kind=arbiter)
+    scalar = one_vc_mesh(width, height, buffer_flits=4, arbiter_kind=arbiter)
     batched = BatchedMesh(width, height, batch=1, buffer_flits=4,
                           arbiter_kinds=arbiter)
     pending = iter(schedule)

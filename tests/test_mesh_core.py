@@ -1,13 +1,12 @@
-"""Mesh simulator core: flits, routing, arbiters, router mechanics."""
+"""Mesh simulator core: flits, routing, arbitration, router mechanics."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MeshConfigError
-from repro.noc.mesh.arbiter import AgeArbiter, RoundRobinArbiter, make_arbiter
 from repro.noc.mesh.flit import Packet, PacketKind
-from repro.noc.mesh.router import Router
 from repro.noc.mesh.routing import Port, neighbor, node_xy, xy_route
+from repro.noc.mesh.vc import VCRouter, one_vc_mesh
 
 
 # ---- packets/flits -----------------------------------------------------------
@@ -88,7 +87,7 @@ def test_xy_route_always_makes_progress(src, dst):
     assert node == dst
 
 
-# ---- arbiters -----------------------------------------------------------------
+# ---- arbitration (VCRouter.grant at one VC) -----------------------------------
 
 def _flit(birth, pid_src=0):
     p = Packet(src=pid_src, dst=1, size=1)
@@ -97,73 +96,85 @@ def _flit(birth, pid_src=0):
 
 
 def test_round_robin_rotates():
-    arb = RoundRobinArbiter(4)
+    r = VCRouter(0, num_vcs=1, arbiter_kind="rr")
     candidates = {0: _flit(0), 2: _flit(0)}
-    grants = [arb.grant(candidates) for _ in range(4)]
+    grants = [r.grant(Port.EAST, candidates) for _ in range(4)]
     assert grants == [0, 2, 0, 2]
 
 
 def test_round_robin_validation():
     with pytest.raises(MeshConfigError):
-        RoundRobinArbiter(0)
-    with pytest.raises(MeshConfigError):
-        RoundRobinArbiter(2).grant({})
+        VCRouter(0, num_vcs=1, arbiter_kind="rr").grant(Port.EAST, {})
 
 
 def test_age_arbiter_prefers_oldest():
-    arb = AgeArbiter(4)
-    assert arb.grant({0: _flit(50), 3: _flit(10)}) == 3
+    r = VCRouter(0, num_vcs=1, arbiter_kind="age")
+    assert r.grant(Port.EAST, {0: _flit(50), 3: _flit(10)}) == 3
 
 
 def test_age_arbiter_tie_break_deterministic():
-    arb = AgeArbiter(4)
+    r = VCRouter(0, num_vcs=1, arbiter_kind="age")
     a, b = _flit(5), _flit(5)
-    winner = arb.grant({0: a, 1: b})
+    winner = r.grant(Port.EAST, {0: a, 1: b})
     expected = 0 if a.packet.pid < b.packet.pid else 1
     assert winner == expected
-
-
-def test_make_arbiter():
-    assert isinstance(make_arbiter("rr", 5), RoundRobinArbiter)
-    assert isinstance(make_arbiter("age", 5), AgeArbiter)
-    with pytest.raises(MeshConfigError):
-        make_arbiter("lottery", 5)
 
 
 # ---- router -------------------------------------------------------------------
 
 def test_router_accept_and_space():
-    r = Router(0, buffer_flits=2)
+    r = VCRouter(0, num_vcs=1, buffer_flits=2)
     f = _flit(0)
     r.accept(Port.LOCAL, f)
-    assert r.space(Port.LOCAL) == 1
+    assert r.space(Port.LOCAL, 0) == 1
     r.accept(Port.LOCAL, _flit(0))
     with pytest.raises(MeshConfigError):
         r.accept(Port.LOCAL, _flit(0))
 
 
 def test_router_wormhole_lock():
-    r = Router(0, buffer_flits=8)
+    r = VCRouter(0, num_vcs=1, buffer_flits=8)
     p = Packet(src=0, dst=1, size=3)
     for f in p.flits():
         r.accept(Port.WEST, f)
-    route = lambda flit: Port.EAST
     # head wins and locks the output
-    cands = r.candidates_for(Port.EAST, route)
-    assert list(cands) == [int(Port.WEST)]
-    r.pop(Port.WEST, Port.EAST)
-    assert r.out_lock[Port.EAST] is p
-    # a competing head is not eligible while locked
+    r.pop(Port.WEST, 0, Port.EAST)
+    assert r.out_lock[(Port.EAST, 0)] is p
+    assert r.body_out[(Port.WEST, 0)] is Port.EAST
+    # a competing head finds the output locked to another packet
     other = Packet(src=2, dst=1, size=1)
     r.accept(Port.NORTH, other.flits()[0])
-    cands = r.candidates_for(Port.EAST, route)
-    assert list(cands) == [int(Port.WEST)]
-    # drain body + tail releases the lock
-    r.pop(Port.WEST, Port.EAST)
-    r.pop(Port.WEST, Port.EAST)
-    assert r.out_lock[Port.EAST] is None
+    r.pop(Port.WEST, 0, Port.EAST)
+    assert r.out_lock[(Port.EAST, 0)] is p
+    # draining the tail releases the lock
+    r.pop(Port.WEST, 0, Port.EAST)
+    assert r.out_lock[(Port.EAST, 0)] is None
+    assert r.body_out[(Port.WEST, 0)] is None
+
+
+def test_wormhole_lock_blocks_competing_head_until_tail():
+    """On a 3x1 mesh a head injected at node 1 while a 4-flit packet
+    streams through node 1's EAST output waits for that packet's tail:
+    node 2 receives the four flits back to back, then the late head."""
+    mesh = one_vc_mesh(3, 1)
+    long_packet = Packet(src=0, dst=2, size=4)
+    late = Packet(src=1, dst=2, size=1)
+    arrivals = []
+    accept = mesh.routers[2].accept
+
+    def record(port, flit, ready=0):
+        if port is Port.WEST:
+            arrivals.append(flit.packet.pid)
+        accept(port, flit, ready)
+
+    mesh.routers[2].accept = record
+    mesh.inject(long_packet)
+    mesh.run(2)         # the head crosses node 1 and takes the lock
+    mesh.inject(late)
+    mesh.run(20)
+    assert arrivals == [long_packet.pid] * 4 + [late.pid]
 
 
 def test_router_pop_empty_raises():
     with pytest.raises(MeshConfigError):
-        Router(0).pop(Port.LOCAL, Port.EAST)
+        VCRouter(0, num_vcs=1).pop(Port.LOCAL, 0, Port.EAST)

@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import MeshConfigError
 from repro.noc.mesh.flit import Packet
-from repro.noc.mesh.network import Mesh2D
 from repro.noc.mesh.interfaces import MemoryNode, run_reply_bottleneck
-from repro.noc.mesh.traffic import (ManyToFewTraffic, default_mc_nodes,
-                                    run_fairness_experiment)
+from repro.noc.mesh.routing import default_mc_nodes
+from repro.noc.mesh.traffic import ManyToFewTraffic, run_fairness_experiment
+from repro.noc.mesh.vc import one_vc_mesh
 
 
 def test_single_packet_delivered():
-    mesh = Mesh2D(4, 4)
+    mesh = one_vc_mesh(4, 4)
     p = Packet(src=0, dst=15, size=3)
     mesh.inject(p)
     mesh.run(40)
@@ -20,7 +20,7 @@ def test_single_packet_delivered():
 
 
 def test_latency_grows_with_distance():
-    mesh = Mesh2D(6, 6)
+    mesh = one_vc_mesh(6, 6)
     near = Packet(src=0, dst=1, size=1)
     far = Packet(src=0, dst=35, size=1)
     mesh.inject(near)
@@ -31,7 +31,7 @@ def test_latency_grows_with_distance():
 
 def test_flit_conservation():
     """Injected flits = delivered flits + in-flight + source backlog."""
-    mesh = Mesh2D(4, 4)
+    mesh = one_vc_mesh(4, 4)
     packets = []
     for i in range(20):
         p = Packet(src=i % 16, dst=(i * 7) % 16, size=2)
@@ -42,18 +42,18 @@ def test_flit_conservation():
     total_flits = sum(p.size for p in packets)
     for _ in range(10):
         mesh.step()
-        in_system = (mesh.flits_delivered + mesh.in_flight_flits()
+        in_system = (mesh.flits_delivered + sum(r.occupancy for r in mesh.routers)
                      + sum(mesh.source_backlog(n) for n in range(16)))
         assert in_system == total_flits
     mesh.run(200)
     assert mesh.flits_delivered == total_flits
     # per-packet conservation: every injected packet ejected whole
     assert all(p.delivered_cycle is not None for p in packets)
-    assert mesh.delivered_count == len(packets)
+    assert mesh.delivered_count() == len(packets)
 
 
 def test_multi_flit_packets_arrive_whole():
-    mesh = Mesh2D(4, 4)
+    mesh = one_vc_mesh(4, 4)
     packets = [Packet(src=0, dst=15, size=5) for _ in range(4)]
     for p in packets:
         mesh.inject(p)
@@ -63,7 +63,7 @@ def test_multi_flit_packets_arrive_whole():
 
 def test_per_flow_in_order_delivery():
     """Same src->dst packets deliver in injection order (wormhole+FIFO)."""
-    mesh = Mesh2D(4, 4)
+    mesh = one_vc_mesh(4, 4)
     packets = []
     for i in range(10):
         p = Packet(src=1, dst=14, size=2)
@@ -76,17 +76,17 @@ def test_per_flow_in_order_delivery():
 
 
 def test_inject_validation():
-    mesh = Mesh2D(2, 2)
+    mesh = one_vc_mesh(2, 2)
     with pytest.raises(MeshConfigError):
         mesh.inject(Packet(src=0, dst=4, size=1))
     with pytest.raises(MeshConfigError):
         mesh.run(-1)
     with pytest.raises(MeshConfigError):
-        Mesh2D(0, 3)
+        one_vc_mesh(0, 3)
 
 
 def test_sink_callback():
-    mesh = Mesh2D(3, 3)
+    mesh = one_vc_mesh(3, 3)
     seen = []
     mesh.add_sink(8, lambda pkt, cycle: seen.append((pkt.pid, cycle)))
     p = Packet(src=0, dst=8, size=1)
@@ -101,7 +101,7 @@ def test_mc_placement_on_edges():
 
 
 def test_traffic_validation():
-    mesh = Mesh2D(6, 6)
+    mesh = one_vc_mesh(6, 6)
     with pytest.raises(MeshConfigError):
         ManyToFewTraffic(mesh, [])
     with pytest.raises(MeshConfigError):
@@ -128,8 +128,8 @@ def test_fairness_validation():
 
 def test_memory_node_backpressure():
     """A full reply interface stalls the memory channel."""
-    req = Mesh2D(3, 3)
-    rep = Mesh2D(3, 3)
+    req = one_vc_mesh(3, 3)
+    rep = one_vc_mesh(3, 3)
     mc = MemoryNode(req, rep, node=4, reply_flits=5, reply_queue_limit=1)
     # deliver many requests instantly via the sink path
     for i in range(10):

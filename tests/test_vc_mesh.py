@@ -33,6 +33,8 @@ def test_router_separate_vc_buffers():
 def test_router_validation():
     with pytest.raises(MeshConfigError):
         VCRouter(0, num_vcs=0)
+    with pytest.raises(MeshConfigError, match="unknown arbiter kind"):
+        VCRouter(0, num_vcs=1, arbiter_kind="lottery")
     with pytest.raises(MeshConfigError):
         VCRouter(0).pop(Port.LOCAL, 0, Port.EAST)
 
@@ -75,6 +77,7 @@ def test_vcmesh_flit_conservation():
     """Injected flits = delivered + in routers + in source queues."""
     mesh = VCMesh(3, 3, num_vcs=2)
     total = 0
+    packets = 0
     for i in range(24):
         kind = PacketKind.REQUEST if i % 2 else PacketKind.REPLY
         size = 1 if kind is PacketKind.REQUEST else 3
@@ -83,6 +86,7 @@ def test_vcmesh_flit_conservation():
             continue
         mesh.inject(p)
         total += p.size
+        packets += 1
     for _ in range(30):
         mesh.step()
         in_flight = sum(r.occupancy for r in mesh.routers)
@@ -90,7 +94,7 @@ def test_vcmesh_flit_conservation():
         assert mesh.flits_delivered + in_flight + backlog == total
     mesh.run(400)
     assert mesh.flits_delivered == total
-    assert sum(p.size for p in mesh.delivered) == total
+    assert mesh.stats.count == packets
 
 
 def test_shared_network_vc_benefit():

@@ -61,7 +61,7 @@ def lockstep(width, height, cfgs, cycles, traffic_seed, arbiter="rr",
                 batched.credit_snapshot(lane), where
             assert scalar.flits_delivered == \
                 batched.delivered_flits(lane), where
-            assert len(scalar.delivered) == \
+            assert scalar.delivered_count() == \
                 batched.delivered_count(lane), where
             assert scalar.source_backlog(0) == \
                 batched.source_backlog(lane, 0), where
@@ -145,6 +145,23 @@ def test_batched_validation():
     with pytest.raises(MeshConfigError):
         batched_vc_grid(vc_counts=(1,), injection_rates=(1.5,),
                         cycles=200, window=50)
+
+
+@pytest.mark.parametrize("reply_flits", [0, -3])
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+def test_shared_network_rejects_nonpositive_reply_flits(engine, reply_flits):
+    with pytest.raises(MeshConfigError, match="reply_flits must be positive"):
+        run_shared_network_experiment(2, cycles=300, reply_flits=reply_flits,
+                                      engine=engine)
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("reply_flits", [0, -3])
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+def test_vc_grid_rejects_nonpositive_reply_flits(engine, reply_flits, jobs):
+    with pytest.raises(MeshConfigError, match="reply_flits must be positive"):
+        sweep_vc_grid(cycles=300, reply_flits=reply_flits, engine=engine,
+                      jobs=jobs)
 
 
 def test_empty_grid_returns_empty():
