@@ -23,7 +23,16 @@ BENCH_vcmesh.json``, or printed under ``pytest -s``):
   single VC, multi-flit replies head-of-line block the request class
   across the protocol cycle and memory service collapses; giving each
   class its own VC restores throughput.  The reply path needs its own
-  resources.
+  resources;
+* ``one_vc_step_us`` — microseconds per cycle (inject, step and their
+  sum) of ``BatchedVCMesh`` at one VC against the mesh domain's own
+  kernel, ``BatchedMesh``, on the same pre-drawn single-flit uniform
+  traffic (both models are the one-VC wormhole mesh, so their
+  delivered counts must agree).  This is the gap that folding the mesh
+  domain onto the VC kernel has to close; no floor;
+* ``grid_jobs`` — wall time of the 16-lane sweep in-process against
+  ``jobs=2`` (two 8-lane blocks on a process pool), with ``to_json``
+  equality asserted; no floor.
 """
 
 from __future__ import annotations
@@ -33,17 +42,25 @@ import os
 import tempfile
 import time
 
+import numpy as np
 from _figutil import paper_vs, show
 
 from repro.exec.cache import ResultCache
+from repro.noc.mesh.fastmesh import BatchedMesh
+from repro.noc.mesh.flit import Packet
 from repro.noc.mesh.vc import sweep_vc_grid
-from repro.noc.mesh.vcmesh_batched import batched_vc_grid
+from repro.noc.mesh.vcmesh_batched import BatchedVCMesh, batched_vc_grid
+from repro.units import MEGA
 
 #: One full sweep: 2 VC counts x 2 depths x 2 credit latencies = 8 lanes,
 #: each a complete 6x6 shared-network experiment (greedy injection).
 GRID = dict(vc_counts=(1, 2), buffer_depths=(2, 4), credit_latencies=(1, 2),
             injection_rates=(None,), seeds=(0,), cycles=2000,
             reply_flits=5, window=100)
+
+
+#: The one-VC kernel comparison: 6x6 mesh, 4 lanes, 2000 cycles per load.
+STEP_MESH = dict(width=6, height=6, lanes=4, cycles=2000, loads=(0.05, 0.3))
 
 
 def _lanes(grid: dict) -> int:
@@ -85,6 +102,96 @@ def vcmesh_engine_timings(floor: float = 3.0, attempts: int = 4) -> dict:
                           == [r.to_json() for r in batched]),
         "grid": [r.to_json() for r in batched],
     }
+
+
+def _uniform_traffic(load: float, seed: int = 0) -> list:
+    """Per cycle, the (lane, src, dst) single-flit packets to inject."""
+    n = STEP_MESH["width"] * STEP_MESH["height"]
+    gen = np.random.default_rng(seed)
+    traffic = []
+    for _ in range(STEP_MESH["cycles"]):
+        fire = gen.random((STEP_MESH["lanes"], n)) < load
+        dst = gen.integers(n - 1, size=(STEP_MESH["lanes"], n))
+        lanes, srcs = np.nonzero(fire)
+        dsts = dst[lanes, srcs]
+        dsts += dsts >= srcs                 # any node but the source
+        traffic.append(list(zip(lanes.tolist(), srcs.tolist(),
+                                dsts.tolist())))
+    return traffic
+
+
+def _time_steps(mesh, inject, traffic) -> tuple:
+    """(inject, step) microseconds per cycle over one run."""
+    clock = time.perf_counter
+    inject_s = step_s = 0.0
+    for cycle_packets in traffic:
+        start = clock()
+        for packet in cycle_packets:
+            inject(*packet)
+        mid = clock()
+        mesh.step()
+        inject_s += mid - start
+        step_s += clock() - mid
+    return inject_s / len(traffic) * MEGA, step_s / len(traffic) * MEGA
+
+
+def one_vc_step_timings(repeats: int = 3) -> dict:
+    """us/cycle: BatchedVCMesh(num_vcs=1) vs BatchedMesh, same traffic.
+
+    Each kernel takes its packets through its public ``inject`` (the VC
+    kernel defers them to a bulk flush inside ``step``; ``BatchedMesh``
+    writes them at once), so the record splits inject and step time and
+    gives their sum.  Min of ``repeats`` fresh runs per kernel and load
+    (packet construction not timed); the delivered counts of the two
+    kernels must agree lane for lane.
+    """
+    width, height = STEP_MESH["width"], STEP_MESH["height"]
+    lanes = STEP_MESH["lanes"]
+    by_load = {}
+    for load in STEP_MESH["loads"]:
+        traffic = _uniform_traffic(load)
+        vc_traffic = [[(lane, Packet(src=src, dst=dst, size=1))
+                       for lane, src, dst in cycle_packets]
+                      for cycle_packets in traffic]
+        vc_runs, mesh_runs = [], []
+        for _ in range(repeats):
+            vc_mesh = BatchedVCMesh(width, height, num_vcs=(1,) * lanes,
+                                    buffer_flits=8, credit_latency=1)
+            vc_runs.append(_time_steps(vc_mesh, vc_mesh.inject, vc_traffic))
+            mesh = BatchedMesh(width, height, batch=lanes)
+            mesh_runs.append(_time_steps(
+                mesh, lambda lane, src, dst: mesh.inject(lane, src, dst, 1),
+                traffic))
+        vc_inject, vc_step = min(vc_runs, key=sum)
+        mesh_inject, mesh_step = min(mesh_runs, key=sum)
+        by_load[str(load)] = {
+            "vcmesh": {"inject_us": vc_inject, "step_us": vc_step,
+                       "total_us": vc_inject + vc_step},
+            "mesh": {"inject_us": mesh_inject, "step_us": mesh_step,
+                     "total_us": mesh_inject + mesh_step},
+            "ratio": (vc_inject + vc_step) / (mesh_inject + mesh_step),
+            "delivered_equal": (mesh.delivered_count.tolist()
+                                == [vc_mesh.delivered_count(lane)
+                                    for lane in range(lanes)])}
+    return {"config": {k: list(v) if isinstance(v, tuple) else v
+                       for k, v in STEP_MESH.items()}, "by_load": by_load}
+
+
+def grid_jobs_timings(repeats: int = 2) -> dict:
+    """The 16-lane sweep in-process vs ``jobs=2``; min of ``repeats``."""
+    grid = dict(GRID, seeds=(0, 1))
+    inproc_s = pooled_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        inproc = sweep_vc_grid(**grid)
+        inproc_s = min(inproc_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        pooled = sweep_vc_grid(jobs=2, **grid)
+        pooled_s = min(pooled_s, time.perf_counter() - start)
+    return {"lanes": _lanes(grid), "cycles": grid["cycles"],
+            "inproc_s": inproc_s, "jobs2_s": pooled_s,
+            "identical": ([r.to_json() for r in inproc]
+                          == [r.to_json() for r in pooled])}
 
 
 def grid_cache_timings() -> dict:
@@ -137,6 +244,8 @@ def collect() -> dict:
     record["vcmesh_engine"] = vcmesh_engine_timings()
     record["vc_benefit"] = vc_benefit(record["vcmesh_engine"]["grid"])
     record["grid_cache"] = grid_cache_timings()
+    record["one_vc_step_us"] = one_vc_step_timings()
+    record["grid_jobs"] = grid_jobs_timings()
     return record
 
 
@@ -150,6 +259,9 @@ def check(record: dict) -> None:
     benefit = record["vc_benefit"]
     assert benefit["improvement"] > 1.5
     assert benefit["service_rate_2vc"] > 0.5
+    for row in record["one_vc_step_us"]["by_load"].values():
+        assert row["delivered_equal"]
+    assert record["grid_jobs"]["identical"]
 
 
 def bench_ext_vc_mesh(benchmark):

@@ -10,7 +10,11 @@ Two invariants make parallel results trustworthy:
 
 * **Fixed shard granularity.**  A sweep is decomposed into shards
   *before* the worker count is chosen, so ``jobs=1`` and ``jobs=8``
-  execute byte-identical shard lists.
+  execute byte-identical shard lists.  The one exception is
+  :func:`~repro.noc.mesh.vc.sweep_vc_grid`, which cuts its grid into
+  ``jobs`` contiguous lockstep blocks: its shard list depends on
+  ``jobs``, but its results do not, because every lane replays its own
+  traffic stream and so computes the same bytes in any batch.
 * **Self-contained shards.**  A shard's arguments carry everything
   needed to rebuild its world — the GPU spec as a plain dict, the device
   seed, the parameter slice — and the worker reconstructs a fresh

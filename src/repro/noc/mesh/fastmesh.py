@@ -71,7 +71,11 @@ _RR_PICK = tuple(
 # Exact replay of the scalar traffic RNG stream
 # ---------------------------------------------------------------------------
 
-_RAW_BLOCK = 4096
+# raw words fetched per refill.  The stream is purely sequential, so the
+# block size cannot change a draw; 512 words cost the same per word to
+# fetch as larger blocks and keep a stream's replay lists near 40 KiB
+# (a sweep block holds one stream per lane)
+_RAW_BLOCK = 512
 _U32 = 0xFFFFFFFF
 # Generator.random() maps one raw PCG64 word to [0, 1): (word >> 11) * 2**-53
 _RANDOM_SCALE = 2.0 ** -53
@@ -130,34 +134,30 @@ class _RawStream:
         self._pos = pos + 1
         return self._dbl[pos]
 
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = False
-            return self._buf32
-        pos = self._pos
-        if pos == self._len:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        word = self._words[pos]
-        self._has32 = True
-        self._buf32 = word >> 32
-        return word & _U32
-
     def integers(self, n: int) -> int:
         """``Generator.integers(n)`` for ``1 <= n <= 2**32``."""
-        rng_incl = n - 1            # numpy's inclusive range bound
-        if rng_incl == 0:
+        if n == 1:
             return 0                # consumes no stream words
-        rng_excl = rng_incl + 1
-        m = self._next32() * rng_excl
-        leftover = m & _U32
-        if leftover < rng_excl:
-            threshold = (_U32 - rng_incl) % rng_excl
-            while leftover < threshold:
-                m = self._next32() * rng_excl
-                leftover = m & _U32
-        return m >> 32
+        while True:
+            if self._has32:
+                self._has32 = False
+                w32 = self._buf32
+            else:
+                pos = self._pos
+                if pos == self._len:
+                    self._refill()
+                    pos = 0
+                self._pos = pos + 1
+                word = self._words[pos]
+                self._has32 = True
+                self._buf32 = word >> 32
+                w32 = word & _U32
+            m = w32 * n
+            leftover = m & _U32
+            # accept unless the draw lands in the biased low band:
+            # threshold = 2**32 % n, which is < n
+            if leftover >= n or leftover >= (_U32 - n + 1) % n:
+                return m >> 32
 
 
 _STREAM_CLS: type | None = None

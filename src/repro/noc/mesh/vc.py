@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import rng
-from repro.errors import MeshConfigError
+from repro.errors import ConfigurationError, MeshConfigError
 from repro.noc.mesh.flit import Packet, PacketKind
 from repro.noc.mesh.routing import Port, default_mc_nodes, neighbor, xy_route
 
@@ -59,11 +59,6 @@ _OPPOSITE = {Port.EAST: Port.WEST, Port.WEST: Port.EAST,
 _CLASS_VC = {PacketKind.REQUEST: 0, PacketKind.REPLY: 1}
 
 _ARBITER_KINDS = ("rr", "age")
-
-#: Shard count a ``jobs``-parallel :func:`sweep_vc_grid` splits its grid
-#: into (lanes per shard = ceil(points / this)).  Granularity is fixed
-#: before the worker count so results never depend on ``jobs``.
-_VC_SWEEP_SHARDS = 8
 
 
 def class_vc(packet: Packet, num_vcs: int) -> int:
@@ -500,10 +495,10 @@ def run_shared_network_experiment(num_vcs: int, width: int = 6,
 
 
 def _vc_points_shard(args) -> list:
-    """Sweep-runner worker: one chunk of grid points, lockstep or scalar.
+    """Sweep-runner worker: one block of grid points, lockstep or scalar.
 
     Lanes are mutually independent (each replays its own traffic
-    stream), so a chunk simulated on its own produces exactly the lanes
+    stream), so a block simulated on its own produces exactly the lanes
     the full grid would — sharding cannot change a single flit.  The
     results carry ``utilization`` ndarrays, which the pool's zero-copy
     transport moves without re-encoding.
@@ -538,13 +533,19 @@ def sweep_vc_grid(vc_counts=(1, 2), buffer_depths=(4,),
     single lockstep :class:`~repro.noc.mesh.vcmesh_batched
     .BatchedVCMesh` run; ``"scalar"`` loops this module's golden model.
 
-    ``jobs`` shards the grid's *lanes* into fixed chunks run across a
-    process pool (each chunk still a lockstep batch under the batched
-    engine); lanes are independent, so ``jobs=1`` and ``jobs=N`` return
-    bit-identical results in the same row-major order.
+    ``jobs=N`` splits the row-major grid into ``min(N, points)``
+    contiguous blocks of near-equal size and runs them on a
+    :class:`~repro.exec.SweepRunner` pool, each block one lockstep batch
+    under the batched engine (``jobs=1`` is one in-process block).  The
+    blocks depend on ``jobs``, the results do not: every lane replays
+    its own traffic stream, so a lane's result is the same in any batch
+    (see :func:`~repro.noc.mesh.vcmesh_batched.batched_vc_points`), and
+    every ``jobs`` returns bit-identical results in row-major order.
     """
     from repro import engines as engine_registry
     engine = engine_registry.resolve("vcmesh", engine)
+    if jobs is not None and jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     grid = [(num_vcs, depth, latency, rate, seed)
             for num_vcs in vc_counts
             for depth in buffer_depths
@@ -554,12 +555,14 @@ def sweep_vc_grid(vc_counts=(1, 2), buffer_depths=(4,),
     if jobs is None:
         return _vc_points_shard((grid, width, height, cycles, reply_flits,
                                  window, engine))
-    from repro.exec import SweepRunner, chunk
-    # fixed granularity BEFORE the worker count (the SweepRunner
-    # invariant): always _VC_SWEEP_SHARDS shards, so jobs only decides
-    # how many run at once, never what a shard contains
-    size = max(1, -(-len(grid) // _VC_SWEEP_SHARDS))
-    shards = [(points, width, height, cycles, reply_flits, window, engine)
-              for points in chunk(grid, size=size)]
+    from repro.exec import SweepRunner
+    # one contiguous block per worker: lanes are batch-independent, so
+    # block boundaries cannot move a result, and fewer, wider lockstep
+    # batches are what the batched kernel is fast at
+    blocks = min(jobs, len(grid))
+    size, extra = divmod(len(grid), max(blocks, 1))
+    bounds = [i * size + min(i, extra) for i in range(blocks + 1)]
+    shards = [(grid[lo:hi], width, height, cycles, reply_flits, window,
+               engine) for lo, hi in zip(bounds, bounds[1:])]
     shard_results = SweepRunner(jobs).map(_vc_points_shard, shards)
     return [result for shard in shard_results for result in shard]

@@ -11,16 +11,28 @@ arrays, one *lane* per grid point — the same struct-of-arrays design as
 * the global slot id is ``g = ((lane*n + node)*P + port)*V + vc`` with
   ``V`` the widest lane's VC count; per-slot capacity / credit-latency
   arrays give each lane its own buffer depth and credit loop;
-* a third ring array carries each flit's *ready cycle* (the
-  buffer-write -> route-compute -> VC-allocation pipeline stamp);
+* with a multi-stage pipeline a third ring array carries each flit's
+  *ready cycle* (the buffer-write -> route-compute -> VC-allocation
+  stamp); a one-stage pipeline keeps no stamps, as every flit is due
+  the cycle after it lands;
 * per-(output, VC) credit counters are decremented at switch traversal
   and returned through a ``(max_latency+1) x G`` credit ring whose row
   ``(cycle + lane_latency) % R`` collects the cycle's issued credits;
-* switch allocation is per *output port* across all of its VCs: the
-  contender bitmask packs candidate index ``port*V + vc``, the
-  single-contender fast path decodes it with ``frexp``, and contended
-  outputs replay the scalar arbiter exactly — including the per-lane
-  ``port*num_vcs + vc`` rotation arithmetic of the round-robin pointer.
+  a per-row dirty flag skips the drain of rows that hold none;
+* switch allocation is per *output port* across all of its VCs, and
+  eligibility is evaluated on the occupied input slots only: the
+  contender bitmask packs candidate index ``port*V + vc``; round-robin
+  takes the lowest set bit of the mask rotated to the output's scan
+  start (the scalar pointer's ``port*num_vcs + vc`` order is the same
+  order restricted to the lane's VCs), and age decodes a lone
+  contender with ``frexp`` and compares B words otherwise;
+* injected packets are deferred and enqueued once per step: the flush
+  expands every packet into its flit train with ``np.repeat``, sets
+  HEAD/TAIL from each flit's offset, keeps inject order within each
+  source queue and grows the queues when needed.  Packet ids count up
+  in inject order, which is all the age arbiter's tie break needs;
+* delivery counters fold lazily from per-step ejection records; the
+  accessors fold before they read.
 
 The contract is the one every fast engine here holds: **flit-for-flit
 and statistic-identical** to the scalar golden model, asserted per
@@ -33,10 +45,10 @@ registry fuzz harness.  Traffic replays the scalar draws through
 Entry points mirror the scalar experiment APIs and return the same
 :class:`~repro.noc.mesh.vc.SharedNetworkResult`:
 :func:`batched_shared_network_experiment` and :func:`batched_vc_grid`
-(with :func:`batched_vc_points` taking an explicit lane list, the unit
-a ``jobs``-parallel sweep shards over).  Engines resolve through the
-:mod:`repro.engines` registry (domain ``"vcmesh"``, this kernel is
-``"batched"``).
+(with :func:`batched_vc_points` taking an explicit lane list: one
+contiguous block of a ``jobs``-parallel sweep).  Engines resolve
+through the :mod:`repro.engines` registry (domain ``"vcmesh"``, this
+kernel is ``"batched"``).
 """
 
 from __future__ import annotations
@@ -61,6 +73,21 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 
 #: candidate bitmasks stay exact in float64 bincount weights up to here
 _MAX_VCS = 8
+
+# deferred packets are packed as ``queue << 43 | (size - 1) << 27 | A``
+# with the HEAD/TAIL bits of ``A`` clear: the flush expands each packet
+# into its flit train and sets them from each flit's offset
+_PEND_SIZE_SHIFT = 27
+_PEND_Q_SHIFT = 43
+_PEND_A_MASK = (1 << _PEND_SIZE_SHIFT) - 1
+_PEND_SIZE_MASK = (1 << (_PEND_Q_SHIFT - _PEND_SIZE_SHIFT)) - 1
+_MAX_PACKET_FLITS = _PEND_SIZE_MASK + 1
+_MAX_QUEUES = 1 << (63 - _PEND_Q_SHIFT)
+
+# steps of ejection records folded into the delivery counters at once:
+# exact at any value (integer counts); small enough that the record
+# lists stay a few KiB per lane
+_STATS_FOLD_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -114,6 +141,8 @@ class BatchedVCMesh:
         n = width * height
         if n > _MAX_NODES:
             raise MeshConfigError("mesh too large for the batched engine")
+        if batch * n > _MAX_QUEUES:
+            raise MeshConfigError("too many lanes for the batched engine")
         self.width = width
         self.height = height
         self.batch = batch
@@ -127,12 +156,15 @@ class BatchedVCMesh:
 
         P = _NUM_PORTS
         V = max(num_vcs)                  # slot stride; folded VCs unused
-        F = max(buffer_flits)
+        # ring stride: a power of two >= every lane's depth, so ring
+        # positions wrap with a mask (a lane never holds more than its
+        # own depth, whatever the stride)
+        F = 1 << (max(buffer_flits) - 1).bit_length()
         B = batch
         self._v = V
         self._f = F
+        self._fmask = F - 1
         spl = n * P * V                   # slots per lane
-        self._spl = spl
         G = B * spl
         self._g = G
         OP = G // V                       # output-port grant slots
@@ -146,33 +178,39 @@ class BatchedVCMesh:
         # ---- input-buffer rings + materialised head caches -------------
         self._rf_a = np.zeros(G * F, dtype=np.int64)
         self._rf_b = np.zeros(G * F, dtype=np.int64)
-        self._rf_r = np.zeros(G * F, dtype=np.int64)
         self._hd = np.zeros(G, dtype=np.int64)
         self._ln = np.zeros(G, dtype=np.int64)
         self._h_a = np.zeros(G, dtype=np.int64)
         self._h_b = np.zeros(G, dtype=np.int64)
-        self._h_r = np.zeros(G, dtype=np.int64)
         self._h_out = np.zeros(G, dtype=np.int64)
+        # ready stamps: with a one-stage pipeline every buffered flit is
+        # already due at the next cycle, so the stamps are not kept
+        self._staged = pipeline_stages > 1
+        if self._staged:
+            self._rf_r = np.zeros(G * F, dtype=np.int64)
+            self._h_r = np.zeros(G, dtype=np.int64)
 
         # ---- router state ----------------------------------------------
         self._lock = np.full(G, -1, dtype=np.int64)     # per (out, vc)
         self._body_out = np.zeros(G, dtype=np.int64)    # per (in, vc)
         self._credits = np.zeros(G, dtype=np.int64)     # per (out, vc)
-        # rr pointer per output port, in the lane's own P*Vl index space
-        self._rr_last = np.zeros(OP, dtype=np.int64)
+        # rr scan start per output port, as a candidate column
+        # j = port*V + vc: the scalar pointer walks port*Vl + vc, which
+        # orders a lane's own VCs exactly as j does, so the rotation
+        # replays in the global column space (first grant scans from 0)
+        self._rr_next = np.zeros(OP, dtype=np.int64)
 
         # ---- precomputed flat topology ----------------------------------
         gf = np.arange(G, dtype=np.int64)
-        self._vc_f = gf % V
-        self._port_f = (gf // V) % P
+        vc_f = gf % V
+        port_f = (gf // V) % P
         node_f = (gf // (P * V)) % n
-        self._lane_f = gf // spl
-        self._nb_f = gf - self._port_f * V - self._vc_f  # node block base
-        self._nbop_f = self._nb_f // V                   # node's op base
-        self._cap_f = lane_cap.take(self._lane_f)
-        self._lat_f = lane_lat.take(self._lane_f)
-        self._bit_f = (1 << (self._port_f * V + self._vc_f)) \
-            .astype(np.float64)
+        lane_f = gf // spl
+        # output slot of (node, vc) minus port*V: the node's block base
+        # plus the slot's own VC
+        self._nbvc_f = gf - port_f * V
+        self._cap_f = lane_cap.take(lane_f)
+        self._bit_f = (1 << (port_f * V + vc_f)).astype(np.float64)
         self._route_f = np.array(
             [int(xy_route(node, dst, width))
              for node in range(n) for dst in range(n)], dtype=np.int64)
@@ -191,34 +229,37 @@ class BatchedVCMesh:
                 if dst >= 0:
                     nbr_node[node, port] = dst
         opp = np.array(_OPP, dtype=np.int64)
-        link = (nbr_node[node_f, self._port_f] * P * V
-                + opp.take(self._port_f) * V + self._vc_f)
+        link = (nbr_node[node_f, port_f] * P * V
+                + opp.take(port_f) * V + vc_f)
         # boundary ports never carry traffic (XY routing): clip to 0
-        self._link_g = np.maximum(link, 0) + self._lane_f * spl
+        self._link_g = np.maximum(link, 0) + lane_f * spl
 
         opf = np.arange(OP, dtype=np.int64)
         self._op_port = opf % P
-        self._op_lane = opf // (n * P)
-        op_vcs = lane_vcs.take(self._op_lane)
-        self._op_k = P * op_vcs            # lane arbiter index space
-        self._rr_last[:] = self._op_k - 1  # first grant scans from idx 0
-        # global-V candidate column j = port*V + v -> lane idx port*Vl + v
-        arange_k = np.arange(P * V, dtype=np.int64)
-        self._col_port = arange_k // V
-        self._col_vc = arange_k % V
+        self._op_node = opf // P % n
+        self._op_lane = opf // (P * n)
+        self._arange_k = np.arange(P * V, dtype=np.int64)
+        self._k_mask = (1 << (P * V)) - 1
 
-        # per-lane class->VC fold: REQUEST -> 0, REPLY -> 1 % Vl
-        self._reply_vc = (lane_vcs > 1).astype(np.int64)
+        # LOCAL input slot of each source queue's request and reply
+        # class VCs (class -> VC fold: REQUEST -> 0, REPLY -> 1 % Vl)
+        qf = np.arange(B * n, dtype=np.int64)
+        self._q_local = qf // n * spl + qf % n * (P * V)
+        self._q_reply = self._q_local + np.repeat(
+            (lane_vcs > 1).astype(np.int64), n)
 
         # buffers start empty: every credit counter holds a full window
         self._credits[:] = self._cap_f
 
         # ---- credit ring: row (cycle % R) drains at the start of cycle;
-        # a credit issued at cycle t lands in row (t + latency) % R
+        # a credit issued at cycle t lands in row (t + latency) % R, at
+        # flat index (t*G + _cr_off[g]) % (R*G) for a pop from slot g
         R = int(lane_lat.max()) + 1
         self._r = R
         self._cring = np.zeros(R * G, dtype=np.int64)
-        self._cring_rows: list = [[] for _ in range(R)]  # scatter indices
+        self._cring_dirty = np.zeros(R, dtype=bool)     # row holds credits
+        self._lats = np.unique(lane_lat)    # rows a cycle's credits hit
+        self._cr_off = self._link_g + lane_lat.take(lane_f) * G
 
         # ---- source queues (ring per node, flat over lanes) -------------
         cap = max(2, int(source_capacity))
@@ -227,11 +268,16 @@ class BatchedVCMesh:
         self._qf_b = np.zeros(B * n * cap, dtype=np.int64)
         self._q_hd = np.zeros(B * n, dtype=np.int64)
         self._q_ln = np.zeros(B * n, dtype=np.int64)
-        self._next_pid = [0] * B
+        self._next_pid = 0
+        # deferred packets (packed ints in inject order), flushed in bulk
+        # before anything reads the queues
+        self._pend: list = []
 
-        # ---- per-lane delivery statistics --------------------------------
+        # ---- per-lane delivery statistics (folded lazily) ---------------
         self._d_count = np.zeros(B, dtype=np.int64)
         self._flits_delivered = np.zeros(B, dtype=np.int64)
+        self._fd_pend: list = []        # lanes of ejected flits, per step
+        self._tl_pend: list = []        # lanes of ejected tails, per step
         self._sinks: dict = {}
         # tails ejected by the last step(): (lanes, nodes, srcs, flags)
         self._last_tl = _EMPTY_I
@@ -258,37 +304,70 @@ class BatchedVCMesh:
         self._q_hd[:] = 0
         self._q_cap = cap * 2
 
-    def _enqueue(self, lane: int, src: int, dst: int, size: int,
-                 reply: bool) -> None:
-        qi = lane * self._n + src
-        while int(self._q_ln[qi]) + size > self._q_cap:
-            self._grow_queues()
-        pid = self._next_pid[lane]
-        self._next_pid[lane] = pid + 1
-        hd, ln = int(self._q_hd[qi]), int(self._q_ln[qi])
-        cap = self._q_cap
-        base = qi * cap
-        a = (dst << _A_DST_SHIFT) | (src << _A_SRC_SHIFT) | \
-            (_F_REPLY if reply else 0)
-        b = (self.cycle << 32) | pid
-        qf_a, qf_b = self._qf_a, self._qf_b
-        for i in range(size):
-            p = base + (hd + ln + i) % cap
-            qf_a[p] = (a | (_F_HEAD if i == 0 else 0)
-                       | (_F_TAIL if i == size - 1 else 0))
-            qf_b[p] = b
-        self._q_ln[qi] = ln + size
-
     def inject(self, lane: int, packet: Packet) -> None:
         """Queue one packet's flit train at its source on ``lane``."""
         if not 0 <= packet.src < self._n:
             raise MeshConfigError(f"source {packet.src} outside mesh")
         if not 0 <= packet.dst < self._n:
             raise MeshConfigError(f"destination {packet.dst} outside mesh")
-        self._enqueue(lane, packet.src, packet.dst, packet.size,
-                      packet.kind is PacketKind.REPLY)
+        if packet.size > _MAX_PACKET_FLITS:
+            raise MeshConfigError(
+                f"batched engine packets hold at most {_MAX_PACKET_FLITS} "
+                "flits")
+        self._pend.append(
+            ((lane * self._n + packet.src) << _PEND_Q_SHIFT)
+            | ((packet.size - 1) << _PEND_SIZE_SHIFT)
+            | (packet.dst << _A_DST_SHIFT) | (packet.src << _A_SRC_SHIFT)
+            | (_F_REPLY if packet.kind is PacketKind.REPLY else 0))
+
+    def _flush_pending(self) -> None:
+        """Enqueue the deferred packets' flit trains in one bulk scatter.
+
+        Packets keep their inject order within each source queue, and
+        packet ids count up in inject order (the age arbiter's tie
+        break; like the scalar model's ids they are unique across lanes),
+        whatever order the lanes and queues were appended in.
+        """
+        pend = self._pend
+        if not pend:
+            return
+        code = np.array(pend, dtype=np.int64)
+        del pend[:]
+        k = code.size
+        qid = code >> _PEND_Q_SHIFT
+        # queue-major, inject order within a queue
+        order = qid.argsort(kind="stable")
+        qid = qid.take(order)
+        code = code.take(order)
+        # age key B = (birth << 32) | pid; ids must stay below 2**32
+        # (a saturated 16-lane grid injects ~100 packets per cycle)
+        bword = order + ((self.cycle << 32) | self._next_pid)
+        self._next_pid += k
+        size = ((code >> _PEND_SIZE_SHIFT) & _PEND_SIZE_MASK) + 1
+        end = size.cumsum()
+        start = end - size
+        # flits queued ahead of each packet: the backlog plus the packets
+        # flushed before it into the same queue
+        ahead = (self._q_ln.take(qid) + start
+                 - start.take(qid.searchsorted(qid)))
+        while (ahead + size).max() > self._q_cap:
+            self._grow_queues()
+        cap = self._q_cap
+        # every flit's packet, and its ring slot: the packet's first
+        # free slot plus the flit's offset in the train
+        pk = np.arange(k, dtype=np.int64).repeat(size)
+        slot = ((self._q_hd.take(qid) + ahead - start).take(pk)
+                + np.arange(pk.size, dtype=np.int64)) % cap \
+            + (qid * cap).take(pk)
+        a = (code & _PEND_A_MASK).take(pk)
+        a[start] |= _F_HEAD
+        a[end - 1] |= _F_TAIL
+        self._qf_a[slot] = a
+        self._qf_b[slot] = bword.take(pk)
+        self._q_ln += np.bincount(qid, size, self._q_ln.size).astype(np.int64)
 
     def source_backlog(self, lane: int, node: int) -> int:
+        self._flush_pending()
         return int(self._q_ln[lane * self._n + node])
 
     def add_sink(self, lane: int, node: int, callback) -> None:
@@ -296,12 +375,25 @@ class BatchedVCMesh:
         self._sinks[(lane, node)] = callback
 
     # ---- accounting ------------------------------------------------------
+    def _flush_stats(self) -> None:
+        """Fold the deferred per-step ejection records into the counters."""
+        if self._fd_pend:
+            self._flits_delivered += np.bincount(
+                np.concatenate(self._fd_pend), minlength=self.batch)
+            del self._fd_pend[:]
+        if self._tl_pend:
+            self._d_count += np.bincount(np.concatenate(self._tl_pend),
+                                         minlength=self.batch)
+            del self._tl_pend[:]
+
     def delivered_count(self, lane: int) -> int:
         """Packets fully ejected so far on one lane."""
+        self._flush_stats()
         return int(self._d_count[lane])
 
     def delivered_flits(self, lane: int) -> int:
         """Flits ejected at LOCAL ports so far on one lane."""
+        self._flush_stats()
         return int(self._flits_delivered[lane])
 
     def buffer_occupancy(self, lane: int) -> list:
@@ -333,8 +425,10 @@ class BatchedVCMesh:
     def step(self) -> None:
         """Advance every lane one cycle (stages 1-5 + injection)."""
         V, F, G = self._v, self._f, self._g
+        fmask = self._fmask
         P = _NUM_PORTS
         cycle = self.cycle
+        staged = self._staged
         ln = self._ln
         hd = self._hd
         h_a = self._h_a
@@ -348,121 +442,102 @@ class BatchedVCMesh:
 
         # ---- stage 1: credit return ------------------------------------
         row = cycle % self._r
-        pend = self._cring_rows[row]
-        if pend:
+        if self._cring_dirty[row]:
             base = row * G
             ring = self._cring[base:base + G]
             credits += ring
             ring[:] = 0
-            del pend[:]
+            self._cring_dirty[row] = False
 
         # ---- stages 2-3: route compute + VC/switch allocation ----------
-        # pure function of pre-cycle state (locks, credits, ready stamps)
-        is_head = (h_a & _F_HEAD) != 0
-        out_slot = self._nb_f + h_out * V + self._vc_f
+        # pure function of pre-cycle state (locks, credits, ready stamps),
+        # evaluated on the occupied slots only.  A head needs its output
+        # lock free or its own; a body flit always finds its own packet's
+        # lock there (held from head to tail), so one test covers both.
+        # LOCAL outputs never spend credits, so their counters stay full.
+        occ = (ln != 0).nonzero()[0]
+        out_slot = self._nbvc_f.take(occ) + h_out.take(occ) * V
         lockv = self._lock.take(out_slot)
-        elig = ((ln != 0) & (self._h_r <= cycle)
-                & (~is_head | (lockv == -1) | (lockv == h_b))
-                & ((h_out == 0) | (credits.take(out_slot) > 0)))
-        eg = np.flatnonzero(elig)
+        ok = (((lockv == -1) | (lockv == h_b.take(occ)))
+              & (credits.take(out_slot) > 0))
+        if staged:
+            ok &= self._h_r.take(occ) <= cycle
+        ok = ok.nonzero()[0]
         granted = _EMPTY_I
-        if eg.size:
+        if ok.size:
             # contender bitmask per output port; bit = port*V + vc of the
             # candidate input slot (exact in float64 for V <= 8)
-            out_op = self._nbop_f.take(eg) + h_out.take(eg)
+            eg = occ.take(ok)
+            out_op = out_slot.take(ok) // V
             M = np.bincount(out_op, weights=self._bit_f.take(eg),
                             minlength=self._op)
-            granted = np.flatnonzero(M)
+            granted = (M != 0).nonzero()[0]
 
         if granted.size:
+            K = P * V
             mg = M.take(granted).astype(np.int64)
-            # single-contender grants decode the lone bit via frexp
-            win = np.frexp(M.take(granted))[1] - 1
-            multi = (mg & (mg - 1)) != 0
-            if multi.any():
-                gm = granted[multi]
-                cols = ((gm // P) * (P * V))[:, None] + \
-                    np.arange(P * V, dtype=np.int64)[None, :]
-                req = elig.take(cols) & \
-                    (h_out.take(cols) == self._op_port.take(gm)[:, None])
-                if self.arbiter_kind == "age":
-                    # oldest head wins: min B = min (birth<<32 | pid)
+            if self.arbiter_kind == "rr":
+                # first contender at or after the scan start, cyclically:
+                # the lowest set bit of the mask rotated right by it
+                start = self._rr_next.take(granted)
+                rot = ((mg >> start) | (mg << (K - start))) & self._k_mask
+                win = (np.frexp(rot & -rot)[1] - 1 + start) % K
+                self._rr_next[granted] = (win + 1) % K
+            else:
+                # a lone contender's bit decodes via frexp; contended
+                # outputs pick the oldest head: min B = min (birth<<32|pid)
+                win = np.frexp(M.take(granted))[1] - 1
+                multi = ((mg & (mg - 1)) != 0).nonzero()[0]
+                if multi.size:
+                    cols = ((granted.take(multi) // P) * K)[:, None] \
+                        + self._arange_k
+                    req = ((mg.take(multi)[:, None] >> self._arange_k)
+                           & 1) != 0
                     keys = np.where(req, h_b.take(cols), _NO_KEY)
                     win[multi] = keys.argmin(axis=1)
-                else:
-                    # replay the scalar rotation in the lane's own
-                    # port*num_vcs + vc index space
-                    vl = self._lane_vcs.take(self._op_lane.take(gm))
-                    idx = self._col_port[None, :] * vl[:, None] + \
-                        self._col_vc[None, :]
-                    kl = self._op_k.take(gm)[:, None]
-                    rot = (idx - self._rr_last.take(gm)[:, None] - 1) % kl
-                    win[multi] = np.where(req, rot, _NO_KEY).argmin(axis=1)
-            if self.arbiter_kind == "rr":
-                # the pointer rotates on every grant, contended or not
-                self._rr_last[granted] = \
-                    (win // V) * self._lane_vcs.take(
-                        self._op_lane.take(granted)) + (win % V)
 
             # ---- stages 4-5: switch traversal + credit issue -----------
-            src_g = (granted // P) * (P * V) + win
+            src_g = (granted // P) * K + win
             f_a = h_a.take(src_g)
             f_b = h_b.take(src_g)
-            f_vc = src_g % V
             o_port = self._op_port.take(granted)
-            og = self._nb_f.take(src_g) + o_port * V + f_vc
+            og = self._nbvc_f.take(src_g) + o_port * V
 
-            f_tail = (f_a & _F_TAIL) != 0
+            is_tail = (f_a & _F_TAIL) != 0
             # wormhole locks: tails release, head-only flits acquire
-            self._lock[og[f_tail]] = -1
-            acq = ((f_a & _F_HEAD) != 0) & ~f_tail
-            if acq.any():
-                self._lock[og[acq]] = f_b[acq]
-                self._body_out[src_g[acq]] = o_port[acq]
+            self._lock[og[is_tail]] = -1
+            acq = ((f_a & (_F_HEAD | _F_TAIL)) == _F_HEAD).nonzero()[0]
+            if acq.size:
+                self._lock[og.take(acq)] = f_b.take(acq)
+                self._body_out[src_g.take(acq)] = o_port.take(acq)
 
-            # pop the moved flits, then re-materialise the new heads
-            nh = (hd.take(src_g) + 1) % self._cap_f.take(src_g)
-            hd[src_g] = nh
-            nl = ln.take(src_g) - 1
-            ln[src_g] = nl
-            rem = nl != 0
-            if rem.any():
-                rs = src_g[rem]
-                ri = rs * F + nh[rem]
-                na = self._rf_a.take(ri)
-                h_a[rs] = na
-                h_b[rs] = self._rf_b.take(ri)
-                self._h_r[rs] = self._rf_r.take(ri)
-                rt = self._route_f.take(self._rtbase_f.take(rs)
-                                        + (na >> _A_DST_SHIFT))
-                h_out[rs] = np.where((na & _F_HEAD) != 0, rt,
-                                     self._body_out.take(rs))
+            # pop the moved flits (their new heads are read after the
+            # push); one grant per output, so src_g has no repeats
+            hd[src_g] = (hd.take(src_g) + 1) & fmask
+            ln[src_g] = ln.take(src_g) - 1
 
-            # upstream credit for every pop from a non-LOCAL input
-            in_port = self._port_f.take(src_g)
-            up = in_port != 0
-            if up.any():
-                up_og = self._link_g.take(src_g[up])
-                lat = self._lat_f.take(src_g[up])
-                rows = (cycle + lat) % self._r
-                np.add.at(self._cring, rows * G + up_og, 1)
-                for r in np.unique(rows).tolist():
-                    self._cring_rows[r].append(True)
+            # upstream credit for every pop from a non-LOCAL input; each
+            # upstream (output, VC) gets at most one credit per cycle, so
+            # the scatter indices are unique
+            up = (win >= V).nonzero()[0]
+            if up.size:
+                self._cring[(self._cr_off.take(src_g.take(up)) + cycle * G)
+                            % self._cring.size] += 1
+                self._cring_dirty[(cycle + self._lats) % self._r] = True
 
             # ejections vs forwards
-            ej = o_port == 0
-            if ej.any():
-                jl = self._lane_f.take(src_g[ej])
-                self._flits_delivered += np.bincount(jl,
-                                                     minlength=self.batch)
-                tm = ej & f_tail
-                if tm.any():
-                    tg = src_g[tm]
-                    ta = f_a[tm]
-                    tl = self._lane_f.take(tg)
-                    tnode = self._nbop_f.take(tg) // P % self._n
+            is_ej = o_port == 0
+            ej = is_ej.nonzero()[0]
+            if ej.size:
+                self._fd_pend.append(self._op_lane.take(granted.take(ej)))
+                te = (is_ej & is_tail).nonzero()[0]
+                if te.size:
+                    tg = granted.take(te)
+                    ta = f_a.take(te)
+                    tl = self._op_lane.take(tg)
+                    tnode = self._op_node.take(tg)
                     tsrc = (ta >> _A_SRC_SHIFT) & _A_SRC_MASK
-                    self._d_count += np.bincount(tl, minlength=self.batch)
+                    self._tl_pend.append(tl)
                     self._last_tl = tl
                     self._last_tnode = tnode
                     self._last_tsrc = tsrc
@@ -479,23 +554,21 @@ class BatchedVCMesh:
                                 sink(DeliveredPacket(int(tsrc[i]),
                                                      int(dsts[i]), kind),
                                      cycle)
-            fw = ~ej
-            if fw.any():
-                fog = og[fw]
-                credits[fog] -= 1
-                dg = self._link_g.take(fog)
-                m_a = f_a[fw]
-                m_b = f_b[fw]
-            else:
-                dg = _EMPTY_I
+            fw = (~is_ej).nonzero()[0]
+            fog = og.take(fw)
+            credits[fog] -= 1
+            dg = self._link_g.take(fog)
+            m_a = f_a.take(fw)
+            m_b = f_b.take(fw)
         else:
-            dg = _EMPTY_I
+            src_g = dg = _EMPTY_I
 
         # ---- injection: one flit per node per cycle into LOCAL ---------
         # (forwards only target ports 1-4, so this check sees exactly the
         # scalar engine's post-pop LOCAL state)
+        self._flush_pending()
         q_ln = self._q_ln
-        iq = np.flatnonzero(q_ln)
+        iq = (q_ln != 0).nonzero()[0]
         ig = _EMPTY_I
         if iq.size:
             cap = self._q_cap
@@ -503,18 +576,16 @@ class BatchedVCMesh:
             qi = iq * cap + qh
             i_a = self._qf_a.take(qi)
             # LOCAL input slot of the head flit's class VC on its lane
-            vc = np.where((i_a & _F_REPLY) != 0,
-                          self._reply_vc.take(iq // self._n), 0)
-            lg = (iq // self._n) * self._spl \
-                + (iq % self._n) * (P * V) + vc
-            can = ln.take(lg) < self._cap_f.take(lg)
-            if can.any():
-                iq = iq[can]
-                qi = qi[can]
-                i_a = i_a[can]
-                ig = lg[can]
+            lg = np.where((i_a & _F_REPLY) != 0, self._q_reply.take(iq),
+                          self._q_local.take(iq))
+            can = (ln.take(lg) < self._cap_f.take(lg)).nonzero()[0]
+            if can.size:
+                iq = iq.take(can)
+                qi = qi.take(can)
+                i_a = i_a.take(can)
+                ig = lg.take(can)
                 i_b = self._qf_b.take(qi)
-                self._q_hd[iq] = (qh[can] + 1) % cap
+                self._q_hd[iq] = (qh.take(can) + 1) % cap
                 q_ln[iq] -= 1
 
         # ---- merged push: forwards (ports 1-4) + injections (LOCAL) ----
@@ -530,26 +601,31 @@ class BatchedVCMesh:
             tgt = _EMPTY_I
         if tgt.size:
             dl = ln.take(tgt)
-            pos = (hd.take(tgt) + dl) % self._cap_f.take(tgt)
-            ri = tgt * F + pos
-            ready = cycle + self.pipeline_stages
+            ri = tgt * F + ((hd.take(tgt) + dl) & fmask)
             self._rf_a[ri] = p_a
             self._rf_b[ri] = p_b
-            self._rf_r[ri] = ready
+            if staged:
+                self._rf_r[ri] = cycle + self.pipeline_stages
             ln[tgt] = dl + 1
-            fresh = dl == 0
-            if fresh.any():
-                fs = tgt[fresh]
-                fa = p_a[fresh]
-                h_a[fs] = fa
-                h_b[fs] = p_b[fresh]
-                self._h_r[fs] = ready
-                rt = self._route_f.take(self._rtbase_f.take(fs)
-                                        + (fa >> _A_DST_SHIFT))
-                h_out[fs] = np.where((fa & _F_HEAD) != 0, rt,
-                                     self._body_out.take(fs))
+
+        # ---- head caches: re-read the head of every slot a flit left
+        # or entered (an emptied slot's stale head is never read) -------
+        touched = np.concatenate((src_g, tgt))
+        if touched.size:
+            ri = touched * F + hd.take(touched)
+            na = self._rf_a.take(ri)
+            h_a[touched] = na
+            h_b[touched] = self._rf_b.take(ri)
+            if staged:
+                self._h_r[touched] = self._rf_r.take(ri)
+            rt = self._route_f.take(self._rtbase_f.take(touched)
+                                    + (na >> _A_DST_SHIFT))
+            h_out[touched] = np.where((na & _F_HEAD) != 0, rt,
+                                      self._body_out.take(touched))
 
         self.cycle += 1
+        if len(self._fd_pend) >= _STATS_FOLD_STEPS:
+            self._flush_stats()
 
     def run(self, cycles: int) -> None:
         if cycles < 0:
@@ -562,6 +638,62 @@ class BatchedVCMesh:
 # ---------------------------------------------------------------------------
 # Batched shared request/reply experiment (exact replay per lane)
 # ---------------------------------------------------------------------------
+
+class _SharedNetLane:
+    """One lane's shared request/reply traffic over a :class:`BatchedVCMesh`.
+
+    Replays the scalar :func:`~repro.noc.mesh.vc
+    .run_shared_network_experiment` loop draw for draw: each compute
+    node with fewer than four queued flits draws (Bernoulli, then
+    destination MC) and sends a one-flit request; each MC with a pending
+    request and room in its queue sends a ``reply_flits`` reply back.
+    ``feed`` is a closure over the lane's constants (queue ids, packed
+    enqueue codes) that appends to the mesh's deferred-enqueue batch.
+    """
+
+    __slots__ = ("pending", "feed")
+
+    def __init__(self, mesh: BatchedVCMesh, lane: int, mc_nodes,
+                 reply_flits: int, stream, rate: float | None):
+        base = lane * mesh.num_nodes
+        mc_set = frozenset(mc_nodes)
+        #: requester node ids per MC, in ejection order
+        self.pending = {mc: deque() for mc in mc_nodes}
+        # packed codes: queue id + one-flit request from the node
+        requests = [(base + node, ((base + node) << _PEND_Q_SHIFT)
+                     | (node << _A_SRC_SHIFT))
+                    for node in range(mesh.num_nodes) if node not in mc_set]
+        mc_codes = [mc << _A_DST_SHIFT for mc in mc_nodes]
+        replies = [(base + mc, self.pending[mc],
+                    ((base + mc) << _PEND_Q_SHIFT)
+                    | ((reply_flits - 1) << _PEND_SIZE_SHIFT)
+                    | (mc << _A_SRC_SHIFT) | _F_REPLY)
+                   for mc in mc_nodes]
+        n_mc = len(mc_nodes)
+        reply_limit = 2 * reply_flits
+        append = mesh._pend.append
+        extend = mesh._pend.extend
+        uniform = stream.random
+        integers = stream.integers
+
+        def feed(backlog: list) -> int:
+            """Enqueue this cycle's packets; returns the replies sent."""
+            if rate is None:
+                extend([code | mc_codes[integers(n_mc)]
+                        for qi, code in requests if backlog[qi] < 4])
+            else:
+                for qi, code in requests:
+                    if backlog[qi] < 4 and uniform() < rate:
+                        append(code | mc_codes[integers(n_mc)])
+            served = 0
+            for qi, queue, code in replies:
+                if queue and backlog[qi] < reply_limit:
+                    append(code | (queue.popleft() << _A_DST_SHIFT))
+                    served += 1
+            return served
+
+        self.feed = feed
+
 
 def batched_vc_grid(vc_counts=(1, 2), buffer_depths=(4,),
                     credit_latencies=(1,), injection_rates=(None,),
@@ -605,56 +737,49 @@ def batched_vc_points(points, *, width: int = 6, height: int = 6,
     for _v, _d, _la, rate, _s in grid:
         if rate is not None and not 0 < rate <= 1:
             raise MeshConfigError("injection_rate must be in (0, 1]")
+    if reply_flits > _MAX_PACKET_FLITS:
+        raise MeshConfigError(
+            f"batched engine packets hold at most {_MAX_PACKET_FLITS} flits")
     mesh = BatchedVCMesh(
         width, height,
         num_vcs=tuple(v for v, _d, _la, _ra, _s in grid),
         buffer_flits=tuple(d for _v, d, _la, _ra, _s in grid),
         credit_latency=tuple(la for _v, _d, la, _ra, _s in grid))
-    n = mesh.num_nodes
-    batch = len(grid)
     mc_nodes = default_mc_nodes(width, height)
-    mc_set = frozenset(mc_nodes)
     n_mc = len(mc_nodes)
-    compute = [node for node in range(n) if node not in mc_set]
-    streams = [make_stream(s, "shared-net", v)
-               for v, _d, _la, _ra, s in grid]
-    rates = [ra for _v, _d, _la, ra, _s in grid]
-    pending = [{mc: deque() for mc in mc_nodes} for _ in range(batch)]
-    serviced = [0] * batch
-    in_window = [0] * batch
-    samples: list = [[] for _ in range(batch)]
-    enqueue = mesh._enqueue
+    lanes = [_SharedNetLane(mesh, lane, mc_nodes, reply_flits,
+                            make_stream(s, "shared-net", v), ra)
+             for lane, (v, _d, _la, ra, s) in enumerate(grid)]
+    feeds = [lane.feed for lane in lanes]
+    pending = [lane.pending for lane in lanes]
+    serviced = [0] * len(grid)
+    in_window = [0] * len(grid)
+    samples: list = [[] for _ in grid]
     q_ln = mesh._q_ln
-    reply_limit = 2 * reply_flits
+    step = mesh.step
 
     for cycle in range(cycles):
-        backlog = q_ln.tolist()       # each queue is checked before any
-        for lane in range(batch):     # same-cycle enqueue touches it
-            base = lane * n
-            stream = streams[lane]
-            rate = rates[lane]
-            integers = stream.integers
-            for node in compute:
-                if backlog[base + node] < 4:
-                    if rate is not None and stream.random() >= rate:
-                        continue
-                    enqueue(lane, node, mc_nodes[integers(n_mc)], 1, False)
-            lane_pending = pending[lane]
-            for mc in mc_nodes:
-                if lane_pending[mc] and backlog[base + mc] < reply_limit:
-                    src = lane_pending[mc].popleft()
-                    enqueue(lane, mc, src, reply_flits, True)
-                    serviced[lane] += 1
-                    in_window[lane] += 1
-        mesh.step()
+        # every queue is read before any same-cycle enqueue lands: the
+        # enqueues stay deferred until step() flushes them
+        backlog = q_ln.tolist()
+        for lane, feed in enumerate(feeds):
+            served = feed(backlog)
+            if served:
+                serviced[lane] += served
+                in_window[lane] += served
+        step()
         tl, tnode, tsrc, tflg = mesh.last_ejected
-        for i in range(tl.size):
-            if not tflg[i] & _F_REPLY and tnode[i] in mc_set:
-                pending[int(tl[i])][int(tnode[i])].append(int(tsrc[i]))
+        if tl.size:
+            # request tails eject only at the MCs they were sent to
+            req = (tflg & _F_REPLY) == 0
+            for lane, node, src in zip(tl[req].tolist(),
+                                       tnode[req].tolist(),
+                                       tsrc[req].tolist()):
+                pending[lane][node].append(src)
         if (cycle + 1) % window == 0:
             scale = window * n_mc
-            for lane in range(batch):
-                samples[lane].append(in_window[lane] / scale)
+            for lane, row in enumerate(samples):
+                row.append(in_window[lane] / scale)
                 in_window[lane] = 0
 
     results = []

@@ -8,15 +8,18 @@ statistics must match *per cycle*, not just at the end.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MeshConfigError
+from repro.errors import ConfigurationError, MeshConfigError
+from repro.exec import SweepRunner
 from repro.noc.mesh.flit import Packet, PacketKind
 from repro.noc.mesh.vc import (VCMesh, run_shared_network_experiment,
                                sweep_vc_grid)
-from repro.noc.mesh.vcmesh_batched import (BatchedVCMesh,
+from repro.noc.mesh.vcmesh_batched import (_MAX_PACKET_FLITS, BatchedVCMesh,
                                            batched_shared_network_experiment,
                                            batched_vc_grid)
 
@@ -50,21 +53,68 @@ def lockstep(width, height, cfgs, cycles, traffic_seed, arbiter="rr",
                                       else PacketKind.REQUEST))
                     scalar.inject(Packet(**spec))
                     batched.inject(lane, Packet(**spec))
-        for scalar in scalars:
-            scalar.step()
-        batched.step()
-        for lane, scalar in enumerate(scalars):
-            where = (cycle, lane)
-            assert scalar.buffer_occupancy() == \
-                batched.buffer_occupancy(lane), where
-            assert scalar.credit_snapshot() == \
-                batched.credit_snapshot(lane), where
-            assert scalar.flits_delivered == \
-                batched.delivered_flits(lane), where
-            assert scalar.delivered_count() == \
-                batched.delivered_count(lane), where
-            assert scalar.source_backlog(0) == \
-                batched.source_backlog(lane, 0), where
+        step_and_compare(scalars, batched, cycle)
+
+
+def step_and_compare(scalars, batched, cycle):
+    """Step both models one cycle and compare every lane's state."""
+    for scalar in scalars:
+        scalar.step()
+    batched.step()
+    for lane, scalar in enumerate(scalars):
+        where = (cycle, lane)
+        assert scalar.buffer_occupancy() == \
+            batched.buffer_occupancy(lane), where
+        assert scalar.credit_snapshot() == \
+            batched.credit_snapshot(lane), where
+        assert scalar.flits_delivered == \
+            batched.delivered_flits(lane), where
+        assert scalar.delivered_count() == \
+            batched.delivered_count(lane), where
+        assert scalar.source_backlog(0) == \
+            batched.source_backlog(lane, 0), where
+
+
+def lockstep_bursts(width, height, cfgs, cycles, traffic_seed, arbiter):
+    """Bursts of 1-3 packets per source per cycle, lanes interleaved.
+
+    Sources inject node-major in a fresh random node order each cycle,
+    so one deferred flush holds several packets per queue, appended out
+    of lane and queue order (packet ids, the age tie break, follow
+    inject order, not queue order); 1- and 4-flit packets mix in one
+    flush; the batched source queues start at two flits, so flushes
+    must grow them; and backlog reads between same-cycle injects flush
+    part of a cycle's packets early.
+    """
+    scalars = [VCMesh(width, height, num_vcs=v, buffer_flits=d,
+                      credit_latency=la, arbiter_kind=arbiter)
+               for v, d, la in cfgs]
+    batched = BatchedVCMesh(width, height,
+                            num_vcs=tuple(v for v, _d, _la in cfgs),
+                            buffer_flits=tuple(d for _v, d, _la in cfgs),
+                            credit_latency=tuple(la for _v, _d, la in cfgs),
+                            arbiter_kind=arbiter, source_capacity=2)
+    n = width * height
+    gen = np.random.default_rng(traffic_seed)
+    for cycle in range(cycles):
+        for node in gen.permutation(n).tolist():
+            for lane, scalar in enumerate(scalars):
+                if scalar.source_backlog(node) >= 12:
+                    continue
+                for _ in range(int(gen.integers(0, 4))):
+                    dst = int(gen.integers(n - 1))
+                    dst += dst >= node
+                    reply = gen.random() < 0.5
+                    spec = dict(src=node, dst=dst,
+                                size=4 if gen.random() < 0.4 else 1,
+                                kind=(PacketKind.REPLY if reply
+                                      else PacketKind.REQUEST))
+                    scalar.inject(Packet(**spec))
+                    batched.inject(lane, Packet(**spec))
+                    if gen.random() < 0.2:
+                        assert scalar.source_backlog(node) == \
+                            batched.source_backlog(lane, node), (cycle, lane)
+        step_and_compare(scalars, batched, cycle)
 
 
 # ------------------------------------------------------- lockstep traces
@@ -85,10 +135,22 @@ def test_lockstep_deep_pipeline():
              pipeline_stages=3)
 
 
+def test_lockstep_widest_vc_mask():
+    # 8 VCs: the 40-bit contender mask whose rr rotation shifts past bit
+    # 63 (the discarded bits) next to a folded 5-VC lane
+    lockstep(3, 3, [(8, 2, 1), (5, 3, 2)], cycles=150, traffic_seed=3)
+
+
 def test_lockstep_single_vc_request_only():
     # one VC shared by both classes: the protocol-coupling regime
     lockstep(4, 3, [(1, 2, 1)], cycles=150, traffic_seed=9,
              reply_bias=0.7)
+
+
+@pytest.mark.parametrize("arbiter", ["rr", "age"])
+def test_lockstep_bursts_bulk_flush(arbiter):
+    lockstep_bursts(3, 3, [(1, 3, 1), (2, 4, 2), (3, 2, 1)], cycles=150,
+                    traffic_seed=11, arbiter=arbiter)
 
 
 # -------------------------------------------------- experiment entry points
@@ -123,6 +185,41 @@ def test_vc_grid_identical_row_major():
         assert s.to_json() == b.to_json()
 
 
+def _grid_bytes(results) -> bytes:
+    return json.dumps([r.to_json() for r in results]).encode()
+
+
+def test_vc_grid_jobs_invariance(monkeypatch):
+    # blocks of different widths: VC counts, depths and credit loops (so
+    # V/F/R strides) differ between blocks, Bernoulli and greedy mix
+    kwargs = dict(vc_counts=(1, 3), buffer_depths=(2, 5),
+                  credit_latencies=(1, 3), injection_rates=(None, 0.3),
+                  seeds=(4,), cycles=200, reply_flits=3, window=50)
+    points = 16
+    shard_counts = []
+    real_map = SweepRunner.map
+
+    def counting_map(self, worker, shard_args):
+        shard_args = list(shard_args)
+        shard_counts.append(len(shard_args))
+        # every block layout still runs on a real (two-worker) pool
+        return real_map(SweepRunner(min(self.jobs, 2)), worker, shard_args)
+
+    monkeypatch.setattr(SweepRunner, "map", counting_map)
+    expected = _grid_bytes(sweep_vc_grid(**kwargs))
+    assert shard_counts == []          # jobs=None: one in-process batch
+    for jobs in (1, 2, 3, 5, 9, 20):
+        assert _grid_bytes(sweep_vc_grid(jobs=jobs, **kwargs)) == expected, \
+            jobs
+        assert shard_counts[-1] == min(jobs, points), jobs
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_vc_grid_rejects_bad_jobs(jobs):
+    with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+        sweep_vc_grid(cycles=200, window=50, jobs=jobs)
+
+
 def test_default_engine_is_batched():
     via_registry = run_shared_network_experiment(2, cycles=400, window=100)
     direct = batched_shared_network_experiment(2, cycles=400, window=100)
@@ -145,6 +242,19 @@ def test_batched_validation():
     with pytest.raises(MeshConfigError):
         batched_vc_grid(vc_counts=(1,), injection_rates=(1.5,),
                         cycles=200, window=50)
+
+
+def test_batched_packing_limits():
+    # the deferred-enqueue code packs the size and the queue id
+    too_long = _MAX_PACKET_FLITS + 1
+    with pytest.raises(MeshConfigError, match="at most"):
+        BatchedVCMesh(3, 3).inject(0, Packet(src=0, dst=1, size=too_long))
+    with pytest.raises(MeshConfigError, match="at most"):
+        batched_vc_grid(vc_counts=(1,), cycles=200, window=50,
+                        reply_flits=too_long)
+    with pytest.raises(MeshConfigError, match="too many lanes"):
+        BatchedVCMesh(64, 64, num_vcs=(1,) * 257, buffer_flits=2,
+                      credit_latency=1)
 
 
 @pytest.mark.parametrize("reply_flits", [0, -3])
