@@ -1,10 +1,9 @@
-"""Zero-copy sweep results: shm shard transport + mmap-backed cache tier.
+"""Zero-copy sweep results: the shm shard transport.
 
 The batched engines made VC-mesh sweeps compute-cheap enough that
 moving their array-valued results started to dominate: shard results
 used to cross the pool boundary as in-band pickle (four passes over
-the array bytes), and cache hits re-parsed utilization traces out of
-JSON lists.  This benchmark times both replacements end to end and
+the array bytes).  This benchmark times the replacement end to end and
 emits one machine-readable JSON document (``python
 benchmarks/bench_exec_zerocopy.py --out BENCH_exec.json``, or printed
 under ``pytest -s``):
@@ -19,26 +18,19 @@ under ``pytest -s``):
   the *timed* zero-copy results;
 * ``vcmesh_sweep`` — the real (small) batched VC sweep through
   ``sweep_vc_grid(jobs=...)``, serial vs pooled, ``to_json`` equality
-  on every grid point: the wiring the transport rides in production;
-* ``cache_mmap`` — one large measured-matrix value warm-read from
-  :class:`repro.exec.cache.ResultCache` as a legacy JSON entry
-  (lists re-parsed on every hit) vs a binary-tier entry (``.npz``
-  sidecar via ``np.load(mmap_mode="r")``), 3x floor, value identity
-  both ways.
+  on every grid point: the wiring the transport rides in production.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 
 import numpy as np
 
 from _figutil import paper_vs, show
 
-from repro.exec.cache import BINARY_MIN_BYTES, ResultCache
 from repro.units import MIB
 from repro.exec.runner import SweepRunner
 from repro.ipc import map_available
@@ -54,9 +46,6 @@ TRANSPORT = dict(shards=8, jobs=8, points=128, samples=8000)
 SWEEP = dict(vc_counts=(1, 2), buffer_depths=(2, 4),
              credit_latencies=(1,), injection_rates=(None,), seeds=(0,),
              cycles=1200, reply_flits=5, window=100)
-
-#: Cache workload: one 1024x512 float64 "measured matrix" (~4 MiB).
-MATRIX_SHAPE = (1024, 512)
 
 #: Shard payloads for the transport echo workers.  Module-global so
 #: forked pool workers inherit them and the *send* side costs nothing:
@@ -164,45 +153,10 @@ def vcmesh_sweep_timings() -> dict:
     }
 
 
-def cache_mmap_timings(floor: float = 3.0, reads: int = 5) -> dict:
-    """Warm large-matrix cache reads: JSON lists vs mmap-backed npz."""
-    matrix = np.random.default_rng(7).standard_normal(MATRIX_SHAPE)
-    assert matrix.nbytes >= BINARY_MIN_BYTES
-    with tempfile.TemporaryDirectory() as directory:
-        cache = ResultCache(directory)
-        cache.put("bench-json" + "0" * 56,
-                  {"matrix": matrix.tolist(), "kind": "legacy"})
-        cache.put("bench-npz0" + "0" * 56,
-                  {"matrix": matrix, "kind": "binary"})
-
-        def warm(key):
-            best = float("inf")
-            value = None
-            for _ in range(reads):
-                start = time.perf_counter()
-                value = cache.get(key)
-                best = min(best, time.perf_counter() - start)
-            return best, value
-
-        json_s, json_value = warm("bench-json" + "0" * 56)
-        npz_s, npz_value = warm("bench-npz0" + "0" * 56)
-        identical = (
-            np.asarray(json_value["matrix"]).tobytes() == matrix.tobytes()
-            and np.asarray(npz_value["matrix"]).tobytes() == matrix.tobytes())
-    return {
-        "matrix_bytes": matrix.nbytes,
-        "json_warm_s": json_s,
-        "mmap_warm_s": npz_s,
-        "speedup": json_s / npz_s,
-        "bit_identical": identical,
-    }
-
-
 def collect() -> dict:
     record = {"cpu_count": os.cpu_count(), "shm": map_available()}
     record["vcmesh_transport"] = vcmesh_transport_timings()
     record["vcmesh_sweep"] = vcmesh_sweep_timings()
-    record["cache_mmap"] = cache_mmap_timings()
     return record
 
 
@@ -213,22 +167,19 @@ def check(record: dict) -> None:
         assert transport["speedup"] >= 2.0
     sweep = record["vcmesh_sweep"]
     assert sweep["bit_identical"]
-    cache = record["cache_mmap"]
-    assert cache["bit_identical"]
-    assert cache["speedup"] >= 3.0
 
 
 def bench_exec_zerocopy(benchmark):
     record = benchmark.pedantic(collect, rounds=1, iterations=1)
     transport = record["vcmesh_transport"]
-    rows = [("warm cache read, JSON vs mmap", "n/a",
-             f"{record['cache_mmap']['speedup']:.1f}x")]
+    rows = [("serial vs pooled sweep", "n/a",
+             "identical" if record["vcmesh_sweep"]["bit_identical"]
+             else "DIFFERS")]
     if "skipped" not in transport:
         mib = transport["bytes_per_shard"] / MIB
         rows.insert(0, (f"shard transport ({mib:.0f} MiB/shard)", "n/a",
                         f"{transport['speedup']:.1f}x"))
-    show("Zero-copy sweep results: shm transport + mmap cache tier",
-         paper_vs(rows))
+    show("Zero-copy sweep results: shm shard transport", paper_vs(rows))
     check(record)
 
 

@@ -176,7 +176,7 @@ class _LifecycleAnalysis(DataflowAnalysis):
                 continue    # `return buf.name` reads a field; the handle
             if isinstance(node, ast.Call):      # itself does not escape
                 continue    # calls go through _escape_call_args, which
-            if isinstance(node, ast.Name):      # knows the os./fcntl
+            if isinstance(node, ast.Name):      # knows the os.*
                 self.escaped |= env.get(node.id)        # use-not-transfer
                 continue                                # exemption
             stack.extend(ast.iter_child_nodes(node))
@@ -186,9 +186,8 @@ class _LifecycleAnalysis(DataflowAnalysis):
         if isinstance(func, ast.Attribute) and func.attr in _CLOSERS:
             return                              # buf.close() is not an escape
         target = self.ctx.resolve_call(call)
-        if target is not None and (target.startswith("os.")
-                                   or target.startswith("fcntl.")):
-            return      # os.read(fd)/flock(fd) use the descriptor; the
+        if target is not None and target.startswith("os."):
+            return      # os.read(fd)/os.fstat(fd) use the descriptor; the
         # caller still owns it — anything else may take ownership
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             self._escape_names(arg, env)

@@ -5,12 +5,11 @@ process pool with deterministic per-shard device rebuilds (bit-identical
 to serial execution); ``cache`` memoizes the results on disk under
 content-addressed keys.  Together they back ``python -m repro report
 --jobs N --cache DIR`` — and, in the runner's persistent mode plus the
-cache's stampede-safe ``get_or_compute``, the hot/cold paths of the
-:mod:`repro.serve` measurement service.
+cache's digest-verified ``put_bytes``/``get_bytes`` entries, the
+hot/cold paths of the :mod:`repro.serve` measurement service.
 """
 
-from repro.exec.cache import (BINARY_MIN_BYTES, CACHE_VERSION, ResultCache,
-                              cache_key)
+from repro.exec.cache import CACHE_VERSION, ResultCache, cache_key
 from repro.exec.runner import (DEFAULT_SHARD_SMS, SweepRunner, chunk,
                                device_payload, pool_chunksize,
                                rebuild_device)
@@ -18,7 +17,7 @@ from repro.exec.shm import (ZEROCOPY_MIN_BYTES, ShardSegment,
                             decode_result, encode_result)
 
 __all__ = [
-    "BINARY_MIN_BYTES", "CACHE_VERSION", "ResultCache", "cache_key",
+    "CACHE_VERSION", "ResultCache", "cache_key",
     "DEFAULT_SHARD_SMS", "SweepRunner", "chunk",
     "device_payload", "pool_chunksize", "rebuild_device",
     "ZEROCOPY_MIN_BYTES", "ShardSegment",

@@ -63,7 +63,8 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import RunRegistry
 from repro.serve.shm import SHM_MIN_BYTES
 from repro.serve.streams import StreamBook, StreamError
-from repro.serve.workers import (NoLiveWorkersError, WorkerPool,
+from repro.serve.workers import (REQUEST_ERRORS, NoLiveWorkersError,
+                                 WorkerPool, WorkerRequestError,
                                  WorkerResult, warm_imports)
 from repro.units import MIB
 
@@ -108,6 +109,19 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.payload = {"error": message, **extra}
+
+
+async def _job_result(future):
+    """Await a computation's result on either tier.
+
+    Bad model parameters (:data:`REQUEST_ERRORS`, which the worker tier
+    forwards as :class:`WorkerRequestError`) are the request's fault:
+    a 400, not an internal error.
+    """
+    try:
+        return await asyncio.wrap_future(future)
+    except (*REQUEST_ERRORS, WorkerRequestError) as exc:
+        raise _HttpError(400, str(exc)) from None
 
 
 class ExperimentServer:
@@ -478,10 +492,10 @@ class ExperimentServer:
             except NoLiveWorkersError:
                 raise _HttpError(
                     503, "every worker shard is draining; retry") from None
-            return await asyncio.wrap_future(future)
+            return await _job_result(future)
         started = time.perf_counter()
-        future = self.runner.submit(run_experiment, (name, params))
-        value = await asyncio.wrap_future(future)
+        value = await _job_result(
+            self.runner.submit(run_experiment, (name, params)))
         value_bytes = canonical_json(value)
         wall_ms = (time.perf_counter() - started) * 1e3
         if self.cache is not None:

@@ -49,7 +49,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, MeshConfigError, ReproError
 from repro.serve import shm as shm_transport
 from repro.serve.metrics import StreamingDigest
 
@@ -68,8 +68,17 @@ class NoLiveWorkersError(ReproError):
     """Every shard is draining or dead; the caller should retry."""
 
 
+#: Errors a computation raises over bad model parameters: the request is
+#: at fault, not the server, so both tiers answer them with a 400.
+REQUEST_ERRORS = (ConfigurationError, MeshConfigError)
+
+
 class WorkerJobError(ReproError):
     """The worker's computation raised; message carries the cause."""
+
+
+class WorkerRequestError(WorkerJobError):
+    """The worker's computation raised one of :data:`REQUEST_ERRORS`."""
 
 
 class PoolClosedError(ReproError):
@@ -168,6 +177,8 @@ def _worker_main(worker_id: int, inbox, outbox, cache_dir,
                 digest = hashlib.sha256(value_bytes).hexdigest()
                 outbox.put(("done", worker_id, job_id, "inline",
                             value_bytes, digest, wall_ms))
+        except REQUEST_ERRORS as exc:
+            outbox.put(("rejected", worker_id, job_id, str(exc)))
         except Exception as exc:
             outbox.put(("error", worker_id, job_id,
                         f"{type(exc).__name__}: {exc}"))
@@ -477,16 +488,18 @@ class WorkerPool:
                     message
                 self._finish(worker_id, job_id, transport, payload,
                              digest, wall)
-            elif kind == "error":
+            elif kind in ("error", "rejected"):
                 _, worker_id, job_id, text = message
                 with self._lock:
                     job = self._jobs.pop(job_id, None)
                     self._pending.get(worker_id, set()).discard(job_id)
                     worker = self._workers.get(worker_id)
-                    if worker is not None:
+                    if worker is not None and kind == "error":
                         worker.errors += 1
+                error = WorkerJobError if kind == "error" \
+                    else WorkerRequestError
                 if job is not None and not job.future.done():
-                    job.future.set_exception(WorkerJobError(text))
+                    job.future.set_exception(error(text))
 
     def _finish(self, worker_id: int, job_id: int, transport: str,
                 payload, digest: str, wall_ms: float) -> None:

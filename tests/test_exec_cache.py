@@ -50,6 +50,18 @@ def test_key_separates_engines():
         cache_key("latency", {"seed": 0}, engine="turbo")
 
 
+def _get_or_compute(cache, algorithm, payload, compute, engine=None):
+    """The memoizing pattern callers build on ``ResultCache`` (report
+    tasks, traffic schedules): ``cache_key`` + ``get``, compute and
+    ``put`` on a miss."""
+    key = cache_key(algorithm, payload, engine=engine)
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        cache.put(key, value)
+    return value
+
+
 def test_get_or_compute_keys_by_engine(cache):
     calls = []
 
@@ -57,11 +69,12 @@ def test_get_or_compute_keys_by_engine(cache):
         calls.append(1)
         return {"answer": 42}
 
-    cache.get_or_compute("alg", {"p": 1}, compute, engine="scalar")
-    cache.get_or_compute("alg", {"p": 1}, compute, engine="vectorized")
+    _get_or_compute(cache, "alg", {"p": 1}, compute, engine="scalar")
+    _get_or_compute(cache, "alg", {"p": 1}, compute, engine="vectorized")
     assert len(calls) == 2
-    cache.get_or_compute("alg", {"p": 1}, compute, engine="vectorized")
+    _get_or_compute(cache, "alg", {"p": 1}, compute, engine="vectorized")
     assert len(calls) == 2
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_key_accepts_numpy_payloads():
@@ -99,9 +112,8 @@ def test_corrupted_entry_is_dropped_and_recomputed(cache):
     path.write_text("{truncated")
     assert cache.get(key, "fallback") == "fallback"
     assert not path.exists()                   # bad file removed
-    assert cache.get_or_compute("t", {"seed": 0}, lambda: [1, 2, 3]) \
-        == [1, 2, 3]
-    assert path.exists()
+    cache.put(key, [1, 2, 3])                  # the caller's recompute
+    assert cache.get(key) == [1, 2, 3]
 
 
 def test_entry_with_wrong_key_is_rejected(cache):
@@ -124,11 +136,11 @@ def test_get_or_compute_memoizes(cache):
         calls.append(1)
         return {"answer": 42}
 
-    first = cache.get_or_compute("alg", {"p": 1}, compute)
-    second = cache.get_or_compute("alg", {"p": 1}, compute)
+    first = _get_or_compute(cache, "alg", {"p": 1}, compute)
+    second = _get_or_compute(cache, "alg", {"p": 1}, compute)
     assert first == second == {"answer": 42}
     assert len(calls) == 1
-    cache.get_or_compute("alg", {"p": 2}, compute)   # new inputs: recompute
+    _get_or_compute(cache, "alg", {"p": 2}, compute)  # new inputs: recompute
     assert len(calls) == 2
 
 
@@ -140,46 +152,8 @@ def test_directory_is_created(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# stampedes: concurrent writers/computers of one key must never tear
+# stampedes: concurrent writers of one key must never tear
 # --------------------------------------------------------------------------
-
-def _assert_clean(directory, key, expected):
-    """The entry is complete valid JSON and no tmp residue survives."""
-    entry = json.loads((directory / f"{key}.json").read_text())
-    assert entry == {"key": key, "value": expected}
-    assert list(directory.glob("*.tmp")) == []
-
-
-def test_thread_stampede_computes_once(cache):
-    """N threads racing get_or_compute: one computation, one value."""
-    import threading
-
-    calls = []
-    barrier = threading.Barrier(16)
-    results = [None] * 16
-
-    def compute():
-        calls.append(1)
-        import time
-        time.sleep(0.05)           # widen the race window
-        return {"winner": True}
-
-    def racer(i):
-        barrier.wait()
-        results[i] = cache.get_or_compute("stampede", {"k": 1}, compute)
-
-    threads = [threading.Thread(target=racer, args=(i,))
-               for i in range(16)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-
-    assert len(calls) == 1                      # coalesced, not duplicated
-    assert all(r == {"winner": True} for r in results)
-    _assert_clean(cache.directory, cache_key("stampede", {"k": 1}),
-                  {"winner": True})
-
 
 def test_thread_stampede_on_put_leaves_no_torn_files(cache):
     """Concurrent put() of one key: last writer wins, never a tear."""
@@ -206,78 +180,50 @@ def test_thread_stampede_on_put_leaves_no_torn_files(cache):
     assert list(cache.directory.glob("*.tmp")) == []
 
 
-def _process_stampede_worker(args):
-    """Pool worker: open the shared directory and race get_or_compute."""
-    directory, worker_id = args
+#: The value every process-stampede racer writes: long enough that a
+#: torn write could not pass for it, deterministic across processes.
+_RACED = b'{"rows":[' + b",".join(b"[%d,%d.5]" % (i, i)
+                                  for i in range(2000)) + b']}'
+
+
+def _put_bytes_racer(directory, barrier, replies):
+    """Child process: race put_bytes of one key, then read it back."""
     cache = ResultCache(directory)
-    return cache.get_or_compute(
-        "proc-stampede", {"k": 1},
-        lambda: {"value": "deterministic", "pid_independent": True})
+    key = cache_key("proc-stampede", {"k": 1})
+    barrier.wait()                              # all racers start together
+    for _ in range(20):
+        cache.put_bytes(key, _RACED)
+        value = cache.get_bytes(key)
+        replies.put(hashlib.sha256(value).hexdigest() if value else None)
 
 
 def test_process_stampede_yields_one_value_and_no_tmp(tmp_path):
-    """Processes racing one key: every caller sees the one stored value."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    directory = tmp_path / "cache"
-    ResultCache(directory)                      # pre-create the directory
-    with ProcessPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(_process_stampede_worker,
-                                [(directory, i) for i in range(8)]))
-
-    expected = {"value": "deterministic", "pid_independent": True}
-    assert all(r == expected for r in results)
-    _assert_clean(directory, cache_key("proc-stampede", {"k": 1}),
-                  expected)
-
-
-def _exactly_once_racer(directory, spool, barrier, replies):
-    """Child process: race one cold key; log every actual computation."""
-    import os
-    import time
-
-    cache = ResultCache(directory)
-
-    def compute():
-        marker = spool / f"computed-by-{os.getpid()}-{time.monotonic_ns()}"
-        marker.write_text("x")
-        time.sleep(0.05)                        # widen the race window
-        return {"winner": True, "stable": [1.5, 2.5]}
-
-    barrier.wait()                              # all racers start together
-    value = cache.get_or_compute("exactly-once", {"k": 1}, compute)
-    replies.put(json.dumps(value, sort_keys=True))
-
-
-def test_process_stampede_computes_exactly_once(tmp_path):
-    """The cross-process flock: N processes racing one cold key perform
-    exactly one computation, and every process gets identical bytes."""
-    pytest.importorskip("fcntl")                # POSIX-only guarantee
+    """Processes racing put_bytes of one key — what serve workers do —
+    never tear it: every get_bytes returns the one complete,
+    digest-verified value, and no tmp file survives."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     directory = tmp_path / "cache"
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    ResultCache(directory)
+    ResultCache(directory)                      # pre-create the directory
 
-    racers = 6
+    racers = 4
     barrier = context.Barrier(racers)
     replies = context.Queue()
-    processes = [context.Process(target=_exactly_once_racer,
-                                 args=(directory, spool, barrier, replies))
+    processes = [context.Process(target=_put_bytes_racer,
+                                 args=(directory, barrier, replies))
                  for _ in range(racers)]
     for process in processes:
         process.start()
-    payloads = [replies.get(timeout=60) for _ in range(racers)]
+    digests = [replies.get(timeout=60) for _ in range(racers * 20)]
     for process in processes:
         process.join(timeout=60)
         assert process.exitcode == 0
 
-    assert len(list(spool.iterdir())) == 1      # exactly one computation
-    assert len(set(payloads)) == 1              # identical bytes for all
-    _assert_clean(directory, cache_key("exactly-once", {"k": 1}),
-                  {"winner": True, "stable": [1.5, 2.5]})
+    assert set(digests) == {hashlib.sha256(_RACED).hexdigest()}
+    assert ResultCache(directory).get_bytes(
+        cache_key("proc-stampede", {"k": 1})) == _RACED
+    assert list(directory.glob("*.tmp")) == []
 
 
 def test_put_bytes_round_trips_canonical_payloads(cache):
@@ -349,24 +295,56 @@ def test_get_bytes_returns_exactly_the_stored_bytes(cache):
     assert cache.get(key) == {"matrix": [[1.0, 2.5]], "n": 2}
 
 
-# ------------------------------------------------------------- binary tier
+# ------------------------------------------------------------ arrays + stats
 
 def _big_matrix() -> np.ndarray:
     return np.arange(4000, dtype=np.float64).reshape(80, 50)
 
 
-def test_large_arrays_go_to_npz_sidecar(cache):
+def test_large_arrays_go_to_npz_sidecar(cache, monkeypatch):
+    """A large-array entry the version-3 sidecar tier wrote (envelope of
+    placeholders + ``.npz``) is never read as a value: its key was taken
+    at version 3, so no current key reaches it; ``stats()`` still counts
+    the leftover sidecar."""
+    import repro.exec.cache as cache_module
+
+    monkeypatch.setattr(cache_module, "CACHE_VERSION", 3)
+    old_key = cache_key("alg", {"p": 1})
+    monkeypatch.undo()
+    with open(cache.directory / f"{old_key}.npz", "wb") as handle:
+        np.savez(handle, a0=_big_matrix())
+    (cache.directory / f"{old_key}.json").write_text(json.dumps(
+        {"key": old_key, "value": {"matrix": {"__npz__": "a0"}},
+         "binary": {"blob": f"{old_key}.npz", "sha256": "0" * 64,
+                    "arrays": {"a0": {"dtype": "float64",
+                                      "shape": [80, 50]}}}}))
+
+    new_key = cache_key("alg", {"p": 1})
+    assert new_key != old_key
+    assert cache.get(new_key) is None
+    cache.put(new_key, {"matrix": _big_matrix()})
+    assert cache.get(new_key) == {"matrix": _big_matrix().tolist()}
+    assert not (cache.directory / f"{new_key}.npz").exists()
+    assert cache.stats()["binary_blobs"] == 1
+
+
+def test_large_arrays_stay_pure_json(cache):
+    """Arrays of any size are stored as JSON lists in the one envelope —
+    no sidecar file — and come back as lists."""
+    cache.put("key-big", {"matrix": _big_matrix()})
+    assert [p.name for p in cache.directory.iterdir()] == ["key-big.json"]
+    assert cache.get("key-big") == {"matrix": _big_matrix().tolist()}
+
+
+def test_binary_entries_survive_nested_trees(cache):
+    """Arrays at any depth of the value tree round-trip as lists."""
     big = _big_matrix()
-    cache.put("key-big", {"matrix": big, "meta": {"n": 1}})
-    envelope = json.loads((cache.directory / "key-big.json").read_text())
-    manifest = envelope["binary"]
-    assert (cache.directory / manifest["blob"]).is_file()
-    assert manifest["arrays"]["a0"] == {"dtype": "float64",
-                                        "shape": [80, 50]}
-    got = cache.get("key-big")
-    assert isinstance(got["matrix"], np.ndarray)
-    assert got["matrix"].tobytes() == big.tobytes()
-    assert got["meta"] == {"n": 1}
+    value = {"rows": [big, big[:2]], "label": "x", "n": 7}
+    cache.put("key-nest", value)
+    got = cache.get("key-nest")
+    assert got["label"] == "x" and got["n"] == 7
+    assert got["rows"][0] == big.tolist()
+    assert got["rows"][1] == big[:2].tolist()
 
 
 def test_small_arrays_stay_pure_json(cache):
@@ -375,126 +353,19 @@ def test_small_arrays_stay_pure_json(cache):
     assert cache.get("key-small") == {"matrix": [[1.0, 0.0], [0.0, 1.0]]}
 
 
-def test_binary_entries_survive_nested_trees(cache):
-    big = _big_matrix()
-    value = {"rows": [big, big[:2]], "label": "x", "n": 7}
-    cache.put("key-nest", value)
-    got = cache.get("key-nest")
-    assert got["label"] == "x" and got["n"] == 7
-    assert got["rows"][0].tobytes() == big.tobytes()
-    assert np.array_equal(got["rows"][1], big[:2])
-
-
-def test_corrupted_sidecar_is_a_miss_and_recomputed(cache):
-    big = _big_matrix()
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"matrix": big}
-
-    cache.get_or_compute("alg", {"p": 1}, compute)
-    blob = next(cache.directory.glob("*.npz"))
-    blob.write_bytes(blob.read_bytes()[:64])          # truncate
-    value = cache.get_or_compute("alg", {"p": 1}, compute)
-    assert len(calls) == 2                            # recomputed
-    assert value["matrix"].tobytes() == big.tobytes()
-
-
-def test_missing_sidecar_is_a_miss(cache):
-    cache.put("key-gone", {"matrix": _big_matrix()})
-    next(cache.directory.glob("*.npz")).unlink()
-    misses = cache.misses
-    assert cache.get("key-gone") is None
-    assert cache.misses == misses + 1
-    assert not (cache.directory / "key-gone.json").exists()  # both parts dropped
-
-
-def test_digest_mismatch_sidecar_is_a_miss(cache):
-    cache.put("key-swap", {"matrix": _big_matrix()})
-    blob = next(cache.directory.glob("*.npz"))
-    # a VALID npz with different content: only the digest check can tell
-    other = cache.directory / "other.bin"
-    with open(other, "wb") as handle:
-        np.savez(handle, a0=np.zeros((80, 50)))
-    blob.write_bytes(other.read_bytes())
-    other.unlink()
-    assert cache.get("key-swap") is None
-
-
-def test_overwriting_with_small_value_removes_sidecar(cache):
-    cache.put("key-shrink", {"matrix": _big_matrix()})
-    assert (cache.directory / "key-shrink.npz").exists()
-    cache.put("key-shrink", {"matrix": [1, 2]})
-    assert not (cache.directory / "key-shrink.npz").exists()
-    assert cache.get("key-shrink") == {"matrix": [1, 2]}
-
-
 def test_object_dtype_arrays_keep_legacy_path(cache):
-    # np.savez would pickle object arrays; they stay on the tolist path
-    cache.put("key-obj", {"mixed": np.array([1, 2.5], dtype=object),
-                          "big": _big_matrix()})
-    got = cache.get("key-obj")
-    assert got["mixed"] == [1, 2.5]
-    assert isinstance(got["big"], np.ndarray)
+    # object arrays take the same tolist encoding as every other array
+    cache.put("key-obj", {"mixed": np.array([1, 2.5], dtype=object)})
+    assert cache.get("key-obj") == {"mixed": [1, 2.5]}
 
-
-# ----------------------------------------------------- stale locks + stats
 
 def test_len_and_stats_ignore_locks_and_sidecars(cache):
-    cache.put("key-a", {"matrix": _big_matrix()})
-    cache.put("key-b", {"x": 1})
+    """A version-3 directory's leftover ``.lock`` files and ``.npz``
+    sidecars are not entries; ``binary_blobs`` counts the sidecars."""
+    cache.put("key-a", {"x": 1})
+    cache.put("key-b", {"x": 2})
     (cache.directory / "stale.lock").touch()
+    (cache.directory / "leftover.npz").touch()
     assert len(cache) == 2
-    stats = cache.stats()
-    assert stats["entries"] == 2
-    assert stats["binary_blobs"] == 1
-    assert stats["lock_files"] == 1
-
-
-def test_sweep_stale_locks_is_bounded_and_age_keyed(cache):
-    import os
-    import time
-    old = time.time() - 7200
-    for i in range(5):
-        path = cache.directory / f"old-{i}.lock"
-        path.touch()
-        os.utime(path, (old, old))
-    fresh = cache.directory / "fresh.lock"
-    fresh.touch()
-    assert cache.sweep_stale_locks(limit=3) == 3      # bounded per call
-    assert cache.sweep_stale_locks() == 2
-    assert fresh.exists()                             # young lock kept
-
-
-def test_process_lock_refreshes_lock_mtime(cache):
-    import os
-    import time
-    cache.get_or_compute("alg", {"p": 9}, lambda: {"x": 1})
-    lock = next(cache.directory.glob("*.lock"))
-    old = time.time() - 7200
-    os.utime(lock, (old, old))
-    cache.get_or_compute("alg", {"p": 9}, lambda: {"x": 1})  # cache hit: no lock
-    cache.get_or_compute("alg", {"p": 10}, lambda: {"x": 2})
-    # the p=9 lock was not touched by unrelated keys and sweeps away
-    assert cache.sweep_stale_locks() == 1
-
-
-# ------------------------------------------------------ degraded platforms
-
-def test_fcntl_unavailable_yields_identical_results(cache, monkeypatch):
-    import repro.exec.cache as cache_mod
-    big = _big_matrix()
-    expected = cache.get_or_compute("alg", {"p": 1},
-                                    lambda: {"matrix": big})
-    monkeypatch.setattr(cache_mod, "fcntl", None)
-    degraded = ResultCache(cache.directory.parent / "degraded")
-    value = degraded.get_or_compute("alg", {"p": 1},
-                                    lambda: {"matrix": big})
-    assert value["matrix"].tobytes() == expected["matrix"].tobytes()
-    # and the stored bytes are identical too
-    a = (cache.directory / next(
-        p.name for p in cache.directory.glob("*.json"))).read_text()
-    b = (degraded.directory / next(
-        p.name for p in degraded.directory.glob("*.json"))).read_text()
-    assert a == b
+    assert cache.stats() == {"entries": 2, "binary_blobs": 1,
+                             "hits": 0, "misses": 0}

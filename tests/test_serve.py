@@ -177,6 +177,29 @@ def test_healthz_reports_shape(client):
     assert health["inflight_computations"] == 0
 
 
+#: Model parameters normalize() accepts but the mesh model rejects; the
+#: request is at fault, so each must be a 400, never an internal error.
+BAD_MODEL_PARAMS = [
+    ("mesh-load-sweep", {"rates": []}, "need at least one rate"),
+    ("mesh-load-sweep", {"rates": [0.0]}, "rate must be in (0, 1]"),
+    ("mesh-load-sweep", {"warmup": -1}, "warmup must be >= 0"),
+    ("mesh-load-sweep", {"cycles": 100, "warmup": 500},
+     "cycles must exceed warmup"),
+    ("mesh-vc-sweep", {"reply_flits": 0}, "reply_flits must be positive"),
+]
+
+
+@pytest.mark.parametrize("name,params,message", BAD_MODEL_PARAMS,
+                         ids=["no-rates", "zero-rate", "negative-warmup",
+                              "warmup-past-cycles", "zero-reply-flits"])
+def test_bad_model_parameters_are_400_not_500(client, name, params,
+                                              message):
+    reply = client.experiment(name, **params)
+    assert reply.status == 400
+    assert reply.json == {"error": message}
+    assert _counters(client)["errors"] == 0
+
+
 # ------------------------------------------------------------- Backoff
 
 def test_backoff_schedule_grows_and_clips():

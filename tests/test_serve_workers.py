@@ -363,6 +363,20 @@ def test_rolling_restart_under_load(workers_server, workers_client):
         assert stats["restarts"] >= 1
 
 
+def test_worker_tier_forwards_bad_model_parameters_as_400(tmp_path):
+    """The worker process forwards a model-parameter error's class, so
+    the front end answers 400 exactly like the single-process tier."""
+    with serve_in_thread(cache_dir=tmp_path, workers=1) as server:
+        client = ServeClient(port=server.port)
+        client.wait_healthy(deadline_s=30)
+        reply = client.experiment("mesh-vc-sweep", reply_flits=0)
+        assert reply.status == 400
+        assert reply.json == {"error": "reply_flits must be positive"}
+        snapshot = client.metricz().json
+        assert snapshot["counters"]["errors"] == 0
+        assert snapshot["workers"]["per_worker"]["0"]["errors"] == 0
+
+
 def test_restart_endpoint_rejected_on_single_tier():
     with serve_in_thread() as single:
         client = ServeClient(port=single.port)
