@@ -9,10 +9,11 @@ benchmarks/bench_exec_zerocopy.py --out BENCH_exec.json``, or printed
 under ``pytest -s``):
 
 * ``vcmesh_transport`` — 8 shards of full-fidelity (``window=1``)
-  VC-mesh ``SharedNetworkResult`` records moved through an 8-job
-  ``SweepRunner`` pool, in-band pickle vs the ``repro.exec.shm``
-  segment transport (pickle-5 out-of-band buffers parked in one
-  ``/dev/shm`` segment, parent maps them in place).  Min-of-N per
+  VC-mesh ``SharedNetworkResult`` records moved through a warm
+  8-process pool the way ``SweepRunner.map`` moves them, in-band pickle
+  vs the ``repro.exec.shm`` segment transport (pickle-5 out-of-band
+  buffers parked in one ``/dev/shm`` segment, parent maps them in
+  place).  Min-of-N per
   side, early exit once the ratio of minima clears the 2x floor, and
   bit-identity — ``utilization.tobytes()`` per record — verified on
   the *timed* zero-copy results;
@@ -26,13 +27,16 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from _figutil import paper_vs, show
 
 from repro.units import MIB
-from repro.exec.runner import SweepRunner
+from repro.exec.runner import pool_chunksize
+from repro.exec.shm import (ZEROCOPY_MIN_BYTES, decode_result, run_token,
+                            sweep_run, zerocopy_shard)
 from repro.ipc import map_available
 from repro.noc.mesh.vc import SharedNetworkResult, sweep_vc_grid
 
@@ -80,6 +84,22 @@ def _echo_shard(index: int) -> list:
     return _SHARDS[index]
 
 
+def _pool_map(pool, zerocopy: bool, indexes: list) -> list:
+    """One ``SweepRunner.map`` round over a warm pool, either transport."""
+    chunksize = pool_chunksize(len(indexes), TRANSPORT["jobs"])
+    if not zerocopy:
+        return list(pool.map(_echo_shard, indexes, chunksize=chunksize))
+    token = run_token()
+    packed = [(_echo_shard, index, token, ZEROCOPY_MIN_BYTES)
+              for index in indexes]
+    try:
+        return [decode_result(item) for item in
+                pool.map(zerocopy_shard, packed, chunksize=chunksize)]
+    except BaseException:
+        sweep_run(token)
+        raise
+
+
 def _shards_identical(got: list, want: list) -> bool:
     return all(
         len(g) == len(w) and all(
@@ -109,13 +129,12 @@ def vcmesh_transport_timings(floor: float = 2.0, attempts: int = 6) -> dict:
     for label, zerocopy in (("pickled", False), ("zerocopy", True)):
         best = float("inf")
         runs = 0
-        with SweepRunner(jobs=TRANSPORT["jobs"], persistent=True,
-                         zerocopy=zerocopy) as runner:
-            runner.map(_echo_shard, indexes)      # warm the pool
+        with ProcessPoolExecutor(max_workers=TRANSPORT["jobs"]) as pool:
+            _pool_map(pool, zerocopy, indexes)    # warm the pool
             for _ in range(attempts):
                 runs += 1
                 start = time.perf_counter()
-                got = runner.map(_echo_shard, indexes)
+                got = _pool_map(pool, zerocopy, indexes)
                 best = min(best, time.perf_counter() - start)
                 if "pickled" in timings and timings["pickled"] / best >= floor:
                     break

@@ -24,8 +24,8 @@ closed-loop model).  Two phases:
   cached-path rps of the sweep endpoint.
 * ``scaling`` — the worker tier's reason to exist: the same cold sweep
   against a fresh server at each worker count the machine can host
-  (single-process baseline, then 2/4/8 workers up to ``os.cpu_count()``),
-  reporting throughput and the speedup over the baseline.
+  (one-worker baseline, then 2/4/8 workers up to ``os.cpu_count()``),
+  reporting throughput and the speedup over one worker.
 * ``traffic`` — the *open-loop* counterpart: a compiled deterministic
   :mod:`repro.traffic` schedule replayed at several offered loads,
   reporting offered vs achieved rps, schedule-relative p50/p99 and the
@@ -171,7 +171,7 @@ SCALING_REQUESTS = 16
 def _scaling_phase(worker_counts=None) -> dict:
     """Cold-sweep throughput vs worker count, one fresh server each.
 
-    The single-process tier (``workers=0``) is the baseline; each tier
+    One worker (``workers=1``) is the baseline; each worker count
     gets its own empty cache directory so every request is a real
     computation.  ``max_inflight`` tracks the driver count so admission
     never rejects — the measured quantity is compute capacity, not
@@ -181,22 +181,20 @@ def _scaling_phase(worker_counts=None) -> dict:
     if worker_counts is None:
         worker_counts = [n for n in (2, 4, 8) if n <= cores]
     tiers = {}
-    for workers in [0] + list(worker_counts):
+    for workers in [1] + list(worker_counts):
         drivers = max(4, 2 * workers)
-        kwargs = dict(max_inflight=drivers)
-        if workers:
-            kwargs["workers"] = workers
         with tempfile.TemporaryDirectory() as cache_dir:
-            with serve_in_thread(cache_dir=cache_dir, **kwargs) as server:
+            with serve_in_thread(cache_dir=cache_dir, workers=workers,
+                                 max_inflight=drivers) as server:
                 ServeClient(port=server.port).wait_healthy(deadline_s=60)
                 stats = _cold_sweep(server.port,
                                     range(5000, 5000 + SCALING_REQUESTS),
                                     drivers)
         tiers[str(workers)] = {"workers": workers, **stats}
-    baseline = tiers["0"]["throughput_rps"]
+    baseline = tiers["1"]["throughput_rps"]
     for tier in tiers.values():
-        tier["speedup_vs_single"] = (tier["throughput_rps"] / baseline
-                                     if baseline > 0 else 0.0)
+        tier["speedup_vs_one"] = (tier["throughput_rps"] / baseline
+                                  if baseline > 0 else 0.0)
     return {"cores": cores, "requests_per_tier": SCALING_REQUESTS,
             "tiers": tiers}
 
@@ -287,7 +285,7 @@ def _traffic_phase(loads=TRAFFIC_LOADS) -> dict:
         assert schedule.canonical_bytes() == \
             compile_schedule(spec).canonical_bytes()
         with tempfile.TemporaryDirectory() as cache_dir:
-            with serve_in_thread(jobs=2, cache_dir=cache_dir,
+            with serve_in_thread(workers=2, cache_dir=cache_dir,
                                  max_inflight=8) as server:
                 ServeClient(port=server.port).wait_healthy(deadline_s=60)
                 driver = OpenLoopDriver(schedule, port=server.port,
@@ -314,7 +312,7 @@ def _traffic_phase(loads=TRAFFIC_LOADS) -> dict:
 def collect(engines=ENGINES, mesh_engines=MESH_ENGINES,
             scaling: bool = True) -> dict:
     with tempfile.TemporaryDirectory() as cache_dir:
-        with serve_in_thread(jobs=2, cache_dir=cache_dir,
+        with serve_in_thread(workers=2, cache_dir=cache_dir,
                              max_inflight=4) as server:
             client = ServeClient(port=server.port)
             client.wait_healthy()
@@ -358,7 +356,7 @@ def summarize(record: dict) -> dict:
     for label, tier in scaling.get("tiers", {}).items():
         phases[f"scaling-workers-{label}"] = row(
             tier, tier["workers"],
-            speedup_vs_single=tier["speedup_vs_single"])
+            speedup_vs_one=tier["speedup_vs_one"])
     return {"benchmark": "bench_serve", "cores": os.cpu_count(),
             "phases": phases}
 
@@ -430,9 +428,9 @@ def _check_scaling(scaling: dict) -> None:
         assert tier["other_statuses"] == []
         assert tier["completed"] + tier["rejected_429"] == tier["requests"]
     if scaling["cores"] >= 4 and "4" in tiers:
-        assert tiers["4"]["speedup_vs_single"] >= 3.0, tiers["4"]
+        assert tiers["4"]["speedup_vs_one"] >= 3.0, tiers["4"]
     if scaling["cores"] >= 8 and "8" in tiers:
-        assert tiers["8"]["speedup_vs_single"] >= 5.0, tiers["8"]
+        assert tiers["8"]["speedup_vs_one"] >= 5.0, tiers["8"]
 
 
 if __name__ == "__main__":

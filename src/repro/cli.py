@@ -31,11 +31,11 @@ def _cmd_specs(_args) -> int:
     return 0
 
 
-def _jobs_argument(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _gpu_argument(value: str):
@@ -134,7 +134,7 @@ def _cmd_serve(args) -> int:
 
     async def _run() -> None:
         server = ExperimentServer(host=args.host, port=args.port,
-                                  jobs=args.jobs or 1, cache_dir=args.cache,
+                                  cache_dir=args.cache,
                                   max_inflight=args.max_inflight,
                                   workers=args.workers,
                                   registry_path=args.registry)
@@ -150,11 +150,9 @@ def _cmd_serve(args) -> int:
             # wakeup fd, and would relay its own SIGTERM to this loop:
             # a worker takes the default action instead
             os.register_at_fork(after_in_child=_default_sigterm)
-        tier = (f"workers={server.pool.size}" if server.pool is not None
-                else f"jobs={server.runner.jobs}")
         # an empty ResultCache is falsy (__len__), so test for None
         print(f"repro.serve listening on http://{server.host}:{server.port}"
-              f"  ({tier}, "
+              f"  (workers={server.pool.size}, "
               f"max_inflight={server.admission.limit}, "
               f"cache={'off' if server.cache is None else 'on'}, "
               f"receipts={'on' if server.registry.path else 'memory'})",
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=engine_registry.default_name("mesh"),
                         help="mesh kernel; batched is the lockstep "
                              "fastmesh engine, bit-identical to scalar")
-    report.add_argument("--jobs", type=_jobs_argument, default=None,
+    report.add_argument("--jobs", type=_positive_int, default=None,
                         metavar="N",
                         help="run report sections on N worker processes "
                              "(same results as serial)")
@@ -410,18 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8737,
                        help="bind port; 0 picks an ephemeral one")
-    serve.add_argument("--jobs", type=_jobs_argument, default=1,
-                       metavar="N",
-                       help="worker processes for cold computations")
     serve.add_argument("--cache", default=None, metavar="DIR",
                        help="result-cache directory (hot-path hits)")
-    serve.add_argument("--max-inflight", type=_jobs_argument, default=8,
+    serve.add_argument("--max-inflight", type=_positive_int, default=8,
                        metavar="N",
                        help="admitted cold computations before 429s")
-    serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="run the sharded worker tier on N processes "
-                            "(0 = single persistent pool; with N >= 1, "
-                            "--jobs is ignored)")
+    serve.add_argument("--workers", type=_positive_int, default=1,
+                       metavar="N",
+                       help="sharded worker processes for cold "
+                            "computations (default 1)")
     serve.add_argument("--registry", default=None, metavar="FILE",
                        help="durable receipts JSONL (default: "
                             "<cache>/receipts.jsonl when --cache is set, "

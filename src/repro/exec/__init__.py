@@ -4,9 +4,9 @@
 process pool with deterministic per-shard device rebuilds (bit-identical
 to serial execution); ``cache`` memoizes the results on disk under
 content-addressed keys.  Together they back ``python -m repro report
---jobs N --cache DIR`` — and, in the runner's persistent mode plus the
-cache's digest-verified ``put_bytes``/``get_bytes`` entries, the
-hot/cold paths of the :mod:`repro.serve` measurement service.
+--jobs N --cache DIR``; the cache's digest-verified
+``put_bytes``/``get_bytes`` entries also back the hot/cold paths of the
+:mod:`repro.serve` measurement service.
 """
 
 from repro.exec.cache import CACHE_VERSION, ResultCache, cache_key

@@ -23,22 +23,14 @@ Two invariants make parallel results trustworthy:
   which process, or which position in the schedule, runs it.
 
 ``jobs <= 1`` runs shards in-process (no pool, no pickling); ``jobs > 1``
-fans out over a :class:`concurrent.futures.ProcessPoolExecutor`.  Results
-always come back in shard order.
-
-A runner constructed with ``persistent=True`` keeps one process pool
-alive across calls instead of building a fresh pool per :meth:`~SweepRunner.map`.
-That mode adds :meth:`~SweepRunner.submit` — fire one worker invocation
-and get a :class:`concurrent.futures.Future` back — which is what a
-long-lived caller (the :mod:`repro.serve` event loop) needs to run
-computations off its own thread without paying pool start-up per
-request.  Persistent runners must be closed (or used as context
-managers).
+fans out over a :class:`concurrent.futures.ProcessPoolExecutor` that
+lives for one :meth:`~SweepRunner.map` call.  Results always come back
+in shard order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import ConfigurationError
 from repro.exec.shm import (ZEROCOPY_MIN_BYTES, decode_result, run_token,
@@ -79,20 +71,13 @@ def chunk(items, size: int = DEFAULT_SHARD_SMS) -> list:
 class SweepRunner:
     """Maps a picklable worker over shard arguments, serially or not."""
 
-    def __init__(self, jobs: int | None = None, persistent: bool = False,
-                 initializer=None, zerocopy: bool | None = None):
+    def __init__(self, jobs: int | None = None,
+                 zerocopy: bool | None = None):
         if jobs is None:
             jobs = 1
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.persistent = persistent
-        #: Module-level callable run once in each pool worker as it
-        #: starts (e.g. :func:`repro.serve.workers.warm_imports`, so a
-        #: long-lived service pays import cost at spawn, not on the
-        #: first request).  Only the persistent pool uses it: per-call
-        #: pools are short-lived and would pay the warm-up per map().
-        self.initializer = initializer
         #: ``None`` (default) auto-detects: shard results above
         #: :data:`repro.exec.shm.ZEROCOPY_MIN_BYTES` come back through
         #: shared-memory segments when the platform supports them,
@@ -100,18 +85,6 @@ class SweepRunner:
         #: the pickle path (bit-identical by construction — the bench
         #: and the identity tests compare the two).
         self.zerocopy = shm_available() if zerocopy is None else zerocopy
-        self._pool: ProcessPoolExecutor | None = None
-        self._tokens: list = []
-
-    def _persistent_pool(self) -> ProcessPoolExecutor:
-        if not self.persistent:
-            raise ConfigurationError(
-                "this SweepRunner is per-call; construct it with "
-                "persistent=True to keep a pool alive")
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=self.initializer)
-        return self._pool
 
     def map(self, worker, shard_args) -> list:
         """Run ``worker`` over every shard; results in shard order.
@@ -131,9 +104,6 @@ class SweepRunner:
         workers = min(self.jobs, len(shard_args))
         chunksize = pool_chunksize(len(shard_args), workers)
         if not self.zerocopy:
-            if self.persistent:
-                return list(self._persistent_pool().map(
-                    worker, shard_args, chunksize=chunksize))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(worker, shard_args,
                                      chunksize=chunksize))
@@ -141,13 +111,9 @@ class SweepRunner:
         packed = [(worker, args, token, ZEROCOPY_MIN_BYTES)
                   for args in shard_args]
         try:
-            if self.persistent:
-                encoded = list(self._persistent_pool().map(
-                    zerocopy_shard, packed, chunksize=chunksize))
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    encoded = list(pool.map(zerocopy_shard, packed,
-                                            chunksize=chunksize))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                encoded = list(pool.map(zerocopy_shard, packed,
+                                        chunksize=chunksize))
             return [decode_result(item) for item in encoded]
         except BaseException:
             # a failed or interrupted run may have parked segments whose
@@ -155,62 +121,6 @@ class SweepRunner:
             # re-raising so /dev/shm doesn't accumulate orphans
             sweep_run(token)
             raise
-
-    def submit(self, worker, args) -> Future:
-        """Run ``worker(args)`` once on the persistent pool (a Future).
-
-        Unlike :meth:`map` there is no in-process shortcut: even with
-        ``jobs=1`` the invocation runs in a pool worker, because the
-        point of :meth:`submit` is keeping the *calling* thread (an
-        event loop) free.  With zero-copy enabled the worker's result
-        comes back through a shared-memory segment and is decoded on
-        the pool's callback thread before the returned future resolves.
-        """
-        pool = self._persistent_pool()
-        if not self.zerocopy:
-            return pool.submit(worker, args)
-        token = run_token()
-        self._tokens.append(token)
-        inner = pool.submit(zerocopy_shard,
-                            (worker, args, token, ZEROCOPY_MIN_BYTES))
-        outer: Future = Future()
-
-        def _resolve(done: Future) -> None:
-            try:
-                self._tokens.remove(token)
-            except ValueError:      # close() already swept this token
-                pass
-            exc = done.exception()
-            if exc is not None:
-                sweep_run(token)
-                outer.set_exception(exc)
-                return
-            try:
-                outer.set_result(decode_result(done.result()))
-            except BaseException as err:  # segment vanished/corrupt
-                sweep_run(token)
-                outer.set_exception(err)
-
-        inner.add_done_callback(_resolve)
-        return outer
-
-    def close(self) -> None:
-        """Shut the persistent pool down (idempotent, waits for work).
-
-        Also sweeps shared-memory segments of any in-flight zero-copy
-        submissions whose descriptors will now never be decoded.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        while self._tokens:
-            sweep_run(self._tokens.pop())
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def device_payload(gpu) -> tuple:

@@ -2,13 +2,13 @@
 
 Two transports ride POSIX shared memory instead of pickling payloads
 through ``multiprocessing`` pipes: the serve worker tier
-(:mod:`repro.serve.shm`, canonical-JSON response bytes) and the offline
-sweep path (:mod:`repro.exec.shm`, array-valued shard results).  Both
-need exactly the same machinery — create a segment, copy the payload in
-once, ship a tiny ``(name, size, digest)`` descriptor, attach on the
-other side, verify, unlink — so that machinery lives here and the
-transports only add their policy (name prefix, size floor, payload
-encoding).  Consumers pick one of two attach flavours: the copying,
+(:mod:`repro.serve.workers`, canonical-JSON response bytes) and the
+offline sweep path (:mod:`repro.exec.shm`, array-valued shard
+results).  Both need exactly the same machinery — create a segment,
+copy the payload in once, ship a tiny ``(name, size, digest)``
+descriptor, attach on the other side, verify, unlink — so that
+machinery lives here and the transports only add their policy (name
+prefix, size floor, payload encoding).  Consumers pick one of two attach flavours: the copying,
 whole-payload-verifying :func:`read_segment` (serve tier) or the
 zero-copy :func:`map_segment`, which hands back a writable view over
 the shared pages themselves (exec tier).

@@ -82,24 +82,15 @@ def measure_load_point(rate: float, arbiter: str = "rr", width: int = 6,
                      avg_latency=latency)
 
 
-def _load_point_shard(args) -> LoadPoint:
-    """Sweep-runner worker: one injection-rate point, self-contained."""
-    rate, arbiter, kwargs = args
-    return measure_load_point(rate, arbiter=arbiter, **kwargs)
-
-
-def sweep_load(rates, arbiter: str = "rr", jobs: int | None = None,
-               engine: str | None = None, **kwargs) -> LoadCurve:
+def sweep_load(rates, arbiter: str = "rr", engine: str | None = None,
+               **kwargs) -> LoadCurve:
     """Measure a list of injection rates into a :class:`LoadCurve`.
 
     ``engine`` selects the kernel: the default ``"batched"`` runs the
     whole sweep as ONE lockstep simulation
     (:func:`repro.noc.mesh.fastmesh.batched_sweep_load`, bit-identical
     to scalar by contract); ``"scalar"`` steps one golden
-    :func:`~repro.noc.mesh.vc.one_vc_mesh` per rate.  Every scalar point builds its own mesh from the (rate,
-    arbiter, seed) parameters, so ``jobs`` can fan the scalar sweep out
-    over a process pool without changing any point's result; the batched
-    engine is already one run and ignores ``jobs``.
+    :func:`~repro.noc.mesh.vc.one_vc_mesh` per rate.
     """
     engine = engines.resolve("mesh", engine)
     rates = list(rates)
@@ -108,11 +99,6 @@ def sweep_load(rates, arbiter: str = "rr", jobs: int | None = None,
     if engine == "batched":
         from repro.noc.mesh.fastmesh import batched_sweep_load
         return batched_sweep_load(rates, arbiter=arbiter, **kwargs)
-    if jobs is None:
-        points = tuple(measure_load_point(r, arbiter=arbiter, **kwargs)
-                       for r in rates)
-    else:
-        from repro.exec import SweepRunner
-        shards = [(r, arbiter, kwargs) for r in rates]
-        points = tuple(SweepRunner(jobs).map(_load_point_shard, shards))
+    points = tuple(measure_load_point(r, arbiter=arbiter, **kwargs)
+                   for r in rates)
     return LoadCurve(arbiter=arbiter, points=points)

@@ -134,23 +134,15 @@ def run_fairness_experiment(arbiter: str = "rr", width: int = 6,
                           cycles=window)
 
 
-def _fairness_shard(args) -> FairnessResult:
-    """Sweep-runner worker: one self-contained scalar fairness run."""
-    arbiter, kwargs = args
-    return run_fairness_experiment(arbiter, engine="scalar", **kwargs)
-
-
 def run_fairness_experiments(arbiters=("rr", "age"),
-                             jobs: int | None = None,
                              engine: str | None = None,
                              **kwargs) -> dict:
-    """Fairness runs for several arbiters, optionally in parallel.
+    """Fairness runs for several arbiters.
 
     Returns {arbiter: :class:`FairnessResult`}.  The default
     ``engine="batched"`` runs the whole arbiter list as ONE lockstep
-    simulation (and ignores ``jobs``); with ``engine="scalar"`` each run
-    builds its own mesh and traffic from (arbiter, seed), so parallel
-    results match serial ones exactly.
+    simulation; with ``engine="scalar"`` each run builds its own mesh
+    and traffic from (arbiter, seed), one after another.
     """
     engine = engines.resolve("mesh", engine)
     arbiters = list(arbiters)
@@ -159,11 +151,6 @@ def run_fairness_experiments(arbiters=("rr", "age"),
     if engine == "batched":
         from repro.noc.mesh.fastmesh import batched_fairness_experiments
         return batched_fairness_experiments(arbiters, **kwargs)
-    if jobs is None:
-        results = [run_fairness_experiment(a, engine="scalar", **kwargs)
-                   for a in arbiters]
-    else:
-        from repro.exec import SweepRunner
-        shards = [(a, kwargs) for a in arbiters]
-        results = SweepRunner(jobs).map(_fairness_shard, shards)
+    results = [run_fairness_experiment(a, engine="scalar", **kwargs)
+               for a in arbiters]
     return dict(zip(arbiters, results))

@@ -8,15 +8,14 @@ and bounded-admission backpressure (:mod:`~repro.serve.coalesce`), live
 counters and streaming latency quantiles (:mod:`~repro.serve.metrics`),
 and a blocking stdlib client (:mod:`~repro.serve.client`).
 
-Computations run on one of two tiers.  The default (``workers=0``) is a
-single persistent process pool.  ``workers=N`` enables the sharded
-worker tier (:mod:`~repro.serve.workers`): N spawned worker processes,
-each owning a consistent-hash shard of the cache-key space, sharing the
+Computations run on the sharded worker tier (:mod:`~repro.serve.workers`,
+``workers=1`` by default): N forked worker processes, each owning a
+consistent-hash shard of the cache-key space, sharing the
 content-addressed on-disk cache, shipping large results back through
-POSIX shared memory (:mod:`~repro.serve.shm`), and surviving crashes
-and rolling restarts without dropping requests.  Every computation on
-either tier leaves a durable receipt (:mod:`~repro.serve.registry`)
-that ``POST /v1/replay`` can recompute and digest-check.
+POSIX shared memory (:mod:`repro.ipc`), and surviving crashes and
+rolling restarts without dropping requests.  Every computation leaves
+a durable receipt (:mod:`~repro.serve.registry`) that
+``POST /v1/replay`` can recompute and digest-check.
 
 Start one from a shell::
 
@@ -46,9 +45,9 @@ from repro.serve.registry import RunRegistry, request_sha, result_sha
 from repro.serve.server import (DEFAULT_MAX_INFLIGHT, ExperimentServer,
                                 canonical_json, serve_in_thread,
                                 splice_envelope)
-from repro.serve.shm import SHM_MIN_BYTES, ShmRef, ShmTransportError
 from repro.serve.streams import StreamBook, StreamError, TraceStream
-from repro.serve.workers import (HashRing, NoLiveWorkersError, WorkerPool,
+from repro.serve.workers import (SHM_MIN_BYTES, HashRing,
+                                 NoLiveWorkersError, WorkerPool,
                                  WorkerResult, warm_imports)
 
 __all__ = [
@@ -62,8 +61,7 @@ __all__ = [
     "RunRegistry", "request_sha", "result_sha",
     "DEFAULT_MAX_INFLIGHT", "ExperimentServer", "canonical_json",
     "serve_in_thread", "splice_envelope",
-    "SHM_MIN_BYTES", "ShmRef", "ShmTransportError",
     "StreamBook", "StreamError", "TraceStream",
-    "HashRing", "NoLiveWorkersError", "WorkerPool", "WorkerResult",
-    "warm_imports",
+    "SHM_MIN_BYTES", "HashRing", "NoLiveWorkersError", "WorkerPool",
+    "WorkerResult", "warm_imports",
 ]

@@ -12,9 +12,10 @@ compute function, which buys three properties the server needs:
   the same params dict — the requirement for request coalescing and
   cache addressing to work ("sms omitted" and "sms: null" must hash
   identically).
-* **Picklable dispatch.**  :func:`run_experiment` is a plain
-  module-level function of ``(name, params)``; the server ships it to a
-  :class:`~repro.exec.runner.SweepRunner` pool worker untouched.
+* **Plain-data dispatch.**  :func:`run_experiment` is a plain
+  module-level function of ``(name, params)``; the server queues only
+  the name and the normalized params to a
+  :class:`~repro.serve.workers.WorkerPool` process, which calls it.
 
 Results are plain JSON values (lists/dicts/floats); the cache payload of
 gpu-bound experiments folds in the full spec dict so editing a spec

@@ -156,9 +156,9 @@ class ServeMetrics:
       hot path (followers of a flight never consult the cache).
     * ``rejected`` — fast 429 responses from admission control.
     * ``shm_results`` / ``inline_results`` — how each computation's
-      result bytes travelled back from the compute tier: a shared-memory
-      segment (large payloads on the worker tier) or in-band (small
-      payloads; the legacy pool's pickle transport also counts here).
+      result bytes travelled back from the worker pool: a shared-memory
+      segment (large payloads) or in-band on the result queue (small
+      payloads).
     * ``replays`` — completed ``POST /v1/replay`` recomputations.
     * For any experiment:  requests == computations + coalesced +
       cache_hits + rejected + errors (each request takes exactly one of

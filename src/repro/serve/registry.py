@@ -10,12 +10,11 @@ small JSON record binding the request to what produced its answer:
   stored under (:func:`repro.exec.cache.cache_key`);
 * ``engine`` — the engine fingerprint dict (name + version for the
   fast engines), pinned at computation time;
-* ``worker`` — which worker process computed it (``"local"`` for the
-  legacy single-pool tier);
+* ``worker`` — which worker process computed it (``"worker-N"``);
 * ``result_sha`` — SHA-256 over the canonical JSON bytes of the result
   value;
 * ``wall_ms``, ``transport``, ``ts``, ``seq`` — timing, how the bytes
-  travelled (``inline``/``shm``/``pickle``), and ordering.
+  travelled (``inline``/``shm``), and ordering.
 
 Receipts answer two operational questions.  *Audit*: which worker and
 engine revision produced this response, and how long did it take?

@@ -15,19 +15,19 @@ long-lived JSON-over-HTTP service.  A request's life:
    request gets an immediate ``429`` with ``Retry-After`` instead of an
    unbounded queue.
 5. **Compute** — on the sharded :class:`~repro.serve.workers.WorkerPool`
-   tier (``workers=N``: consistent-hash routing by cache key, shared
-   on-disk cache, shm result transport, receipts), or on the legacy
-   single :class:`~repro.exec.runner.SweepRunner` pool (``workers=0``).
-   Every computation leaves a :mod:`~repro.serve.registry` receipt that
+   (``workers=N``, default 1: consistent-hash routing by cache key,
+   shared on-disk cache, shm result transport).  Every computation
+   leaves a :mod:`~repro.serve.registry` receipt that
    ``POST /v1/replay`` can recompute and digest-check.
 
 Responses for an experiment are canonical JSON (sorted keys, fixed
-separators) of ``{experiment, params, value}``.  The worker tier ships
-the *value*'s canonical bytes (often via shared memory) and the server
+separators) of ``{experiment, params, value}``.  A worker ships the
+*value*'s canonical bytes (often via shared memory) and the server
 splices them into the envelope, so the bytes are identical whether a
-given response was computed by a worker, computed by the legacy pool,
-coalesced, or a cache hit — a property the end-to-end tests assert.  A
-cache hit is the stored value bytes themselves
+given response was computed by any worker, coalesced, or a cache hit,
+and equal to ``canonical_json`` of the whole envelope — a property the
+end-to-end tests assert.  A cache hit is the stored value bytes
+themselves
 (:meth:`~repro.exec.cache.ResultCache.get_bytes`, digest-checked), so
 the hot path neither parses nor re-encodes the value.
 
@@ -46,26 +46,23 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import hashlib
 import json
 import threading
 import time
 from pathlib import Path
 
-from repro.exec import ResultCache, SweepRunner, cache_key
+from repro.exec import ResultCache, cache_key
 from repro.exec.cache import _jsonify
 from repro.serve.coalesce import AdmissionController, Singleflight
 from repro.serve.experiments import (EXPERIMENTS, ExperimentRequestError,
                                      cache_payload, describe_experiments,
-                                     engine_param, normalize,
-                                     run_experiment)
+                                     engine_param, normalize)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import RunRegistry
-from repro.serve.shm import SHM_MIN_BYTES
 from repro.serve.streams import StreamBook, StreamError
-from repro.serve.workers import (REQUEST_ERRORS, NoLiveWorkersError,
+from repro.serve.workers import (SHM_MIN_BYTES, NoLiveWorkersError,
                                  WorkerPool, WorkerRequestError,
-                                 WorkerResult, warm_imports)
+                                 WorkerResult)
 from repro.units import MIB
 
 #: Default bound on concurrently admitted (cold) computations.
@@ -93,9 +90,8 @@ def splice_envelope(name: str, params: dict, value_bytes: bytes) -> bytes:
 
     Byte-identical to ``canonical_json({"experiment": name, "params":
     params, "value": value})`` when ``value_bytes == canonical_json(
-    value)`` — the keys are already in sorted order — so worker-tier
-    responses never re-serialize the payload, yet compare equal to the
-    single-process tier's.
+    value)`` — the keys are already in sorted order — so responses
+    never re-serialize the payload a worker computed.
     """
     return (b'{"experiment":' + canonical_json(name)
             + b',"params":' + canonical_json(params)
@@ -111,44 +107,25 @@ class _HttpError(Exception):
         self.payload = {"error": message, **extra}
 
 
-async def _job_result(future):
-    """Await a computation's result on either tier.
-
-    Bad model parameters (:data:`REQUEST_ERRORS`, which the worker tier
-    forwards as :class:`WorkerRequestError`) are the request's fault:
-    a 400, not an internal error.
-    """
-    try:
-        return await asyncio.wrap_future(future)
-    except (*REQUEST_ERRORS, WorkerRequestError) as exc:
-        raise _HttpError(400, str(exc)) from None
-
-
 class ExperimentServer:
     """Serve the registry's experiments over HTTP on one event loop.
 
-    ``workers=0`` (default) computes on one persistent ``SweepRunner``
-    pool; ``workers=N`` runs the sharded multi-process worker tier.
-    With a ``cache_dir``, receipts default to ``<cache_dir>/
-    receipts.jsonl`` (durable); otherwise they live in memory.
+    Computations run on a :class:`WorkerPool` of ``workers`` (>= 1)
+    sharded processes.  With a ``cache_dir``, receipts default to
+    ``<cache_dir>/receipts.jsonl`` (durable); otherwise they live in
+    memory.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 jobs: int = 1, cache_dir=None,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                 workers: int = 0, registry_path=None,
+                 cache_dir=None, max_inflight: int = DEFAULT_MAX_INFLIGHT,
+                 workers: int = 1, registry_path=None,
                  shm_min_bytes: int = SHM_MIN_BYTES):
         self.host = host
         self.port = port                      # 0 = ephemeral; set on start
+        # ConfigurationError for workers < 1, before any directory exists
+        self.pool = WorkerPool(workers, cache_dir=cache_dir,
+                               shm_min_bytes=shm_min_bytes)
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        if workers > 0:
-            self.pool = WorkerPool(workers, cache_dir=cache_dir,
-                                   shm_min_bytes=shm_min_bytes)
-            self.runner = None
-        else:
-            self.pool = None
-            self.runner = SweepRunner(jobs, persistent=True,
-                                      initializer=warm_imports)
         if registry_path is None and cache_dir is not None:
             registry_path = Path(cache_dir) / "receipts.jsonl"
         self.registry = RunRegistry(registry_path)
@@ -168,8 +145,7 @@ class ExperimentServer:
         """Bind and start accepting (resolves ``self.port`` if it was 0)."""
         self._handlers_idle = asyncio.Event()
         self._handlers_idle.set()
-        if self.pool is not None:
-            await asyncio.to_thread(self.pool.start)
+        await asyncio.to_thread(self.pool.start)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -189,10 +165,7 @@ class ExperimentServer:
         if self._restart_task is not None:
             with contextlib.suppress(Exception):
                 await self._restart_task
-        if self.pool is not None:
-            await asyncio.to_thread(self.pool.close)
-        else:
-            self.runner.close()
+        await asyncio.to_thread(self.pool.close)
 
     # ------------------------------------------------------------- protocol
 
@@ -327,24 +300,17 @@ class ExperimentServer:
                 "inflight_requests": self.metrics.inflight_requests,
                 "inflight_computations": self.admission.active,
                 "experiments": len(EXPERIMENTS),
-                "tier": "workers" if self.pool is not None else "single",
-                "workers": (self.pool.live_workers
-                            if self.pool is not None else 0)}
+                "workers": self.pool.live_workers}
 
     def _metricz(self) -> dict:
         snapshot = self.metrics.snapshot()
         snapshot["registry"] = {"receipts": self.registry.count,
                                 "durable": self.registry.path is not None}
         snapshot["streams"] = self.streams.listing()
-        if self.pool is not None:
-            snapshot["workers"] = self.pool.stats()
+        snapshot["workers"] = self.pool.stats()
         return snapshot
 
     def _start_rolling_restart(self) -> dict:
-        if self.pool is None:
-            raise _HttpError(
-                400, "single-process tier has no workers to restart; "
-                     "start the server with workers >= 1")
         if self._restart_task is not None and not self._restart_task.done():
             raise _HttpError(409, "a rolling restart is already running")
         self._restart_task = asyncio.get_running_loop().create_task(
@@ -485,26 +451,21 @@ class ExperimentServer:
 
     async def _dispatch(self, name: str, params: dict,
                         key: str) -> WorkerResult:
-        """Run the computation on whichever tier this server owns."""
-        if self.pool is not None:
-            try:
-                future = self.pool.submit(name, params, key)
-            except NoLiveWorkersError:
-                raise _HttpError(
-                    503, "every worker shard is draining; retry") from None
-            return await _job_result(future)
-        started = time.perf_counter()
-        value = await _job_result(
-            self.runner.submit(run_experiment, (name, params)))
-        value_bytes = canonical_json(value)
-        wall_ms = (time.perf_counter() - started) * 1e3
-        if self.cache is not None:
-            await asyncio.to_thread(self.cache.put_bytes, key,
-                                    value_bytes)
-        return WorkerResult(
-            value_bytes=value_bytes,
-            digest=hashlib.sha256(value_bytes).hexdigest(),
-            worker="local", wall_ms=wall_ms, transport="pickle")
+        """Run the computation on ``key``'s worker shard.
+
+        Bad model parameters, which the worker forwards as
+        :class:`WorkerRequestError`, are the request's fault: a 400,
+        not an internal error.
+        """
+        try:
+            future = self.pool.submit(name, params, key)
+        except NoLiveWorkersError:
+            raise _HttpError(
+                503, "every worker shard is draining; retry") from None
+        try:
+            return await asyncio.wrap_future(future)
+        except WorkerRequestError as exc:
+            raise _HttpError(400, str(exc)) from None
 
     def _record_receipt(self, name: str, params: dict, key: str,
                         result: WorkerResult) -> None:

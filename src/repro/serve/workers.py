@@ -1,9 +1,7 @@
-"""Sharded process-pool worker tier behind the serve front-end.
+"""Sharded process-pool worker tier: the serve front-end's compute tier.
 
-The single-process serve tier tops out at one core: every cold
-computation funnels through one ``SweepRunner`` pool owned by one
-event loop.  :class:`WorkerPool` replaces that funnel with N
-long-lived worker *processes*, each owning a shard of the key space:
+:class:`WorkerPool` runs N long-lived worker *processes*, each owning a
+shard of the key space:
 
 * **Consistent-hash sharding.**  Requests are routed by their
   engine-fingerprinted cache key (:func:`repro.exec.cache.cache_key`)
@@ -18,23 +16,30 @@ long-lived worker *processes*, each owning a shard of the key space:
   computed by any worker is a cache hit for every future request no
   matter which process serves it.
 * **Pickle-free transport.**  A worker serializes its result to
-  canonical JSON exactly once; payloads above the shm threshold travel
-  as a :class:`~repro.serve.shm.ShmRef` (name + size + digest) through
-  the queue while the bytes move through ``multiprocessing.shared_memory``
-  — the front-end splices them into the response envelope without
-  re-serializing.
+  canonical JSON exactly once; payloads of at least
+  :data:`SHM_MIN_BYTES` travel as a :class:`~repro.ipc.SegmentRef`
+  (name + size + digest) through the queue while the bytes move
+  through a :mod:`repro.ipc` shared-memory segment — the front-end
+  reads, verifies and unlinks it, then splices the bytes into the
+  response envelope without re-serializing.
 * **Lifecycle.**  A monitor thread detects crashed workers, requeues
-  their in-flight jobs onto live shards, and respawns replacements;
+  their in-flight jobs onto live shards, and respawns replacements
+  (sweeping the dead worker's orphaned segments first);
   :meth:`WorkerPool.restart_worker` drains one worker gracefully
   (pending jobs finish, then the process exits) and
   :meth:`WorkerPool.rolling_restart` walks the whole pool one worker
   at a time — under load, with no client-visible failures.  Per-worker
   counters roll up into ``/metricz`` via :meth:`WorkerPool.stats`.
 
-Workers are started with the ``spawn`` context: a fresh interpreter
-per worker avoids forking the server's threaded, event-loop-owning
-process, and makes a worker's warm state exactly reproducible (it is
-rebuilt from imports, never inherited).
+Workers start with the platform's default ``multiprocessing`` context
+(fork on Linux), the one :class:`concurrent.futures.ProcessPoolExecutor`
+uses: a forked worker inherits the already-imported compute stack
+instead of re-importing it, which keeps server start-up and respawns
+cheap.  Forking this threaded, event-loop-owning process is safe for
+the same reason it is for a process pool: the child runs only
+:func:`_worker_main`, which touches none of the parent's threads or
+locks, and ``repro serve`` gives forked children SIGTERM's default
+action (an at-fork hook in :mod:`repro.cli`).
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, MeshConfigError, ReproError
-from repro.serve import shm as shm_transport
+from repro.ipc import SegmentError, read_segment, share_segment, sweep_orphans
 from repro.serve.metrics import StreamingDigest
+from repro.units import KIB
 
 #: Virtual nodes per worker on the hash ring: smooths the key-space
 #: split to within a few percent of even for small pools.
@@ -63,13 +69,22 @@ DRAIN_TIMEOUT_S = 60.0
 
 _READY_TIMEOUT_S = 120.0
 
+#: Payloads at or above this size move through shared memory; smaller
+#: ones ride the queue inline (the segment setup costs ~2 syscalls and
+#: a page fault, which only pays off past a few pages).
+SHM_MIN_BYTES = 32 * KIB
+
+#: Name prefix of every segment a worker creates (owner-scoped by worker
+#: id): lets a respawning pool sweep what a crashed worker left behind.
+SHM_PREFIX = "repro-serve"
+
 
 class NoLiveWorkersError(ReproError):
     """Every shard is draining or dead; the caller should retry."""
 
 
 #: Errors a computation raises over bad model parameters: the request is
-#: at fault, not the server, so both tiers answer them with a 400.
+#: at fault, not the server, so the front end answers them with a 400.
 REQUEST_ERRORS = (ConfigurationError, MeshConfigError)
 
 
@@ -128,8 +143,7 @@ def warm_imports() -> None:
     """Pre-import the heavy compute stack inside a fresh worker.
 
     Keeps the first request's latency at compute cost rather than
-    import cost; shared by this tier and the legacy ``SweepRunner``
-    pool (as its initializer).
+    import cost; a no-op for whatever a forked worker already inherited.
     """
     import numpy                                            # noqa: F401
 
@@ -170,7 +184,8 @@ def _worker_main(worker_id: int, inbox, outbox, cache_dir,
                 cache.put_bytes(key, value_bytes)
             wall_ms = (time.perf_counter() - started) * 1e3
             if len(value_bytes) >= shm_min_bytes:
-                ref = shm_transport.share_bytes(value_bytes, worker_id)
+                ref = share_segment(value_bytes, prefix=SHM_PREFIX,
+                                    owner=worker_id)
                 outbox.put(("done", worker_id, job_id, "shm", ref,
                             ref.sha256, wall_ms))
             else:
@@ -235,7 +250,7 @@ class WorkerPool:
     """N sharded worker processes with crash recovery and drains."""
 
     def __init__(self, workers: int, cache_dir=None,
-                 shm_min_bytes: int = shm_transport.SHM_MIN_BYTES,
+                 shm_min_bytes: int = SHM_MIN_BYTES,
                  vnodes: int = VNODES):
         if workers < 1:
             raise ConfigurationError(
@@ -244,7 +259,7 @@ class WorkerPool:
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.shm_min_bytes = shm_min_bytes
         self.vnodes = vnodes
-        self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = multiprocessing.get_context()
         self._outbox = self._ctx.Queue()
         self._workers: dict[int, _Worker] = {}
         self._jobs: dict[int, _Job] = {}
@@ -281,7 +296,7 @@ class WorkerPool:
             self._await_ready(worker_id)
 
     def _spawn(self, worker_id: int) -> None:
-        shm_transport.cleanup_orphans(worker_id)
+        sweep_orphans(SHM_PREFIX, worker_id)
         worker = _Worker(worker_id=worker_id)
         worker.inbox = self._ctx.Queue()
         worker.process = self._ctx.Process(
@@ -505,10 +520,10 @@ class WorkerPool:
                 payload, digest: str, wall_ms: float) -> None:
         try:
             if transport == "shm":
-                value_bytes = shm_transport.read_shared(payload)
+                value_bytes = read_segment(payload)
             else:
                 value_bytes = payload
-        except shm_transport.ShmTransportError as exc:
+        except SegmentError as exc:
             with self._lock:
                 job = self._jobs.pop(job_id, None)
                 self._pending.get(worker_id, set()).discard(job_id)

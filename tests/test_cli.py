@@ -97,18 +97,19 @@ def test_unknown_command_exits_2_with_usage(capsys):
 def test_serve_parser_accepts_service_flags():
     from repro.cli import build_parser
     args = build_parser().parse_args(
-        ["serve", "--port", "0", "--jobs", "2", "--cache", "/tmp/c",
+        ["serve", "--port", "0", "--workers", "2", "--cache", "/tmp/c",
          "--max-inflight", "3", "--host", "0.0.0.0"])
-    assert (args.command, args.port, args.jobs) == ("serve", 0, 2)
+    assert (args.command, args.port, args.workers) == ("serve", 0, 2)
     assert (args.cache, args.max_inflight, args.host) \
         == ("/tmp/c", 3, "0.0.0.0")
 
 
 def test_serve_rejects_bad_flags():
-    with pytest.raises(SystemExit):
-        main(["serve", "--jobs", "0"])
-    with pytest.raises(SystemExit):
-        main(["serve", "--max-inflight", "-1"])
+    for flags in (["--workers", "0"], ["--workers", "-1"],
+                  ["--max-inflight", "-1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *flags])
+        assert excinfo.value.code == 2, flags
 
 
 def test_serve_listening_line_reaches_a_pipe(tmp_path):

@@ -45,27 +45,6 @@ def test_runner_preserves_shard_order():
     assert serial == pooled == [n * n for n in range(10)]
 
 
-def test_persistent_runner_reuses_one_pool():
-    with SweepRunner(2, persistent=True) as runner:
-        first = runner.map(_square, range(10))
-        pool = runner._pool
-        second = runner.map(_square, range(10))
-        assert first == second == [n * n for n in range(10)]
-        assert runner._pool is pool            # no per-call pool churn
-    assert runner._pool is None                # context exit closed it
-
-
-def test_persistent_submit_returns_future():
-    with SweepRunner(1, persistent=True) as runner:
-        future = runner.submit(_square, 7)
-        assert future.result(timeout=60) == 49
-
-
-def test_submit_requires_persistent_mode():
-    with pytest.raises(ConfigurationError):
-        SweepRunner(2).submit(_square, 7)
-
-
 def test_device_payload_round_trip(tiny):
     spec_data, seed = device_payload(tiny)
     rebuilt = rebuild_device(spec_data, seed)
@@ -112,23 +91,6 @@ def test_saturation_curve_jobs_identity(v100):
     pooled = slice_saturation_curve(v100, 0, sms, counts=counts, jobs=2)
     assert serial == pooled
     assert list(serial) == counts
-
-
-def test_sweep_load_jobs_identity():
-    from repro.noc.mesh.loadcurve import sweep_load
-    rates = [0.05, 0.15]
-    serial = sweep_load(rates, cycles=2000, warmup=500)
-    pooled = sweep_load(rates, cycles=2000, warmup=500, jobs=2)
-    assert serial == pooled                 # frozen dataclasses: deep ==
-
-
-def test_fairness_experiments_jobs_identity():
-    from repro.noc.mesh.traffic import run_fairness_experiments
-    serial = run_fairness_experiments(cycles=3000, warmup=500)
-    pooled = run_fairness_experiments(cycles=3000, warmup=500, jobs=2)
-    assert set(serial) == {"rr", "age"}
-    for arbiter in serial:
-        assert serial[arbiter] == pooled[arbiter]
 
 
 def test_report_jobs_and_cache_identity(tmp_path):

@@ -107,25 +107,6 @@ def test_map_failure_sweeps_run_segments():
     assert _no_exec_orphans()
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_submit_zerocopy_round_trip():
-    with SweepRunner(jobs=2, persistent=True, zerocopy=True) as runner:
-        future = runner.submit(_matrix_worker, (7, 96))
-        result = future.result()
-    assert result["meta"]["n"] == 7
-    assert np.all(result["matrix"] == 7.0)
-    assert _no_exec_orphans()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_submit_worker_error_propagates_and_sweeps():
-    with SweepRunner(jobs=2, persistent=True, zerocopy=True) as runner:
-        future = runner.submit(_failing_worker, (2, 96))
-        with pytest.raises(RuntimeError, match="shard 2 exploded"):
-            future.result()
-    assert _no_exec_orphans()
-
-
 def test_sweep_run_removes_only_its_token():
     if not shm_available():
         pytest.skip("no shared memory")

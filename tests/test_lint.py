@@ -353,7 +353,7 @@ def test_rep008_scope_covers_exec_and_ipc():
     from repro.analysis.lint.config import load_config
     config = load_config(REPO_ROOT)
     for module in ("repro.ipc", "repro.exec.shm", "repro.exec.cache",
-                   "repro.serve.shm"):
+                   "repro.serve.workers"):
         assert config.in_scope("REP008", module), module
 
 

@@ -30,7 +30,7 @@ CONCURRENCY = 32
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("serve-cache")
-    with serve_in_thread(jobs=1, cache_dir=cache_dir,
+    with serve_in_thread(workers=1, cache_dir=cache_dir,
                          max_inflight=1) as srv:
         yield srv
 

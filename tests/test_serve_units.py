@@ -208,7 +208,7 @@ def test_digest_empty_and_tiny_values():
 
 @pytest.fixture(scope="module")
 def edge_server():
-    with serve_in_thread(jobs=1, max_inflight=2) as srv:
+    with serve_in_thread(workers=1, max_inflight=2) as srv:
         yield srv
 
 

@@ -1,8 +1,9 @@
 """The sharded worker tier: ring, shm transport, receipts, lifecycle.
 
 The expensive end-to-end tests share one module-scoped ``workers=2``
-server (spawning workers costs seconds each); tests that mutate the
-pool (crash, rolling restart) run last and leave it recovered.
+server (each worker imports the compute stack as it starts); tests
+that mutate the pool (crash, rolling restart) run last and leave it
+recovered.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve import (ServeClient, canonical_json, serve_in_thread,
-                         splice_envelope)
+from repro.ipc import (SegmentError, SegmentRef, read_segment,
+                       share_segment, sweep_orphans)
+from repro.serve import (ExperimentServer, ServeClient, canonical_json,
+                         run_experiment, serve_in_thread, splice_envelope)
 from repro.serve.client import Backoff
+from repro.serve.experiments import normalize
 from repro.serve.registry import RunRegistry, request_sha, result_sha
-from repro.serve.shm import ShmRef, ShmTransportError, cleanup_orphans
-from repro.serve.shm import read_shared, share_bytes
-from repro.serve.workers import (VNODES, HashRing, NoLiveWorkersError,
-                                 WorkerPool)
+from repro.serve.workers import (SHM_PREFIX, VNODES, HashRing,
+                                 NoLiveWorkersError, WorkerPool)
 
 #: A request cheap enough to recompute many times in lifecycle tests.
 SMALL = dict(gpu="V100", seed=0, sms=[0, 1], samples=1)
@@ -75,35 +77,40 @@ def test_ring_vnodes_spread_small_pools():
 # shared-memory transport
 # --------------------------------------------------------------------------
 
+def _share(payload: bytes, worker_id: int) -> SegmentRef:
+    """Park ``payload`` the way worker ``worker_id`` does."""
+    return share_segment(payload, prefix=SHM_PREFIX, owner=worker_id)
+
+
 def test_shm_round_trip_verifies_digest():
     payload = os.urandom(5000) + b"tail"
-    ref = share_bytes(payload, worker_id=7)
+    ref = _share(payload, worker_id=7)
     assert ref.size == len(payload)
-    assert read_shared(ref) == payload
+    assert read_segment(ref) == payload
     # the consumer unlinked: a second read must fail loudly
-    with pytest.raises(ShmTransportError):
-        read_shared(ref)
+    with pytest.raises(SegmentError):
+        read_segment(ref)
 
 
 def test_shm_detects_corruption():
-    ref = share_bytes(b"payload-bytes", worker_id=7)
-    lying = ShmRef(name=ref.name, size=ref.size, sha256="0" * 64)
-    with pytest.raises(ShmTransportError):
-        read_shared(lying)
+    ref = _share(b"payload-bytes", worker_id=7)
+    lying = SegmentRef(name=ref.name, size=ref.size, sha256="0" * 64)
+    with pytest.raises(SegmentError):
+        read_segment(lying)
 
 
 def test_shm_rejects_empty_payload():
     with pytest.raises(ValueError):
-        share_bytes(b"", worker_id=0)
+        _share(b"", worker_id=0)
 
 
 def test_shm_orphan_sweep_removes_only_that_workers_segments():
-    a = share_bytes(b"worker-a-leftover", worker_id=91)
-    b = share_bytes(b"worker-b-live", worker_id=92)
-    assert cleanup_orphans(91) >= 1
-    with pytest.raises(ShmTransportError):
-        read_shared(a)                      # swept
-    assert read_shared(b) == b"worker-b-live"   # untouched
+    a = _share(b"worker-a-leftover", worker_id=91)
+    b = _share(b"worker-b-live", worker_id=92)
+    assert sweep_orphans(SHM_PREFIX, 91) >= 1
+    with pytest.raises(SegmentError):
+        read_segment(a)                     # swept
+    assert read_segment(b) == b"worker-b-live"  # untouched
 
 
 # --------------------------------------------------------------------------
@@ -181,12 +188,18 @@ def test_splice_envelope_matches_canonical_json():
 # worker pool, driven directly (no HTTP)
 # --------------------------------------------------------------------------
 
+def test_server_rejects_non_positive_worker_counts(tmp_path):
+    for workers in (0, -2):
+        with pytest.raises(ConfigurationError):
+            ExperimentServer(workers=workers, cache_dir=tmp_path / "c")
+    assert not (tmp_path / "c").exists()     # rejected before any I/O
+
+
 def test_pool_inline_transport_and_close(tmp_path):
     pool = WorkerPool(1, cache_dir=tmp_path / "cache")   # default threshold
     with pytest.raises(NoLiveWorkersError):
         pool.submit("latency-matrix", dict(SMALL), "k" * 64)  # not started
     with pool:
-        from repro.serve.experiments import normalize
         params = normalize("latency-matrix", SMALL)
         result = pool.submit("latency-matrix", params,
                              "a" * 64).result(timeout=120)
@@ -225,17 +238,18 @@ def workers_client(workers_server):
 
 def test_worker_tier_matches_single_process_bytes(workers_client):
     """The headline contract: multi-worker responses are byte-identical
-    to the single-process tier's, cold and hot."""
-    with serve_in_thread() as single:            # no cache, legacy pool
-        reference = ServeClient(port=single.port).experiment(
-            "latency-matrix", **SMALL)
-        assert reference.ok, reference.body
+    to the canonical envelope of an in-process computation, cold and
+    hot."""
+    params = normalize("latency-matrix", SMALL)
+    reference = splice_envelope(
+        "latency-matrix", params,
+        canonical_json(run_experiment(("latency-matrix", params))))
 
     cold = workers_client.experiment("latency-matrix", **SMALL)
     assert cold.ok, cold.body
-    assert cold.body == reference.body
+    assert cold.body == reference
     hot = workers_client.experiment("latency-matrix", **SMALL)
-    assert hot.body == reference.body            # cache hit, same bytes
+    assert hot.body == reference                 # cache hit, same bytes
 
 
 def test_worker_tier_metrics_rollup(workers_client):
@@ -253,7 +267,7 @@ def test_worker_tier_metrics_rollup(workers_client):
 
 def test_worker_tier_health(workers_client):
     health = workers_client.healthz().json
-    assert health["tier"] == "workers"
+    assert health["status"] == "ok"
     assert health["workers"] == 2
 
 
@@ -365,7 +379,7 @@ def test_rolling_restart_under_load(workers_server, workers_client):
 
 def test_worker_tier_forwards_bad_model_parameters_as_400(tmp_path):
     """The worker process forwards a model-parameter error's class, so
-    the front end answers 400 exactly like the single-process tier."""
+    the front end answers 400, not an internal error."""
     with serve_in_thread(cache_dir=tmp_path, workers=1) as server:
         client = ServeClient(port=server.port)
         client.wait_healthy(deadline_s=30)
@@ -375,13 +389,6 @@ def test_worker_tier_forwards_bad_model_parameters_as_400(tmp_path):
         snapshot = client.metricz().json
         assert snapshot["counters"]["errors"] == 0
         assert snapshot["workers"]["per_worker"]["0"]["errors"] == 0
-
-
-def test_restart_endpoint_rejected_on_single_tier():
-    with serve_in_thread() as single:
-        client = ServeClient(port=single.port)
-        assert client.restart_workers().status == 400
-        assert client.healthz().json["tier"] == "single"
 
 
 # --------------------------------------------------------------------------

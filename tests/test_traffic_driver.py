@@ -53,7 +53,7 @@ class TestReplayDeterminism:
         identical window report whether the server runs 1 or 2 workers."""
         spec = _spec()
         outcomes = {}
-        for label, kwargs in (("single", dict(jobs=1)),
+        for label, kwargs in (("single", dict(workers=1)),
                               ("workers2", dict(workers=2))):
             cache_dir = tmp_path / label
             cache_dir.mkdir()
@@ -71,7 +71,7 @@ class TestReplayDeterminism:
         assert sched1.canonical_bytes() == sched2.canonical_bytes()
         assert deterministic_summary(sched1) == deterministic_summary(sched2)
         # a quiet server completes everything: measured counters equal
-        # the plan on both tiers, windows included
+        # the plan on both servers, windows included
         for report, stream_doc in ((rep1, stream1), (rep2, stream2)):
             assert report.totals["ok"] == len(sched1.requests), report.totals
             assert _accounted(report) == len(sched1.requests)

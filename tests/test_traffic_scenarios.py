@@ -85,7 +85,7 @@ class TestScenario:
     def test_defense_holds_under_load(self, tmp_path):
         """Random scheduling keeps RSA leakage below static at both
         offered loads, measured through the loaded shared service."""
-        with serve_in_thread(jobs=2, cache_dir=tmp_path,
+        with serve_in_thread(workers=2, cache_dir=tmp_path,
                              max_inflight=8) as server:
             ServeClient(port=server.port).wait_healthy(deadline_s=60)
             result = run_defense_under_load(
