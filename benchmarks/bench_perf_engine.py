@@ -18,7 +18,13 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   model (a one-VC ``VCMesh``, ``repro.noc.mesh.vc.one_vc_mesh``) on the
   full Fig 23 load-curve sweep (every rate x arbiter x seed as ONE
   lockstep simulation; floor 5x), bit-identity verified on the timed
-  curves.
+  curves;
+* ``report_mesh`` — the report's three mesh sections (the Fig 21
+  request/reply pair and the Fig 23 rr/age fairness lanes, seed 0) run
+  one section per kernel, as the pool plan's two units (bottleneck,
+  then the fairness pair) and as the in-process report's one fused
+  4-lane lockstep run; min of 3 each, bit-identity of the metrics
+  verified.  No floor: ``cpu_count`` is part of the record.
 """
 
 from __future__ import annotations
@@ -154,6 +160,41 @@ def fastmesh_engine_timings(floor: float = 5.0, attempts: int = 4) -> dict:
     }
 
 
+def report_mesh_timings(repeats: int = 3) -> dict:
+    """Per-section, pool-plan and fused runs of the report's mesh tasks."""
+    from repro import report
+
+    tasks = report._MESH_TASKS
+    plans = {
+        "per_section": [(task,) for task in tasks],
+        "pool_plan": report._plan_units(tasks, jobs=2),
+        "fused": report._plan_units(tasks, jobs=None),
+    }
+    cycles = {task: report._FAIRNESS["cycles"] for task in tasks}
+    cycles["mesh-bottleneck"] = report._BOTTLENECK["cycles"]
+    record = {}
+    metrics = {}
+    for name, units in plans.items():
+        # kernel steps: each unit runs as long as its longest section
+        record[f"{name}_steps"] = sum(max(cycles[task] for task in unit)
+                                      for unit in units)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = {}
+            for unit in units:
+                result.update(report._mesh_metrics(unit, 0, "batched"))
+            best = min(best, time.perf_counter() - start)
+        record[f"{name}_s"] = best
+        metrics[name] = result
+    for name in ("per_section", "pool_plan"):
+        record[f"fused_vs_{name}"] = record["fused_s"] / record[f"{name}_s"]
+    record["bit_identical"] = (metrics["per_section"] == metrics["pool_plan"]
+                               == metrics["fused"])
+    record["cpu_count"] = os.cpu_count()
+    return record
+
+
 def collect() -> dict:
     return {
         "cpu_count": os.cpu_count(),
@@ -161,6 +202,7 @@ def collect() -> dict:
         "report_cache": report_cache_timings(),
         "vectorized_engine": vectorized_engine_timings(),
         "fastmesh_engine": fastmesh_engine_timings(),
+        "report_mesh": report_mesh_timings(),
     }
 
 
@@ -176,6 +218,7 @@ def bench_perf_engine(benchmark):
     mesh = record["fastmesh_engine"]
     assert mesh["bit_identical"]
     assert mesh["speedup"] >= 5.0
+    assert record["report_mesh"]["bit_identical"]
 
 
 if __name__ == "__main__":

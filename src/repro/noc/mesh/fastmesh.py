@@ -9,9 +9,10 @@ arrays — buffer rings, head caches, wormhole locks, per-port
 round-robin pointers and source queues all stored as per-field 1-D
 arrays indexed by one global slot id
 ``g = lane*slots + node*ports + port`` — so an entire load sweep (every
-arbiter x seed x injection rate, :func:`batched_load_curves`), the
-rr-vs-age fairness pair and the reply-bottleneck request/reply mesh pair
-each run as ONE batched simulation.
+arbiter x seed x injection rate, :func:`batched_load_curves`) runs as
+ONE batched simulation, and so do the rr-vs-age fairness lanes and the
+reply-bottleneck request/reply mesh pair, together
+(:func:`batched_mesh_sections`).
 
 The contract is **flit-for-flit and statistic-identical** results
 against that one-VC golden model.  Three properties make the
@@ -38,7 +39,8 @@ vectorisation exact:
 Entry points mirror the scalar experiment APIs and return the same
 result dataclasses: :func:`batched_sweep_load`,
 :func:`batched_load_curves`, :func:`batched_fairness_experiment(s)` and
-:func:`batched_reply_bottleneck`.  ``tests/test_fastmesh_equivalence.py``
+:func:`batched_reply_bottleneck` (the last three are thin wrappers over
+:func:`batched_mesh_sections`).  ``tests/test_fastmesh_equivalence.py``
 asserts exact equality on every covered configuration, and the REP004
 lint rule keeps the scalar and batched surfaces from drifting.
 """
@@ -46,6 +48,7 @@ lint rule keeps the scalar and batched surfaces from drifting.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -1017,65 +1020,30 @@ def batched_sweep_load(rates, arbiter: str = "rr", width: int = 6,
         height=height, cycles=cycles, warmup=warmup)[(arbiter, seed)]
 
 
-def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
-                                 height: int = 6, cycles: int = 20000,
-                                 warmup: int = 2000, seed: int = 0,
-                                 injection_rate: float | None = None) -> dict:
-    """The full fairness pair (or any arbiter list) as one batched run.
 
-    Twin of :func:`repro.noc.mesh.traffic.run_fairness_experiments`:
-    one lane per arbiter, identical traffic, identical
-    :class:`FairnessResult`s.
+
+@dataclass(frozen=True)
+class ReplySection:
+    """The Fig 21 request/reply lane pair of :func:`batched_mesh_sections`.
+
+    Fields as in :func:`repro.noc.mesh.interfaces.run_reply_bottleneck`.
     """
-    from repro.noc.mesh.traffic import FairnessResult
-
-    arbiters = list(arbiters)
-    if not arbiters:
-        raise MeshConfigError("need at least one arbiter kind")
-    if warmup < 0:
-        raise MeshConfigError("warmup must be >= 0")
-    if cycles <= warmup:
-        raise MeshConfigError("cycles must exceed warmup")
-    mesh = BatchedMesh(width, height, batch=len(arbiters),
-                       arbiter_kinds=tuple(arbiters),
-                       source_capacity=8 if injection_rate is None else 64 + 1)
-    mc_nodes = default_mc_nodes(width, height)
-    feeds = [BatchedManyToFew(mesh, lane, mc_nodes, seed=seed,
-                              injection_rate=injection_rate).feed
-             for lane in range(len(arbiters))]
-    for _ in range(warmup):
-        for feed in feeds:
-            feed()
-        mesh.step()
-    mesh._flush_stats()
-    baseline = mesh._d_by_src.copy()
-    for _ in range(cycles - warmup):
-        for feed in feeds:
-            feed()
-        mesh.step()
-    mesh._flush_stats()
-    window = cycles - warmup
-    compute_nodes = [node for node in range(width * height)
-                     if node not in mc_nodes]
-    results = {}
-    for lane, arbiter in enumerate(arbiters):
-        delta = mesh._d_by_src[lane] - baseline[lane]
-        throughput = {node: int(delta[node]) / window
-                      for node in compute_nodes}
-        results[arbiter] = FairnessResult(arbiter=arbiter,
-                                          throughput=throughput,
-                                          cycles=window)
-    return results
+    cycles: int = 20000
+    window: int = 100
+    reply_flits: int = 5
+    arbiter: str = "rr"
 
 
-def batched_fairness_experiment(arbiter: str = "rr", width: int = 6,
-                                height: int = 6, cycles: int = 20000,
-                                warmup: int = 2000, seed: int = 0,
-                                injection_rate: float | None = None):
-    """Single-arbiter twin of :func:`traffic.run_fairness_experiment`."""
-    return batched_fairness_experiments(
-        (arbiter,), width=width, height=height, cycles=cycles, warmup=warmup,
-        seed=seed, injection_rate=injection_rate)[arbiter]
+@dataclass(frozen=True)
+class FairnessLane:
+    """One Fig 23 fairness lane of :func:`batched_mesh_sections`.
+
+    Fields as in :func:`repro.noc.mesh.traffic.run_fairness_experiment`.
+    """
+    arbiter: str = "rr"
+    cycles: int = 20000
+    warmup: int = 2000
+    injection_rate: float | None = None
 
 
 class _BatchedMemoryNode:
@@ -1126,53 +1094,193 @@ class _BatchedMemoryNode:
         return True
 
 
+class _ReplyPair:
+    """A :class:`ReplySection`'s per-cycle feed and bookkeeping.
+
+    Lane ``request_lane`` carries the request mesh and the next lane the
+    reply mesh; the Python memory-controller model couples them exactly
+    as :func:`repro.noc.mesh.interfaces.run_reply_bottleneck` does, and
+    the first controller's busy cycles are sampled once per window.
+    """
+
+    def __init__(self, mesh: BatchedMesh, section: ReplySection,
+                 request_lane: int, mc_nodes, seed: int):
+        self.mesh = mesh
+        self.window = section.window
+        self.request_lane = request_lane
+        self._request_feed = BatchedManyToFew(mesh, request_lane, mc_nodes,
+                                              seed=seed).feed
+        self.memories = {
+            node: _BatchedMemoryNode(mesh, node,
+                                     reply_flits=section.reply_flits,
+                                     request_lane=request_lane,
+                                     reply_lane=request_lane + 1)
+            for node in mc_nodes}
+        self._ordered = [self.memories[node] for node in mc_nodes]
+        self.samples: list = []
+        self._busy_in_window = 0
+
+    def feed(self) -> None:
+        """Request-lane enqueues, then one tick of every controller."""
+        self._request_feed()
+        probe = self._ordered[0]
+        busy_before = probe.busy_cycles
+        for memory in self._ordered:
+            memory.tick()
+        self._busy_in_window += probe.busy_cycles - busy_before
+
+    def collect(self) -> None:
+        """After a step: request tails delivered at an MC become pending
+        work, and a finished window becomes one utilisation sample."""
+        lanes, nodes, srcs, flags = self.mesh.last_ejected
+        if lanes.size:
+            request = self.request_lane
+            memories = self.memories
+            for lane, node, src, flag in zip(lanes.tolist(), nodes.tolist(),
+                                             srcs.tolist(), flags.tolist()):
+                if lane == request and not flag & _F_REPLY:
+                    memory = memories.get(node)
+                    if memory is not None:
+                        memory.pending.append(src)
+        if self.mesh.cycle % self.window == 0:
+            self.samples.append(self._busy_in_window / self.window)
+            self._busy_in_window = 0
+
+    def result(self):
+        from repro.noc.mesh.interfaces import ReplyBottleneckResult
+        util = np.array(self.samples)
+        return ReplyBottleneckResult(
+            utilization=util,
+            mean_utilization=float(util.mean()),
+            peak_utilization=float(util.max()),
+            window=self.window,
+        )
+
+
+def batched_mesh_sections(reply: ReplySection | None = None, fairness=(),
+                          width: int = 6, height: int = 6, seed: int = 0):
+    """A reply-bottleneck pair and any fairness lanes as ONE lockstep run.
+
+    Lanes ``0..k-1`` are the ``k`` fairness lanes (:class:`FairnessLane`),
+    each with its own arbiter kind, cycles, warmup and injection rate; a
+    :class:`ReplySection` adds a request lane ``k`` and a reply lane
+    ``k+1``.  The run lasts the longest section; each section's feeds
+    and bookkeeping stop at its own cycle count.  Lanes share no state,
+    so a finished lane that keeps draining changes no other lane's
+    result.  Returns ``(ReplyBottleneckResult or None,
+    [FairnessResult per lane])``, each equal to its own
+    :func:`~repro.noc.mesh.interfaces.run_reply_bottleneck` /
+    :func:`~repro.noc.mesh.traffic.run_fairness_experiment` run.
+    """
+    from repro.noc.mesh.traffic import FairnessResult
+
+    fairness = list(fairness)
+    if reply is None and not fairness:
+        raise MeshConfigError("need a reply section or a fairness lane")
+    if reply is not None and not 0 < reply.window <= reply.cycles:
+        raise MeshConfigError("need cycles >= window > 0")
+    for lane in fairness:
+        if lane.warmup < 0:
+            raise MeshConfigError("warmup must be >= 0")
+        if lane.cycles <= lane.warmup:
+            raise MeshConfigError("cycles must exceed warmup")
+    kinds = [lane.arbiter for lane in fairness]
+    # source queues grow on demand: capacity only saves regrowth
+    capacities = [8 if lane.injection_rate is None else 64 + 1
+                  for lane in fairness]
+    if reply is not None:
+        kinds += [reply.arbiter] * 2
+        capacities.append(reply.reply_flits * (8 + 1) + 1)
+    mesh = BatchedMesh(width, height, batch=len(kinds),
+                       arbiter_kinds=tuple(kinds),
+                       source_capacity=max(capacities))
+    mc_nodes = default_mc_nodes(width, height)
+    # feeds run in lane order, so the deferred enqueues of one cycle stay
+    # sorted by queue and flush in bulk (the request lane's controllers
+    # flush them all at once when they read the reply backlog)
+    feeds = [(lane.cycles,
+              BatchedManyToFew(mesh, index, mc_nodes, seed=seed,
+                               injection_rate=lane.injection_rate).feed)
+             for index, lane in enumerate(fairness)]
+    pair = None
+    reply_end = 0
+    if reply is not None:
+        pair = _ReplyPair(mesh, reply, len(fairness), mc_nodes, seed)
+        feeds.append((reply.cycles, pair.feed))
+        reply_end = reply.cycles
+    total = max(end for end, _feed in feeds)
+
+    # per-source delivery counts at every fairness warmup and end cycle
+    marks = dict.fromkeys(c for lane in fairness
+                          for c in (lane.warmup, lane.cycles))
+
+    def mark(cycle: int) -> None:
+        if cycle in marks:
+            mesh._flush_stats()
+            marks[cycle] = mesh._d_by_src.copy()
+
+    for cycle in range(total):
+        mark(cycle)
+        for end, feed in feeds:
+            if cycle < end:
+                feed()
+        mesh.step()
+        if cycle < reply_end:
+            pair.collect()
+    mark(total)
+
+    compute_nodes = [node for node in range(width * height)
+                     if node not in mc_nodes]
+    results = []
+    for index, lane in enumerate(fairness):
+        delta = marks[lane.cycles][index] - marks[lane.warmup][index]
+        window = lane.cycles - lane.warmup
+        throughput = {node: int(delta[node]) / window
+                      for node in compute_nodes}
+        results.append(FairnessResult(arbiter=lane.arbiter,
+                                      throughput=throughput, cycles=window))
+    return (pair.result() if pair is not None else None), results
+
+
+def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
+                                 height: int = 6, cycles: int = 20000,
+                                 warmup: int = 2000, seed: int = 0,
+                                 injection_rate: float | None = None) -> dict:
+    """The full fairness pair (or any arbiter list) as one batched run.
+
+    Twin of :func:`repro.noc.mesh.traffic.run_fairness_experiments`:
+    one lane per arbiter, identical traffic, identical
+    :class:`FairnessResult`s.
+    """
+    arbiters = list(arbiters)
+    if not arbiters:
+        raise MeshConfigError("need at least one arbiter kind")
+    _reply, results = batched_mesh_sections(
+        fairness=[FairnessLane(arbiter, cycles, warmup, injection_rate)
+                  for arbiter in arbiters],
+        width=width, height=height, seed=seed)
+    return {result.arbiter: result for result in results}
+
+
+def batched_fairness_experiment(arbiter: str = "rr", width: int = 6,
+                                height: int = 6, cycles: int = 20000,
+                                warmup: int = 2000, seed: int = 0,
+                                injection_rate: float | None = None):
+    """Single-arbiter twin of :func:`traffic.run_fairness_experiment`."""
+    return batched_fairness_experiments(
+        (arbiter,), width=width, height=height, cycles=cycles, warmup=warmup,
+        seed=seed, injection_rate=injection_rate)[arbiter]
+
+
 def batched_reply_bottleneck(cycles: int = 20000, window: int = 100,
                              reply_flits: int = 5, width: int = 6,
                              height: int = 6, seed: int = 0,
                              arbiter: str = "rr"):
     """The Fig 21 request/reply pair as one two-lane batched run.
 
-    Twin of :func:`repro.noc.mesh.interfaces.run_reply_bottleneck`:
-    lane 0 carries the request mesh, lane 1 the reply mesh, and the
-    Python memory-controller model couples them exactly as the scalar
-    run does.
+    Twin of :func:`repro.noc.mesh.interfaces.run_reply_bottleneck`.
     """
-    from repro.noc.mesh.interfaces import ReplyBottleneckResult
-
-    if cycles <= 0 or window <= 0 or cycles < window:
-        raise MeshConfigError("need cycles >= window > 0")
-    capacity = reply_flits * (8 + 1) + 1
-    mesh = BatchedMesh(width, height, batch=2, arbiter_kinds=arbiter,
-                       source_capacity=capacity)
-    mc_nodes = default_mc_nodes(width, height)
-    feed = BatchedManyToFew(mesh, 0, mc_nodes, seed=seed).feed
-    memories = {node: _BatchedMemoryNode(mesh, node, reply_flits=reply_flits)
-                for node in mc_nodes}
-    ordered = [memories[node] for node in mc_nodes]
-    probe = ordered[0]
-    samples = []
-    busy_in_window = 0
-    for cycle in range(cycles):
-        feed()
-        busy_before = probe.busy_cycles
-        for memory in ordered:
-            memory.tick()
-        busy_in_window += probe.busy_cycles - busy_before
-        mesh.step()
-        lanes, nodes, srcs, flags = mesh.last_ejected
-        for i in range(lanes.size):
-            # request-mesh tails delivered at an MC become pending work
-            if lanes[i] == 0 and not (flags[i] & _F_REPLY):
-                memory = memories.get(int(nodes[i]))
-                if memory is not None:
-                    memory.pending.append(int(srcs[i]))
-        if (cycle + 1) % window == 0:
-            samples.append(busy_in_window / window)
-            busy_in_window = 0
-    util = np.array(samples)
-    return ReplyBottleneckResult(
-        utilization=util,
-        mean_utilization=float(util.mean()),
-        peak_utilization=float(util.max()),
-        window=window,
-    )
+    reply, _results = batched_mesh_sections(
+        reply=ReplySection(cycles, window, reply_flits, arbiter),
+        width=width, height=height, seed=seed)
+    return reply

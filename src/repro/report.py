@@ -12,9 +12,12 @@ two fast paths possible:
 
 * ``jobs=N`` runs the tasks across a process pool via
   :class:`repro.exec.SweepRunner` — results are bit-identical to the
-  serial run because every task builds its own devices (the two Fig 23
-  fairness sections, when both are computed, are one lockstep run and
-  so one pool unit);
+  serial run because every task builds its own devices and every mesh
+  lane replays its own traffic streams.  In-process, every mesh
+  section to compute (the Fig 21 request/reply pair and the two Fig 23
+  fairness lanes) runs as one 4-lane lockstep run; with a pool the
+  bottleneck and the fairness pair stay separate units, so they
+  overlap;
 * ``cache=DIR`` memoizes each task's metrics on disk under a
   content-addressed key (:mod:`repro.exec.cache`), so a re-run with the
   same seed and specs only re-renders markdown.
@@ -91,21 +94,46 @@ def _bandwidth_metrics(seed: int, engine: str) -> dict:
     }
 
 
-def _mesh_bottleneck_metrics(seed: int, engine: str) -> dict:
-    from repro.noc.mesh.interfaces import run_reply_bottleneck
-    rb = run_reply_bottleneck(cycles=6000, window=100, seed=seed,
-                              engine=engine)
-    return {"mean_utilization": float(rb.mean_utilization)}
+#: fixed run parameters of the mesh sections
+_BOTTLENECK = {"cycles": 6000, "window": 100}
+_FAIRNESS = {"cycles": 10000, "warmup": 2000}
+_FAIRNESS_PAIR = ("mesh-fairness-rr", "mesh-fairness-age")
+_MESH_TASKS = ("mesh-bottleneck",) + _FAIRNESS_PAIR
+_DEVICE_TASKS = ("latency", "bandwidth")
 
 
-def _mesh_fairness_metrics(arbiters, seed: int, engine: str) -> dict:
-    """``{task: metrics}`` of the Fig 23 fairness sections for
-    ``arbiters``; the batched engine runs them as one lockstep run."""
-    from repro.noc.mesh.traffic import run_fairness_experiments
-    results = run_fairness_experiments(arbiters, cycles=10000, warmup=2000,
-                                       seed=seed, engine=engine)
+def _mesh_metrics(tasks, seed: int, engine: str) -> dict:
+    """``{task: metrics}`` of the mesh sections ``tasks``.
+
+    The batched engine runs every listed section as one lockstep run
+    (:func:`repro.noc.mesh.fastmesh.batched_mesh_sections`); the scalar
+    oracle runs one section at a time.
+    """
+    arbiters = [task.rpartition("-")[2] for task in tasks
+                if task in _FAIRNESS_PAIR]
+    bottleneck = "mesh-bottleneck" in tasks
+    if engine == "batched":
+        from repro.noc.mesh import fastmesh
+        reply, results = fastmesh.batched_mesh_sections(
+            reply=fastmesh.ReplySection(**_BOTTLENECK) if bottleneck
+            else None,
+            fairness=[fastmesh.FairnessLane(arbiter, **_FAIRNESS)
+                      for arbiter in arbiters],
+            seed=seed)
+    else:
+        from repro.noc.mesh.interfaces import run_reply_bottleneck
+        from repro.noc.mesh.traffic import run_fairness_experiment
+        reply = (run_reply_bottleneck(**_BOTTLENECK, seed=seed,
+                                      engine=engine)
+                 if bottleneck else None)
+        results = [run_fairness_experiment(arbiter, **_FAIRNESS, seed=seed,
+                                           engine=engine)
+                   for arbiter in arbiters]
     metrics = {}
-    for arbiter, result in results.items():
+    if reply is not None:
+        metrics["mesh-bottleneck"] = {
+            "mean_utilization": float(reply.mean_utilization)}
+    for arbiter, result in zip(arbiters, results):
         vals = result.values
         metrics[f"mesh-fairness-{arbiter}"] = {
             "max": float(vals.max()), "mean": float(vals.mean()),
@@ -113,38 +141,49 @@ def _mesh_fairness_metrics(arbiters, seed: int, engine: str) -> dict:
     return metrics
 
 
+def _mesh_section(task: str):
+    """One mesh section alone, as a ``(seed, engine) -> metrics`` task."""
+    return lambda seed, engine: _mesh_metrics((task,), seed, engine)[task]
+
+
 _TASK_FUNCS = {
     "latency": _latency_metrics,
     "bandwidth": _bandwidth_metrics,
-    "mesh-bottleneck": _mesh_bottleneck_metrics,
-    "mesh-fairness-rr":
-        lambda seed, engine:
-            _mesh_fairness_metrics(("rr",), seed, engine)["mesh-fairness-rr"],
-    "mesh-fairness-age":
-        lambda seed, engine:
-            _mesh_fairness_metrics(("age",), seed,
-                                   engine)["mesh-fairness-age"],
+    **{task: _mesh_section(task) for task in _MESH_TASKS},
 }
-
-_DEVICE_TASKS = ("latency", "bandwidth")
-_MESH_TASKS = ("mesh-bottleneck", "mesh-fairness-rr", "mesh-fairness-age")
-_FAIRNESS_ARBITERS = ("rr", "age")
-_FAIRNESS_PAIR = tuple(f"mesh-fairness-{a}" for a in _FAIRNESS_ARBITERS)
 
 
 def _report_task(args) -> dict:
     """Sweep-runner worker: ``{task: metrics}`` of one pool unit.
 
-    A unit is one task, or the whole fairness pair when both of its
-    sections are computed.  ``engine`` is the unit's own axis:
+    A unit is one device task or a set of mesh sections (see
+    :func:`_plan_units`).  ``engine`` is the unit's own axis:
     scalar/vectorized for the device tasks, scalar/batched for the mesh
     tasks.
     """
     tasks, seed, engine = args
-    if tasks == _FAIRNESS_PAIR:
-        return _mesh_fairness_metrics(_FAIRNESS_ARBITERS, seed, engine)
+    if tasks[0] in _MESH_TASKS:
+        return _mesh_metrics(tasks, seed, engine)
     (task,) = tasks
     return {task: _TASK_FUNCS[task](seed, engine)}
+
+
+def _plan_units(missing, jobs) -> list:
+    """Pool units for the ``missing`` tasks, in task order.
+
+    Each device task is its own unit.  In-process (``jobs`` None or 1)
+    every missing mesh section joins one unit, one lockstep run; with a
+    pool the bottleneck and the fairness sections are separate units,
+    so the two runs overlap.
+    """
+    units = [(task,) for task in missing if task not in _MESH_TASKS]
+    mesh = tuple(task for task in missing if task in _MESH_TASKS)
+    if jobs is not None and jobs > 1:
+        units += [(task,) for task in mesh if task not in _FAIRNESS_PAIR]
+        mesh = tuple(task for task in mesh if task in _FAIRNESS_PAIR)
+    if mesh:
+        units.append(mesh)
+    return units
 
 
 def _task_payload(task: str, seed: int) -> dict:
@@ -172,8 +211,9 @@ def _collect_metrics(tasks, seed: int, jobs, cache,
     Device tasks run on ``engine`` (scalar/vectorized); mesh tasks run on
     ``mesh_engine`` (scalar/batched); ``None`` is the registry default.
     The per-task engine is folded into each task's cache key, so entries
-    never alias across engines.  When both fairness sections miss, they
-    are computed together as one pool unit.
+    never alias across engines.  Missing tasks run as the pool units of
+    :func:`_plan_units`: in-process, all missing mesh sections are one
+    lockstep run.
     """
     from repro import engines as engine_registry
     from repro.exec import cache_key
@@ -196,11 +236,7 @@ def _collect_metrics(tasks, seed: int, jobs, cache,
             metrics[task] = cached
         else:
             missing.append(task)
-    fuse = all(task in missing for task in _FAIRNESS_PAIR)
-    units = [(task,) for task in missing
-             if not (fuse and task in _FAIRNESS_PAIR)]
-    if fuse:
-        units.append(_FAIRNESS_PAIR)
+    units = _plan_units(missing, jobs)
     if units:
         from repro.exec import SweepRunner
         computed = SweepRunner(jobs).map(

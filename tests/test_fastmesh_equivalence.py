@@ -7,7 +7,9 @@ tolerances.  Covered axes: mesh width/height, both arbiters, Bernoulli
 and greedy sources, seeds, multi-flit wormhole packets, batch slicings
 (one lane per config vs many lanes in one ``BatchedMesh``), and every
 public entry-point pair (``sweep_load``, ``batched_load_curves``,
-``run_fairness_experiment(s)``, ``run_reply_bottleneck``).
+``run_fairness_experiment(s)``, ``run_reply_bottleneck``), and the
+fused ``batched_mesh_sections`` run that carries the reply pair and the
+fairness lanes in one kernel.
 
 Mirrors ``tests/test_fastpath_equivalence.py``, which pins the
 measurement-engine (``vectorized``) side of the same contract.
@@ -23,9 +25,12 @@ from repro.errors import ConfigurationError, MeshConfigError
 from repro.noc.mesh.fastmesh import (
     BatchedManyToFew,
     BatchedMesh,
+    FairnessLane,
+    ReplySection,
     batched_fairness_experiment,
     batched_fairness_experiments,
     batched_load_curves,
+    batched_mesh_sections,
     batched_reply_bottleneck,
     batched_sweep_load,
 )
@@ -307,6 +312,58 @@ def test_reply_bottleneck_engines_identical(seed):
         assert scalar.mean_utilization == other.mean_utilization
         assert scalar.peak_utilization == other.peak_utilization
         assert scalar.window == other.window
+
+
+def _assert_same_bottleneck(a, b):
+    assert np.array_equal(a.utilization, b.utilization)
+    assert a.mean_utilization == b.mean_utilization
+    assert a.peak_utilization == b.peak_utilization
+    assert a.window == b.window
+
+
+# (reply cycles, fairness arbiters, fairness cycles, warmup, rate)
+FUSED_CASES = [
+    (400, ("age",), 700, 150, None),
+    (800, ("rr", "age"), 500, 150, None),
+    # Bernoulli lanes beside the greedy request feed and 5-flit replies
+    (600, ("rr", "age"), 600, 100, 0.2),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("reply_cycles,arbiters,cycles,warmup,rate",
+                         FUSED_CASES,
+                         ids=["reply-shorter", "reply-longer", "bernoulli"])
+def test_fused_sections_match_scalar_and_separate_runs(
+        reply_cycles, arbiters, cycles, warmup, rate, seed):
+    reply, fused = batched_mesh_sections(
+        ReplySection(cycles=reply_cycles, window=100),
+        [FairnessLane(a, cycles=cycles, warmup=warmup, injection_rate=rate)
+         for a in arbiters],
+        seed=seed)
+    _assert_same_bottleneck(reply, run_reply_bottleneck(
+        cycles=reply_cycles, window=100, seed=seed, engine="scalar"))
+    _assert_same_bottleneck(reply, batched_reply_bottleneck(
+        cycles=reply_cycles, window=100, seed=seed))
+    assert [result.arbiter for result in fused] == list(arbiters)
+    kwargs = dict(cycles=cycles, warmup=warmup, seed=seed,
+                  injection_rate=rate)
+    scalar = run_fairness_experiments(arbiters, engine="scalar", **kwargs)
+    separate = batched_fairness_experiments(arbiters, **kwargs)
+    assert dict(zip(arbiters, fused)) == scalar == separate
+
+
+def test_fused_sections_validate_each_section():
+    with pytest.raises(MeshConfigError, match="reply section or"):
+        batched_mesh_sections()
+    with pytest.raises(MeshConfigError, match="cycles >= window"):
+        batched_mesh_sections(ReplySection(cycles=50, window=100))
+    with pytest.raises(MeshConfigError, match="cycles must exceed warmup"):
+        batched_mesh_sections(fairness=[FairnessLane(cycles=100),
+                                        FairnessLane(cycles=100, warmup=50)])
+    assert batched_mesh_sections(ReplySection(cycles=100))[1] == []
+    assert batched_mesh_sections(
+        fairness=[FairnessLane(cycles=100, warmup=50)])[0] is None
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batched"])

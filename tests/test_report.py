@@ -1,5 +1,7 @@
 """Report generator + its CLI command."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import report as report_mod
@@ -45,31 +47,84 @@ def _fairness_key(task: str, seed: int = 0) -> str:
                      "mesh:batched")
 
 
-def _count_fairness_runs(patch, calls: list) -> None:
-    """Record the arbiter tuple of every fairness run started."""
-    from repro.noc.mesh import traffic
-    real = traffic.run_fairness_experiments
+def _count_fairness_runs(patch, calls: list, sections: list | None = None,
+                         meshes: list | None = None) -> None:
+    """Record the fairness arbiter tuple of every lockstep mesh run
+    started; optionally each run's report sections in ``sections`` and
+    the lane count of every ``BatchedMesh`` built in ``meshes``."""
+    from repro.noc.mesh import fastmesh
+    real_run = fastmesh.batched_mesh_sections
+    real_mesh = fastmesh.BatchedMesh
 
-    def counting(arbiters, **kwargs):
-        calls.append(tuple(arbiters))
-        return real(arbiters, **kwargs)
-    patch.setattr(traffic, "run_fairness_experiments", counting)
+    def counting(reply=None, fairness=(), **kwargs):
+        arbiters = tuple(lane.arbiter for lane in fairness)
+        calls.append(arbiters)
+        if sections is not None:
+            sections.append(("mesh-bottleneck",) * (reply is not None)
+                            + tuple(f"mesh-fairness-{a}" for a in arbiters))
+        return real_run(reply, fairness, **kwargs)
+
+    class CountedMesh(real_mesh):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if meshes is not None:
+                meshes.append(self.batch)
+
+    patch.setattr(fastmesh, "batched_mesh_sections", counting)
+    patch.setattr(fastmesh, "BatchedMesh", CountedMesh)
 
 
 @pytest.fixture(scope="module")
 def cold_report(tmp_path_factory):
-    """A fully cold seed-0 report, its cache and its fairness runs."""
-    calls: list = []
+    """A fully cold seed-0 report, its cache and its mesh runs."""
+    runs = SimpleNamespace(calls=[], sections=[], meshes=[])
     cache = ResultCache(str(tmp_path_factory.mktemp("cold-report")))
     with pytest.MonkeyPatch.context() as patch:
-        _count_fairness_runs(patch, calls)
+        _count_fairness_runs(patch, runs.calls, runs.sections, runs.meshes)
         markdown = generate_report(seed=0, cache=cache)
-    return markdown, cache, calls
+    return markdown, cache, runs
 
 
-def test_cold_report_runs_fairness_pair_once(cold_report):
-    _, _, calls = cold_report
-    assert calls == [("rr", "age")]
+def test_cold_report_runs_one_lockstep_mesh(cold_report):
+    """In-process, the bottleneck pair and both fairness lanes share one
+    4-lane ``BatchedMesh``."""
+    _, _, runs = cold_report
+    assert runs.sections == [report_mod._MESH_TASKS]
+    assert runs.meshes == [4]
+
+
+def test_cached_rr_runs_bottleneck_and_age_together(cold_report, tmp_path,
+                                                    monkeypatch):
+    _, full, _ = cold_report
+    cache = ResultCache(str(tmp_path))
+    key = _fairness_key("mesh-fairness-rr")
+    cache.put(key, full.get(key))
+    calls: list = []
+    sections: list = []
+    meshes: list = []
+    _count_fairness_runs(monkeypatch, calls, sections, meshes)
+    metrics = report_mod._collect_metrics(list(report_mod._MESH_TASKS), 0,
+                                          None, cache)
+    assert sections == [("mesh-bottleneck", "mesh-fairness-age")]
+    assert meshes == [3]
+    for task in report_mod._MESH_TASKS:
+        assert metrics[task] == full.get(_fairness_key(task))
+
+
+def test_pool_plan_keeps_bottleneck_and_fairness_pair_apart():
+    plan = report_mod._plan_units
+    tasks = list(report_mod._DEVICE_TASKS) + list(report_mod._MESH_TASKS)
+    device = [("latency",), ("bandwidth",)]
+    for jobs in (None, 1):
+        assert plan(tasks, jobs) == device + [report_mod._MESH_TASKS]
+    for jobs in (2, 4):
+        assert plan(tasks, jobs) == device + [("mesh-bottleneck",),
+                                              report_mod._FAIRNESS_PAIR]
+    assert plan(["mesh-bottleneck", "mesh-fairness-age"], 2) \
+        == [("mesh-bottleneck",), ("mesh-fairness-age",)]
+    assert plan(["mesh-fairness-rr", "mesh-fairness-age"], None) \
+        == [report_mod._FAIRNESS_PAIR]
+    assert plan([], 2) == []
 
 
 def test_fused_fairness_equals_per_section(cold_report):
