@@ -3,21 +3,25 @@
 Computes reference responses on an in-process one-worker server, then
 starts the real thing — ``python -m repro.cli serve --workers 2`` as a
 subprocess — and checks the multi-worker answers are byte-identical,
-the pool reports two live workers, and SIGINT drains it to a clean
-exit.  Exercises exactly the path an operator runs, not the embedding
-helper.
+the pool reports two live workers, 20 ``AsyncServeClient`` requests
+ride at most 2 connections, and SIGTERM drains it to a clean exit
+promptly even with an idle persistent connection open.  Exercises
+exactly the path an operator runs, not the embedding helper.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import os
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 
-from repro.serve import ServeClient, serve_in_thread
+from repro.serve import AsyncServeClient, ServeClient, serve_in_thread
 
 LATENCY_PARAMS = dict(gpu="V100", seed=0, sms=[0, 1, 2], samples=1)
 MESH_PARAMS = dict(seed=0, rates=[0.05, 0.1], cycles=300, warmup=100)
@@ -31,6 +35,18 @@ def _reference_bytes() -> tuple:
         assert latency.ok, latency.body
         assert mesh.ok, mesh.body
         return latency.body, mesh.body
+
+
+async def _connections_for_20_requests(port: int) -> int:
+    """Connections the server accepted for 20 async requests."""
+    async with AsyncServeClient(port=port) as client:
+        before = (await client.metricz()).json["counters"]["connections"]
+        for _ in range(20):
+            reply = await client.experiment("latency-matrix",
+                                            **LATENCY_PARAMS)
+            assert reply.ok, reply.body
+        after = (await client.metricz()).json["counters"]["connections"]
+    return after - before + 1          # + the first metricz's own
 
 
 def main() -> int:
@@ -57,12 +73,28 @@ def main() -> int:
             assert snapshot["workers"]["live"] == 2, snapshot["workers"]
             assert snapshot["counters"]["computations"] >= 2
             assert snapshot["registry"]["receipts"] >= 2
+
+            connections = asyncio.run(_connections_for_20_requests(
+                client.port))
+            assert connections <= 2, f"{connections} connections"
+
+            # an idle persistent connection must not hold up the drain
+            idle = http.client.HTTPConnection("127.0.0.1", client.port,
+                                              timeout=60)
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
         finally:
-            process.send_signal(signal.SIGINT)
+            stopped = time.monotonic()
+            process.send_signal(signal.SIGTERM)
             returncode = process.wait(timeout=120)
+            drain_s = time.monotonic() - stopped
         assert returncode == 0, f"serve exited with {returncode}"
-    print("serve 2-worker smoke: byte-identical responses, "
-          "2 live workers, graceful shutdown")
+        assert drain_s < 20, f"drain took {drain_s:.1f}s"
+        assert idle.sock.recv(1) == b"", "idle connection left open"
+        idle.close()
+    print(f"serve 2-worker smoke: byte-identical responses, 2 live "
+          f"workers, 20 async requests on {connections} connection(s), "
+          f"SIGTERM drain in {drain_s:.1f}s with an idle connection open")
     return 0
 
 

@@ -14,11 +14,12 @@ rejected loudly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.gpu.specs import GPUSpec
+from repro.gpu.specs import GPUSpec, get_spec
 
 _FIELDS = {f.name: f for f in dataclasses.fields(GPUSpec)}
 
@@ -28,6 +29,17 @@ def spec_to_dict(spec: GPUSpec) -> dict:
     out = dataclasses.asdict(spec)
     out["gpc_partition"] = list(spec.gpc_partition)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def spec_dict(name: str) -> dict:
+    """:func:`spec_to_dict` of the built-in spec ``name``, built once.
+
+    Built-in specs are frozen, so cache keys can fold in one shared dict
+    per GPU name instead of deep-copying the spec on every request.  The
+    dict is shared: callers must not mutate it.
+    """
+    return spec_to_dict(get_spec(name))
 
 
 def spec_from_dict(data: dict) -> GPUSpec:

@@ -1252,9 +1252,8 @@ def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
     one lane per arbiter, identical traffic, identical
     :class:`FairnessResult`s.
     """
-    arbiters = list(arbiters)
-    if not arbiters:
-        raise MeshConfigError("need at least one arbiter kind")
+    from repro.noc.mesh.traffic import distinct_arbiters
+    arbiters = distinct_arbiters(arbiters)
     _reply, results = batched_mesh_sections(
         fairness=[FairnessLane(arbiter, cycles, warmup, injection_rate)
                   for arbiter in arbiters],

@@ -134,6 +134,20 @@ def run_fairness_experiment(arbiter: str = "rr", width: int = 6,
                           cycles=window)
 
 
+def distinct_arbiters(arbiters) -> list:
+    """``arbiters`` as a list; MeshConfigError if empty or repeated.
+
+    Fairness results are keyed by arbiter, so a repeated arbiter would
+    simulate a lane whose result is then silently dropped.
+    """
+    arbiters = list(arbiters)
+    if not arbiters:
+        raise MeshConfigError("need at least one arbiter kind")
+    if len(set(arbiters)) != len(arbiters):
+        raise MeshConfigError(f"arbiters must be distinct: {arbiters}")
+    return arbiters
+
+
 def run_fairness_experiments(arbiters=("rr", "age"),
                              engine: str | None = None,
                              **kwargs) -> dict:
@@ -145,9 +159,7 @@ def run_fairness_experiments(arbiters=("rr", "age"),
     and traffic from (arbiter, seed), one after another.
     """
     engine = engines.resolve("mesh", engine)
-    arbiters = list(arbiters)
-    if not arbiters:
-        raise MeshConfigError("need at least one arbiter kind")
+    arbiters = distinct_arbiters(arbiters)
     if engine == "batched":
         from repro.noc.mesh.fastmesh import batched_fairness_experiments
         return batched_fairness_experiments(arbiters, **kwargs)

@@ -500,8 +500,10 @@ def _vc_points_shard(args) -> list:
     Lanes are mutually independent (each replays its own traffic
     stream), so a block simulated on its own produces exactly the lanes
     the full grid would — sharding cannot change a single flit.  The
-    results carry ``utilization`` ndarrays, which the pool's zero-copy
-    transport moves without re-encoding.
+    results carry small ``utilization`` ndarrays: a shard's results
+    encode to well under :data:`repro.exec.shm.ZEROCOPY_MIN_BYTES`, so
+    they come back pickled through the pool pipe, not through shared
+    memory.
     """
     points, width, height, cycles, reply_flits, window, engine = args
     if engine == "batched":

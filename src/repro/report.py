@@ -196,9 +196,8 @@ def _task_payload(task: str, seed: int) -> dict:
     """
     payload = {"task": task, "seed": seed}
     if task in _DEVICE_TASKS:
-        from repro.gpu.serialization import spec_to_dict
-        from repro.gpu.specs import get_spec
-        payload["specs"] = {name: spec_to_dict(get_spec(name))
+        from repro.gpu.serialization import spec_dict
+        payload["specs"] = {name: spec_dict(name)
                             for name in ("V100", "A100", "H100")}
     return payload
 

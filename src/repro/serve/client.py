@@ -1,24 +1,27 @@
 """Clients for a running ``repro.serve`` server (blocking and async).
 
 :class:`ServeClient` is built on :mod:`http.client` so tests,
-benchmarks, and scripts need no third-party HTTP stack.  One connection
-per request matches the server's ``Connection: close`` policy; a
+benchmarks, and scripts need no third-party HTTP stack.  It opens one
+connection per call and closes it after the response; a
 :class:`ServeClient` is therefore cheap, stateless, and safe to share
 across threads (each call opens its own socket).
 
-:class:`AsyncServeClient` speaks the same one-request-per-connection
-protocol over raw :func:`asyncio.open_connection` streams, so an
-open-loop load generator (:mod:`repro.traffic`) can keep hundreds of
-requests in flight from one event loop instead of serializing on a
-blocking socket — with a **per-request deadline**: a request that has
-not completed within ``deadline_s`` raises :class:`ServeDeadlineError`
-instead of occupying the generator forever (the coordinated-omission
-trap open-loop measurement exists to avoid).
+:class:`AsyncServeClient` speaks HTTP/1.1 over raw
+:func:`asyncio.open_connection` streams and keeps the server's
+persistent connections: an idle connection goes back to a per-event-
+loop pool and carries the next request, so a hot request pays no TCP
+handshake.  An open-loop load generator (:mod:`repro.traffic`) can keep
+hundreds of requests in flight from one event loop instead of
+serializing on a blocking socket — with a **per-request deadline**: a
+request that has not completed within ``deadline_s`` raises
+:class:`ServeDeadlineError` instead of occupying the generator forever
+(the coordinated-omission trap open-loop measurement exists to avoid).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
 import random
@@ -35,6 +38,10 @@ class ServeClientError(ReproError):
 
 class ServeDeadlineError(ServeClientError):
     """A request missed its per-request deadline."""
+
+
+class _StaleConnection(Exception):
+    """A connection failed before any byte of the response arrived."""
 
 
 @dataclass(frozen=True)
@@ -240,12 +247,24 @@ class ServeClient:
 class AsyncServeClient:
     """Non-blocking client: many concurrent requests from one event loop.
 
-    Speaks the server's minimal HTTP/1.1 dialect (one request per
-    connection, ``Connection: close``) over asyncio streams.  Every
-    request carries a hard end-to-end deadline — connect, send, and the
-    full response all inside ``deadline_s`` — because an open-loop
-    generator must never let a stuck request silently absorb the
-    scheduled sends behind it.  ``503`` answers (a draining worker
+    Speaks the server's minimal HTTP/1.1 dialect over asyncio streams,
+    one request at a time per connection.  Idle connections are pooled
+    for the running event loop, at most as many as requests were ever
+    in flight at once: a connection returns to the pool only after its
+    whole response was read and the server answered
+    ``Connection: keep-alive``, and a connection whose request was
+    cancelled or missed its deadline is closed, never reused.  A
+    request that fails on a *reused* connection before any response
+    byte arrived (the server closed it while idle) retries once on a
+    fresh connection.  A client used under a new event loop drops the
+    previous loop's pool and starts a new one, so a connection is never
+    reused outside its own loop.  :meth:`aclose` (or ``async with``)
+    closes the idle connections.
+
+    Every request carries a hard end-to-end deadline — connect, send,
+    and the full response all inside ``deadline_s`` — because an
+    open-loop generator must never let a stuck request silently absorb
+    the scheduled sends behind it.  ``503`` answers (a draining worker
     shard) retry on the same jittered :class:`Backoff` schedule as the
     blocking client, with ``asyncio.sleep`` and the remaining deadline
     budget capping each pause.
@@ -263,6 +282,39 @@ class AsyncServeClient:
         self.deadline_s = deadline_s
         self.retry = retry or Backoff()
         self.retry_attempts = retry_attempts
+        # idle (reader, writer) pairs of the loop ``_loop``, most recent last
+        self._loop = None
+        self._idle: list = []
+
+    async def __aenter__(self) -> "AsyncServeClient":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.aclose()
+
+    async def aclose(self) -> None:
+        """Close the idle connections of the running loop."""
+        pool = self._pool()
+        idle = list(pool)
+        pool.clear()
+        for _reader, writer in idle:
+            writer.close()
+        for _reader, writer in idle:
+            with contextlib.suppress(OSError, ConnectionError):
+                await writer.wait_closed()
+
+    def _pool(self) -> list:
+        """The running loop's idle connections.
+
+        Under a new loop the previous loop's pool is dropped, not closed:
+        its transports cannot be closed from here (that loop is closed,
+        or runs in another thread), so their sockets close when
+        collected.
+        """
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            self._loop, self._idle = loop, []
+        return self._idle
 
     async def request(self, method: str, path: str, payload=None,
                       deadline_s: float | None = None) -> ServeReply:
@@ -297,10 +349,21 @@ class AsyncServeClient:
         if payload is not None:
             body = json.dumps(payload, sort_keys=True).encode()
             extra = "Content-Type: application/json\r\n"
-        head = (f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"{extra}Connection: close\r\n\r\n")
+        message = (f"{method} {path} HTTP/1.1\r\n"
+                   f"Host: {self.host}:{self.port}\r\n"
+                   f"Content-Length: {len(body)}\r\n"
+                   f"{extra}\r\n").encode("latin-1") + body
+        pool = self._pool()
+        while pool:
+            reader, writer = pool.pop()
+            if reader.at_eof() or writer.is_closing():
+                writer.close()      # the server closed it while idle
+                continue
+            try:
+                return await self._exchange(reader, writer, message, pool,
+                                            method, path)
+            except _StaleConnection:
+                break               # retry once, on a fresh connection
         try:
             reader, writer = await asyncio.open_connection(self.host,
                                                            self.port)
@@ -309,24 +372,55 @@ class AsyncServeClient:
                 f"{method} {path} against "
                 f"{self.host}:{self.port} failed: {exc}") from exc
         try:
-            writer.write(head.encode("latin-1") + body)
-            await writer.drain()
-            return await self._read_response(reader, method, path)
+            return await self._exchange(reader, writer, message, pool,
+                                        method, path)
+        except _StaleConnection as exc:
+            raise ServeClientError(
+                f"{method} {path} against {self.host}:{self.port} "
+                f"failed: {exc.__cause__}") from exc.__cause__
+
+    async def _exchange(self, reader, writer, message: bytes, pool: list,
+                        method: str, path: str) -> ServeReply:
+        """One request/response on an open connection.
+
+        The connection goes back to ``pool`` only when the response was
+        read whole and the server keeps it alive; on any other outcome,
+        cancellation included, it is closed.  Raises
+        :class:`_StaleConnection` when the connection failed before any
+        response byte arrived.
+        """
+        keep = False
+        try:
+            try:
+                writer.write(message)
+                await writer.drain()
+                raw_head = await reader.readuntil(b"\r\n\r\n")
+            except asyncio.IncompleteReadError as exc:
+                if exc.partial:
+                    raise ServeClientError(
+                        f"{method} {path} against {self.host}:{self.port} "
+                        f"failed: {exc}") from exc
+                raise _StaleConnection() from exc
+            except ConnectionError as exc:
+                raise _StaleConnection() from exc
+            reply, keep = await self._read_response(reader, raw_head,
+                                                    method, path)
+            return reply
         except (OSError, asyncio.IncompleteReadError,
-                ValueError) as exc:
+                asyncio.LimitOverrunError, ValueError) as exc:
             raise ServeClientError(
                 f"{method} {path} against "
                 f"{self.host}:{self.port} failed: {exc}") from exc
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+            if keep:
+                pool.append((reader, writer))
+            else:
+                writer.close()
 
     @staticmethod
-    async def _read_response(reader, method: str, path: str) -> ServeReply:
-        raw_head = await reader.readuntil(b"\r\n\r\n")
+    async def _read_response(reader, raw_head: bytes, method: str,
+                             path: str) -> tuple:
+        """``(reply, keep_alive)`` for a response whose head was read."""
         lines = raw_head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ", 2)
         if len(parts) < 2 or not parts[1].isdigit():
@@ -334,15 +428,18 @@ class AsyncServeClient:
                 f"{method} {path}: malformed status line {lines[0]!r}")
         status = int(parts[1])
         length = None
+        connection = ""
         for line in lines[1:]:
             name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 length = int(value.strip())
-        if length is not None:
-            body = await reader.readexactly(length)
-        else:                       # Connection: close delimits the body
-            body = await reader.read()
-        return ServeReply(status, body)
+            elif name == "connection":
+                connection = value.strip().lower()
+        if length is None:          # Connection: close delimits the body
+            return ServeReply(status, await reader.read()), False
+        body = await reader.readexactly(length)
+        return ServeReply(status, body), connection == "keep-alive"
 
     # ------------------------------------------------------------ endpoints
 

@@ -421,14 +421,12 @@ def cache_payload(name: str, params: dict) -> dict:
     three Table I devices, so they fold in all three specs.  Pure mesh
     experiments depend only on their parameters — no device specs.
     """
-    from repro.gpu.serialization import spec_to_dict
-    from repro.gpu.specs import get_spec
+    from repro.gpu.serialization import spec_dict
     payload = {"experiment": name, "params": params}
     if "gpu" in params:
-        payload["spec"] = spec_to_dict(get_spec(params["gpu"]))
+        payload["spec"] = spec_dict(params["gpu"])
     elif not name.startswith("mesh-"):
-        payload["specs"] = {n: spec_to_dict(get_spec(n))
-                            for n in _GPU_NAMES}
+        payload["specs"] = {n: spec_dict(n) for n in _GPU_NAMES}
     return payload
 
 

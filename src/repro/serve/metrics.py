@@ -144,6 +144,8 @@ class ServeMetrics:
     Counter semantics (asserted by the end-to-end tests, documented here
     so they stay stable):
 
+    * ``connections`` — accepted TCP connections.  Connections persist,
+      so ``requests_total / connections`` is requests per connection.
     * ``requests[<experiment>]`` / ``requests[<endpoint>]`` — every
       request that reached routing, keyed by experiment name or bare
       endpoint (``healthz``/``metricz``/``experiments``).
@@ -167,6 +169,7 @@ class ServeMetrics:
 
     def __init__(self):
         self.started_at = time.monotonic()
+        self.connections = 0
         self.requests: dict[str, int] = {}
         self.responses: dict[int, int] = {}
         self.cache_hits = 0
@@ -195,6 +198,7 @@ class ServeMetrics:
         return {
             "uptime_s": time.monotonic() - self.started_at,
             "counters": {
+                "connections": self.connections,
                 "requests_total": sum(self.requests.values()),
                 "requests": dict(sorted(self.requests.items())),
                 "responses": {str(code): n for code, n

@@ -31,15 +31,20 @@ themselves
 (:meth:`~repro.exec.cache.ResultCache.get_bytes`, digest-checked), so
 the hot path neither parses nor re-encodes the value.
 
-``stop()`` drains gracefully: the listener closes first, in-flight
-requests (and their computations) finish, then the compute tier shuts
-down.  ``POST /v1/workers/restart`` rolls the worker pool one process
-at a time *without* stopping the server.
+``stop()`` drains gracefully: the listener closes first, idle
+connections close at once, in-flight requests (and their computations)
+finish and answer with ``Connection: close``, then the compute tier
+shuts down.  ``POST /v1/workers/restart`` rolls the worker pool one
+process at a time *without* stopping the server.
 
-HTTP handling is deliberately minimal — HTTP/1.1, one request per
-connection, ``Connection: close`` — because the server's clients are
+HTTP handling is deliberately minimal because the server's clients are
 programmatic (:mod:`repro.serve.client`, curl, load generators), not
-browsers.
+browsers: HTTP/1.1 with persistent connections, no pipelining and no
+chunked bodies.  A connection serves requests one after another until
+the client sends ``Connection: close`` or closes it, it idles past
+``_REQUEST_TIMEOUT_S``, a read is malformed, or the server drains.
+Every response names the outcome in its ``Connection`` header
+(``keep-alive`` or ``close``).
 """
 
 from __future__ import annotations
@@ -134,6 +139,8 @@ class ExperimentServer:
         self.flights = Singleflight()
         self.admission = AdmissionController(max_inflight)
         self._server: asyncio.AbstractServer | None = None
+        self._stopped: asyncio.Event | None = None
+        self._idle: set = set()           # writers awaiting a next request
         self._draining = False
         self._open_handlers = 0
         self._handlers_idle: asyncio.Event | None = None
@@ -145,23 +152,41 @@ class ExperimentServer:
         """Bind and start accepting (resolves ``self.port`` if it was 0)."""
         self._handlers_idle = asyncio.Event()
         self._handlers_idle.set()
+        self._stopped = asyncio.Event()
         await asyncio.to_thread(self.pool.start)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._serve_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        await self._server.serve_forever()
+        """Serve until :meth:`stop` is called or this task is cancelled.
+
+        ``start()`` already accepts, so this only waits.  It does not
+        await the listener's own ``serve_forever``: cancelling that
+        closes the listener and, on Python >= 3.12, waits for every
+        open connection, so idle persistent connections would hold the
+        shutdown until they time out, before :meth:`stop` could close
+        them.
+        """
+        await self._stopped.wait()
 
     async def stop(self, drain_timeout: float = 30.0) -> None:
         """Graceful drain: stop accepting, finish in-flight work, close."""
         self._draining = True
+        if self._stopped is not None:
+            self._stopped.set()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for writer in list(self._idle):
+            writer.close()
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(self._handlers_idle.wait(),
                                    drain_timeout)
+        if self._server is not None:
+            # after the handlers: wait_closed also waits for connections
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._server.wait_closed(),
+                                       drain_timeout)
         if self._restart_task is not None:
             with contextlib.suppress(Exception):
                 await self._restart_task
@@ -169,33 +194,71 @@ class ExperimentServer:
 
     # ------------------------------------------------------------- protocol
 
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _serve_connection(self, reader, writer) -> None:
+        """Accept callback: requests one after another on one connection.
+
+        Between requests the connection is idle until a whole request
+        head has arrived: ``stop()`` closes it at once, and it closes
+        itself after ``_REQUEST_TIMEOUT_S``.  The idle wait stays outside
+        :meth:`_handle_connection`, so request latency never includes
+        the client's think time.
+        """
+        self.metrics.connections += 1
+        try:
+            while not self._draining:
+                self._idle.add(writer)
+                try:
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), _REQUEST_TIMEOUT_S)
+                except asyncio.LimitOverrunError:
+                    head = b""          # oversized head: answered as malformed
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                        ConnectionError):
+                    break
+                finally:
+                    self._idle.discard(writer)
+                if writer.is_closing():
+                    break
+                if not await self._handle_connection(reader, writer, head):
+                    break
+        finally:
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def _handle_connection(self, reader, writer, head: bytes) -> bool:
+        """Route and answer the request whose ``head`` was just read.
+
+        Returns whether the connection stays open for another request.
+        """
         self._open_handlers += 1
         self._handlers_idle.clear()
         started = time.monotonic()
         self.metrics.inflight_requests += 1
         status, body = 500, b"{}"
+        keep_alive = False          # only once the whole request is read
         try:
             try:
-                method, target, headers = await asyncio.wait_for(
-                    self._read_head(reader), _REQUEST_TIMEOUT_S)
+                method, target, headers, persist = self._parse_head(head)
                 payload = await asyncio.wait_for(
                     self._read_body(reader, headers), _REQUEST_TIMEOUT_S)
+                keep_alive = persist
                 status, body = await self._route(method, target, payload)
             except _HttpError as exc:
                 status, body = exc.status, canonical_json(exc.payload)
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    asyncio.TimeoutError, UnicodeDecodeError):
+            except (asyncio.IncompleteReadError, asyncio.TimeoutError,
+                    UnicodeDecodeError):
                 status, body = 400, canonical_json(
                     {"error": "malformed HTTP request"})
             except (ConnectionResetError, BrokenPipeError):
                 status = 499            # client went away; nothing to write
-                return
+                return False
             except Exception as exc:        # unexpected: 500, count it
                 self.metrics.errors += 1
                 status, body = 500, canonical_json(
                     {"error": f"internal error: {exc}"})
-            await self._write_response(writer, status, body)
+            return await self._write_response(
+                writer, status, body, keep_alive and not self._draining)
         finally:
             self.metrics.inflight_requests -= 1
             self.metrics.note_response(status, time.monotonic() - started)
@@ -203,11 +266,12 @@ class ExperimentServer:
             if self._open_handlers == 0:
                 self._handlers_idle.set()
 
-    async def _read_head(self, reader) -> tuple:
-        head = await reader.readuntil(b"\r\n\r\n")
+    @staticmethod
+    def _parse_head(head: bytes) -> tuple:
+        """``(method, target, headers, keep_alive)`` of a request head."""
         lines = head.decode("latin-1").split("\r\n")
         try:
-            method, target, _version = lines[0].split(" ", 2)
+            method, target, version = lines[0].split(" ", 2)
         except ValueError:
             raise _HttpError(400, "malformed request line") from None
         headers = {}
@@ -215,7 +279,12 @@ class ExperimentServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, headers
+        # HTTP/1.1 connections persist unless closed; HTTP/1.0 ones close
+        # unless the client asks for keep-alive
+        connection = headers.get("connection", "").lower()
+        keep_alive = connection == "keep-alive" or (
+            version == "HTTP/1.1" and connection != "close")
+        return method.upper(), target, headers, keep_alive
 
     async def _read_body(self, reader, headers: dict) -> bytes:
         try:
@@ -226,21 +295,23 @@ class ExperimentServer:
             raise _HttpError(413, "request body too large")
         return await reader.readexactly(length) if length > 0 else b""
 
-    async def _write_response(self, writer, status: int,
-                              body: bytes) -> None:
+    async def _write_response(self, writer, status: int, body: bytes,
+                              keep_alive: bool) -> bool:
+        """Send one response; whether the connection can take another."""
         reason = _REASONS.get(status, "Unknown")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n")
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                "\r\n")
         if status in (429, 503):
             head += "Retry-After: 1\r\n"
-        with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+        try:
             writer.write(head.encode("latin-1") + b"\r\n" + body)
             await writer.drain()
-        writer.close()
-        with contextlib.suppress(Exception):
-            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            return False
+        return keep_alive
 
     # -------------------------------------------------------------- routing
 

@@ -69,9 +69,14 @@ class OpenLoopDriver:
 
     async def drive(self) -> TrafficReport:
         """Replay on the caller's event loop (composable form)."""
+        if self._client is not None:
+            return await self._drive(self._client)
+        async with AsyncServeClient(self.host, self.port,
+                                    deadline_s=self.deadline_s) as client:
+            return await self._drive(client)
+
+    async def _drive(self, client: AsyncServeClient) -> TrafficReport:
         spec = self.schedule.spec
-        client = self._client or AsyncServeClient(
-            self.host, self.port, deadline_s=self.deadline_s)
         loop = asyncio.get_running_loop()
         epoch = loop.time()
         tasks = []

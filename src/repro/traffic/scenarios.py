@@ -86,12 +86,13 @@ async def _defense_point(host: str, port: int, *, spec: TrafficSpec,
     """One (offered load, scheduler) evaluation: replay + attack."""
     schedule = compile_schedule(spec)
     driver = OpenLoopDriver(schedule, host, port, deadline_s=deadline_s)
-    attacker_client = AsyncServeClient(host, port, deadline_s=deadline_s)
     background = asyncio.ensure_future(driver.drive())
     try:
-        points = await _attacker(attacker_client, gpu=gpu, seed=seed,
-                                 attack=attack, scheduler=scheduler,
-                                 batches=batches, deadline_s=deadline_s)
+        async with AsyncServeClient(host, port,
+                                    deadline_s=deadline_s) as attacker:
+            points = await _attacker(attacker, gpu=gpu, seed=seed,
+                                     attack=attack, scheduler=scheduler,
+                                     batches=batches, deadline_s=deadline_s)
     finally:
         report = await background
     leakage = (rsa_leakage(points) if attack == "rsa"

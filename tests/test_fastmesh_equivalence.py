@@ -379,6 +379,21 @@ def test_entry_points_reject_negative_warmup(call, engine):
         call(engine)
 
 
+@pytest.mark.parametrize("call", [
+    lambda arbiters: run_fairness_experiments(
+        arbiters, cycles=100, warmup=10, engine="scalar"),
+    lambda arbiters: run_fairness_experiments(
+        arbiters, cycles=100, warmup=10, engine="batched"),
+    lambda arbiters: batched_fairness_experiments(
+        arbiters, cycles=100, warmup=10),
+], ids=["scalar", "batched", "fastmesh"])
+@pytest.mark.parametrize("arbiters", [("rr", "rr"), ("age", "rr", "age")])
+def test_fairness_experiments_reject_repeated_arbiters(call, arbiters):
+    # results are keyed by arbiter: a repeat would drop a simulated lane
+    with pytest.raises(MeshConfigError, match="must be distinct"):
+        call(arbiters)
+
+
 # ---------------------------------------------------------------------------
 # Property-based sweep over configurations
 # ---------------------------------------------------------------------------

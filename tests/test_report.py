@@ -42,6 +42,19 @@ def test_device_sections_equal_across_engines(seed):
         assert section(seed, "vectorized") == section(seed, "scalar")
 
 
+@pytest.mark.parametrize("task, seed, expected", [
+    ("latency", 0,
+     "99438e256f56d5088f0908504664046fb0e07bf9896cc7b46a0cae90a7ddf624"),
+    ("bandwidth", 7,
+     "f5ef0c9dc1760dbf4e6a2be670f9a02e6108da96e0ce81e6c574d7024ad88c2a"),
+])
+def test_device_task_keys_are_stable(task, seed, expected):
+    """Memoizing the spec payload must not move a report cache key."""
+    for _ in range(2):                  # cold, then from the spec memo
+        assert cache_key("report-task", report_mod._task_payload(task, seed),
+                         "device:vectorized") == expected
+
+
 def _fairness_key(task: str, seed: int = 0) -> str:
     return cache_key("report-task", report_mod._task_payload(task, seed),
                      "mesh:batched")

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gpu.serialization import (dump_spec, load_spec, spec_from_dict,
-                                     spec_to_dict)
+from repro.gpu.serialization import (dump_spec, load_spec, spec_dict,
+                                     spec_from_dict, spec_to_dict)
 from repro.gpu.specs import A100, H100, V100
 
 
@@ -16,6 +16,17 @@ def test_roundtrip_builtin_specs(spec, tmp_path):
     dump_spec(spec, path)
     loaded = load_spec(path)
     assert loaded == spec
+
+
+@pytest.mark.parametrize("spec", [V100, A100, H100])
+def test_spec_dict_is_memoized_spec_to_dict(spec):
+    assert spec_dict(spec.name) == spec_to_dict(spec)
+    assert spec_dict(spec.name) is spec_dict(spec.name)
+
+
+def test_spec_dict_rejects_unknown_gpu():
+    with pytest.raises(ConfigurationError):
+        spec_dict("NOPE")
 
 
 def test_partial_document_uses_defaults():

@@ -160,6 +160,27 @@ def test_cache_payload_folds_specs_in():
     assert set(obs["specs"]) == {"V100", "A100", "H100"}
 
 
+def test_cache_keys_are_stable():
+    # existing cache directories must keep hitting: these are the keys
+    # of entries written before the spec payload was memoized
+    from repro.exec import cache_key
+    from repro.serve import engine_param
+    pins = {
+        ("latency-matrix", "V100", 3):
+            "7174393c1a61cb11212de666809a720a00ef338158b6cb021b04d40171b31dab",
+        ("latency-matrix", "V100", 0):
+            "1af8a5612b017bbf7a58fec07e3aa449b4774873700a1071680005f426986b6e",
+        ("observations", None, 0):
+            "16711b9ccdce58a28863ea3d1555a46cb1736f66a2519cd7e9fd18285413c6c8",
+    }
+    for (name, gpu, seed), expected in pins.items():
+        raw = {"seed": seed} if gpu is None else {"gpu": gpu, "seed": seed}
+        params = normalize(name, raw)
+        for _ in range(2):              # cold, then from the spec memo
+            assert cache_key(f"serve:{name}", cache_payload(name, params),
+                             engine=engine_param(name, params)) == expected
+
+
 def test_run_experiment_is_a_plain_function_of_its_args():
     params = normalize("latency-matrix",
                        {"sms": [0, 1], "samples": 1})

@@ -457,6 +457,29 @@ def test_client_retries_503_until_success(flaky_server):
     assert handler.seen == 3                 # two 503s were retried
 
 
+def test_async_client_against_connection_close_server(flaky_server):
+    """A server that closes every connection still works: the async
+    client pools only connections the server keeps alive."""
+    import asyncio
+
+    from repro.serve.client import AsyncServeClient
+    port, handler = flaky_server
+
+    async def run():
+        async with AsyncServeClient(
+                port=port, retry=Backoff(initial_s=0.001, max_s=0.002,
+                                         seed=0)) as client:
+            first = await client.experiment("latency-matrix", gpu="V100")
+            second = await client.experiment("latency-matrix", gpu="V100")
+            return first, second, list(client._idle)
+
+    first, second, pooled = asyncio.run(run())
+    assert first.ok and first.json == {"value": 42}
+    assert second.ok
+    assert handler.seen == 4                 # two 503s, then two answers
+    assert pooled == []
+
+
 def test_client_retry_budget_is_bounded(flaky_server):
     port, handler = flaky_server
     handler.fail_first = 10 ** 6

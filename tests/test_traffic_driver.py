@@ -126,23 +126,24 @@ class TestAsyncClient:
             ServeClient(port=server.port).wait_healthy(deadline_s=60)
 
             async def scenario():
-                client = AsyncServeClient(port=server.port)
-                # generous deadline: a cold computation completes
-                ok = await client.experiment(
-                    "latency-matrix", deadline_s=60.0, gpu="V100",
-                    seed=100, sms=[0], samples=1)
-                assert ok.ok, ok.body
-                # hopeless deadline on a cold heavy request (scalar
-                # engine, many SM rows: hundreds of ms of compute): the
-                # client must give up on time, not wait for the server
-                with pytest.raises(ServeDeadlineError):
-                    await client.experiment(
-                        "latency-matrix", deadline_s=0.05, gpu="V100",
-                        seed=101, sms=list(range(40)), samples=2,
-                        engine="scalar")
-                # and the server stays healthy for later requests
-                health = await client.healthz()
-                assert health.ok
+                async with AsyncServeClient(port=server.port) as client:
+                    # generous deadline: a cold computation completes
+                    ok = await client.experiment(
+                        "latency-matrix", deadline_s=60.0, gpu="V100",
+                        seed=100, sms=[0], samples=1)
+                    assert ok.ok, ok.body
+                    # hopeless deadline on a cold heavy request (scalar
+                    # engine, many SM rows: hundreds of ms of compute):
+                    # the client must give up on time, not wait for the
+                    # server
+                    with pytest.raises(ServeDeadlineError):
+                        await client.experiment(
+                            "latency-matrix", deadline_s=0.05, gpu="V100",
+                            seed=101, sms=list(range(40)), samples=2,
+                            engine="scalar")
+                    # and the server stays healthy for later requests
+                    health = await client.healthz()
+                    assert health.ok
 
             asyncio.run(scenario())
 
