@@ -138,10 +138,10 @@ def _time_steps(mesh, inject, traffic) -> tuple:
 def one_vc_step_timings(repeats: int = 3) -> dict:
     """us/cycle: BatchedVCMesh(num_vcs=1) vs BatchedMesh, same traffic.
 
-    Each kernel takes its packets through its public ``inject`` (the VC
-    kernel defers them to a bulk flush inside ``step``; ``BatchedMesh``
-    writes them at once), so the record splits inject and step time and
-    gives their sum.  Min of ``repeats`` fresh runs per kernel and load
+    Each kernel takes its packets through its public ``inject``, which
+    defers them to the shared bulk flush inside ``step``
+    (``repro.noc.mesh.lanes.SourceQueues``), so the record splits inject
+    and step time and gives their sum.  Min of ``repeats`` fresh runs per kernel and load
     (packet construction not timed); the delivered counts of the two
     kernels must agree lane for lane.
     """

@@ -44,11 +44,11 @@ def latency_matrix_timings() -> dict:
     gpu = SimulatedGPU("V100", seed=0)
     record = {}
     start = time.perf_counter()
-    measured_latency_matrix(gpu, samples=1)
+    measured_latency_matrix(gpu, samples=1, engine="scalar")
     record["serial_s"] = time.perf_counter() - start
     for jobs in (1, 4):
         start = time.perf_counter()
-        measured_latency_matrix(gpu, samples=1, jobs=jobs)
+        measured_latency_matrix(gpu, samples=1, jobs=jobs, engine="scalar")
         record[f"jobs{jobs}_s"] = time.perf_counter() - start
     record["jobs4_speedup_vs_jobs1"] = record["jobs1_s"] / record["jobs4_s"]
     return record
@@ -79,7 +79,7 @@ def vectorized_engine_timings() -> dict:
     g_scalar = SimulatedGPU("V100", seed=0)
     g_fast = SimulatedGPU("V100", seed=0)
     lat_scalar, lat_scalar_s = timed(
-        lambda: measured_latency_matrix(g_scalar, samples=2))
+        lambda: measured_latency_matrix(g_scalar, samples=2, engine="scalar"))
     lat_fast, lat_fast_s = timed(
         lambda: measured_latency_matrix(g_fast, samples=2,
                                         engine="vectorized"))
@@ -88,7 +88,7 @@ def vectorized_engine_timings() -> dict:
     b_scalar = SimulatedGPU("A100", seed=0)
     b_fast = SimulatedGPU("A100", seed=0)
     bw_scalar, bw_scalar_s = timed(
-        lambda: slice_bandwidth_distribution(b_scalar, 0))
+        lambda: slice_bandwidth_distribution(b_scalar, 0, engine="scalar"))
     bw_fast, bw_fast_s = timed(
         lambda: slice_bandwidth_distribution(b_fast, 0,
                                              engine="vectorized"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import engines
 from repro.errors import ConfigurationError
 from repro.gpu.device import SimulatedGPU
 from repro.noc.topology_graph import AccessKind, BandwidthReport
@@ -26,10 +27,9 @@ def measure_bandwidth(gpu: SimulatedGPU, traffic: dict,
 
 
 def single_sm_slice_bandwidth(gpu: SimulatedGPU, sm: int, slice_id: int,
-                              engine: str = "scalar") -> float:
+                              engine: str | None = None) -> float:
     """One SM streaming to one slice (Fig 9b / Fig 12), GB/s."""
-    from repro.core.fastpath import resolve_engine
-    if resolve_engine(engine) == "vectorized":
+    if engines.resolve("device", engine) == "vectorized":
         from repro.core.fastpath.bandwidth import (
             vectorized_single_sm_slice_bandwidth)
         return vectorized_single_sm_slice_bandwidth(gpu, sm, slice_id)
@@ -49,13 +49,13 @@ def _distribution_shard(args) -> np.ndarray:
         from repro.core.fastpath.bandwidth import (
             vectorized_bandwidth_distribution)
         return vectorized_bandwidth_distribution(gpu, slice_id, sms)
-    return np.array([single_sm_slice_bandwidth(gpu, sm, slice_id)
+    return np.array([measure_bandwidth(gpu, {sm: [slice_id]}).total_gbps
                      for sm in sms])
 
 
 def slice_bandwidth_distribution(gpu: SimulatedGPU, slice_id: int,
                                  sms=None, jobs: int | None = None,
-                                 engine: str = "scalar") -> np.ndarray:
+                                 engine: str | None = None) -> np.ndarray:
     """Per-SM solo bandwidth to one slice, across SMs (Fig 9b/13).
 
     Each SM is measured alone (the paper collects the distribution over
@@ -66,15 +66,14 @@ def slice_bandwidth_distribution(gpu: SimulatedGPU, slice_id: int,
     every SM's single-flow solve as one batched fixed point
     (``repro.core.fastpath.bandwidth``), bit-identical to scalar.
     """
-    from repro.core.fastpath import resolve_engine
-    engine = resolve_engine(engine)
+    engine = engines.resolve("device", engine)
     sms = list(sms) if sms is not None else gpu.hier.all_sms
     if jobs is None:
         if engine == "vectorized":
             from repro.core.fastpath.bandwidth import (
                 vectorized_bandwidth_distribution)
             return vectorized_bandwidth_distribution(gpu, slice_id, sms)
-        return np.array([single_sm_slice_bandwidth(gpu, sm, slice_id)
+        return np.array([measure_bandwidth(gpu, {sm: [slice_id]}).total_gbps
                          for sm in sms])
     from repro.exec import SweepRunner, chunk, device_payload
     spec_data, seed = device_payload(gpu)
@@ -85,10 +84,9 @@ def slice_bandwidth_distribution(gpu: SimulatedGPU, slice_id: int,
 
 
 def group_to_slice_bandwidth(gpu: SimulatedGPU, sms, slice_id: int,
-                             engine: str = "scalar") -> float:
+                             engine: str | None = None) -> float:
     """A group of SMs (e.g. one GPC) streaming to one slice (Fig 9c)."""
-    from repro.core.fastpath import resolve_engine
-    if resolve_engine(engine) == "vectorized":
+    if engines.resolve("device", engine) == "vectorized":
         from repro.core.fastpath.bandwidth import (
             vectorized_group_to_slice_bandwidth)
         return vectorized_group_to_slice_bandwidth(gpu, sms, slice_id)
@@ -99,10 +97,9 @@ def group_to_slice_bandwidth(gpu: SimulatedGPU, sms, slice_id: int,
 
 
 def aggregate_l2_bandwidth(gpu: SimulatedGPU,
-                           engine: str = "scalar") -> float:
+                           engine: str | None = None) -> float:
     """All SMs streaming to all slices, hitting in L2 (Fig 9a), GB/s."""
-    from repro.core.fastpath import resolve_engine
-    if resolve_engine(engine) == "vectorized":
+    if engines.resolve("device", engine) == "vectorized":
         from repro.core.fastpath.bandwidth import (
             vectorized_aggregate_l2_bandwidth)
         return vectorized_aggregate_l2_bandwidth(gpu)
@@ -111,10 +108,9 @@ def aggregate_l2_bandwidth(gpu: SimulatedGPU,
 
 
 def aggregate_memory_bandwidth(gpu: SimulatedGPU,
-                               engine: str = "scalar") -> float:
+                               engine: str | None = None) -> float:
     """All SMs streaming with L2 misses: off-chip DRAM bandwidth (Fig 9a)."""
-    from repro.core.fastpath import resolve_engine
-    if resolve_engine(engine) == "vectorized":
+    if engines.resolve("device", engine) == "vectorized":
         from repro.core.fastpath.bandwidth import (
             vectorized_aggregate_memory_bandwidth)
         return vectorized_aggregate_memory_bandwidth(gpu)
@@ -136,7 +132,7 @@ def _saturation_shard(args) -> float:
 
 def slice_saturation_curve(gpu: SimulatedGPU, slice_id: int, sms,
                            counts=None, jobs: int | None = None,
-                           engine: str = "scalar") -> dict:
+                           engine: str | None = None) -> dict:
     """Slice bandwidth as more SMs target it (Fig 14).
 
     ``sms`` is the ordered pool to draw from; returns {n: GB/s}.
@@ -144,8 +140,7 @@ def slice_saturation_curve(gpu: SimulatedGPU, slice_id: int, sms,
     ``engine="vectorized"`` assembles each point's solver arrays directly
     from the traffic pattern, bit-identical to the scalar build.
     """
-    from repro.core.fastpath import resolve_engine
-    engine = resolve_engine(engine)
+    engine = engines.resolve("device", engine)
     sms = list(sms)
     if engine == "vectorized" and jobs is None:
         from repro.core.fastpath.bandwidth import vectorized_saturation_curve

@@ -23,12 +23,3 @@ measurement APIs; ``tests/test_fastpath_equivalence.py`` asserts exact
 equality between the two, and the REP004 lint rule keeps the public
 surfaces from drifting.
 """
-
-from __future__ import annotations
-
-from repro import engines as _engines
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument (``None`` means scalar)."""
-    return _engines.resolve("device", engine, default="scalar")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import engines
 from repro.errors import LaunchError
 from repro.gpu.device import SimulatedGPU
 from repro.runtime.kernel import KernelSpec
@@ -66,10 +67,9 @@ def measure_l2_latency(gpu: SimulatedGPU, sm: int, slices=None,
 
 
 def latency_profile(gpu: SimulatedGPU, sm: int, samples: int = 3,
-                    engine: str = "scalar") -> np.ndarray:
+                    engine: str | None = None) -> np.ndarray:
     """The SM's full latency vector over all slices (Fig 1a)."""
-    from repro.core.fastpath import resolve_engine
-    if resolve_engine(engine) == "vectorized":
+    if engines.resolve("device", engine) == "vectorized":
         from repro.core.fastpath.latency import vectorized_latency_matrix
         return vectorized_latency_matrix(gpu, [sm], None, samples)[0]
     return measure_l2_latency(gpu, sm, samples=samples)
@@ -99,7 +99,7 @@ def _latency_shard(args) -> np.ndarray:
 
 def measured_latency_matrix(gpu: SimulatedGPU, sms=None, slices=None,
                             samples: int = 2, jobs: int | None = None,
-                            engine: str = "scalar") -> np.ndarray:
+                            engine: str | None = None) -> np.ndarray:
     """[SM x slice] measured hit-latency matrix (input of Fig 2/3/5/6).
 
     ``jobs=None`` keeps the legacy serial path (all SMs measured on the
@@ -113,8 +113,7 @@ def measured_latency_matrix(gpu: SimulatedGPU, sms=None, slices=None,
     operations (``repro.core.fastpath``), bit-identical to the scalar
     golden path under every ``jobs`` setting.
     """
-    from repro.core.fastpath import resolve_engine
-    engine = resolve_engine(engine)
+    engine = engines.resolve("device", engine)
     sms = list(sms) if sms is not None else gpu.hier.all_sms
     if jobs is None:
         if engine == "vectorized":

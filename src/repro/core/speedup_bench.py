@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import engines
 from repro.errors import ConfigurationError
 from repro.gpu.device import SimulatedGPU
 from repro.noc.speedup import SpeedupConfig
@@ -42,7 +43,7 @@ class SpeedupMeasurement:
 
 
 def _group_bandwidth(gpu: SimulatedGPU, sms, kind: AccessKind,
-                     engine: str = "scalar") -> float:
+                     engine: str) -> float:
     traffic = {sm: gpu.hier.all_slices for sm in sms}
     if engine == "vectorized":
         from repro.core.fastpath.bandwidth import solve_traffic
@@ -68,10 +69,9 @@ def _level_sms(gpu: SimulatedGPU, level: str, gpc: int = 0) -> list:
 
 def measure_speedups(gpu: SimulatedGPU, gpc: int = 0,
                      kinds=(AccessKind.READ, AccessKind.WRITE),
-                     engine: str = "scalar") -> list:
+                     engine: str | None = None) -> list:
     """All speedup levels of a device, for each access kind (Fig 10)."""
-    from repro.core.fastpath import resolve_engine
-    engine = resolve_engine(engine)
+    engine = engines.resolve("device", engine)
     config = SpeedupConfig.for_spec(gpu.spec)
     results = []
     for kind in kinds:

@@ -146,16 +146,15 @@ def default_name(domain: str) -> str:
     return name
 
 
-def resolve(domain: str, engine: str | None,
-            default: str | None = None) -> str:
+def resolve(domain: str, engine: str | None) -> str:
     """Validate an ``engine=`` argument against a domain.
 
-    ``None`` resolves to ``default`` when given, else the domain's
-    registered default.  Unknown names fail fast with the accepted
-    vocabulary, exactly like the per-site checks this replaces.
+    ``None`` resolves to the domain's registered default.  Unknown
+    names fail fast with the accepted vocabulary, exactly like the
+    per-site checks this replaces.
     """
     if engine is None:
-        engine = default if default is not None else default_name(domain)
+        engine = default_name(domain)
     return get(domain, engine).name
 
 

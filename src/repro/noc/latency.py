@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import rng
+from repro import engines, rng
 from repro.gpu.floorplan import Floorplan
 from repro.gpu.hierarchy import Hierarchy
 from repro.gpu.specs import GPUSpec
@@ -144,10 +144,9 @@ class LatencyModel:
 
     # ---- bulk queries -------------------------------------------------------------
     def latency_matrix(self, sms=None, slices=None, hit: bool = True,
-                       engine: str = "scalar") -> np.ndarray:
+                       engine: str | None = None) -> np.ndarray:
         """Structural latency matrix [len(sms) x len(slices)] in cycles."""
-        from repro.core.fastpath import resolve_engine
-        if resolve_engine(engine) == "vectorized":
+        if engines.resolve("device", engine) == "vectorized":
             from repro.core.fastpath.latency import structural_latency_matrix
             return structural_latency_matrix(self, sms, slices, hit)
         sms = list(sms) if sms is not None else self.hier.all_sms

@@ -25,16 +25,17 @@ vectorisation exact:
   pre-cycle state;
 * the scalar traffic classes interleave ``Generator.random()`` and
   ``Generator.integers(n)`` draws on one ``repro.rng`` stream, which
-  :class:`_RawStream` replays *exactly* from ``bit_generator
-  .random_raw()`` blocks (an install-time self-check falls back to the
-  real per-lane ``Generator`` on mismatch — always correct, just
-  slower);
+  :func:`repro.noc.mesh.lanes.make_stream` replays *exactly* from
+  ``bit_generator.random_raw()`` blocks (an install-time self-check
+  falls back to the real per-lane ``Generator`` on mismatch — always
+  correct, just slower);
 * source-queue enqueues and delivery statistics commute with the cycle
-  loop — a Bernoulli source enqueues at most one single-flit packet per
-  node per cycle and reads only its own node's backlog, so batching the
-  enqueues into one bulk flush per cycle (and folding delivery stats
-  into per-lane counters lazily) reproduces the scalar order bit for
-  bit.
+  loop — a source reads only its own node's backlog, and every packet
+  injected in a cycle enters its queue in inject order before that
+  cycle's injection phase, so deferring the enqueues to one bulk flush
+  per cycle (:class:`repro.noc.mesh.lanes.SourceQueues`, shared with
+  the VC kernel) and folding delivery stats into per-lane counters
+  lazily reproduces the scalar order bit for bit.
 
 Entry points mirror the scalar experiment APIs and return the same
 result dataclasses: :func:`batched_sweep_load`,
@@ -52,14 +53,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import rng
 from repro.errors import MeshConfigError
-from repro.noc.mesh.routing import Port, default_mc_nodes, xy_route
+from repro.noc.mesh.lanes import (_A_DST_SHIFT, _A_FLG_MASK, _A_SRC_MASK,
+                                  _A_SRC_SHIFT, _EMPTY_I, _F_HEAD, _F_REPLY,
+                                  _F_TAIL, _MAX_NODES, _NO_KEY, _NUM_PORTS,
+                                  _OPP, _PEND_Q_SHIFT, _RawStream,
+                                  SourceQueues, make_stream, neighbor_nodes,
+                                  route_table)
+from repro.noc.mesh.routing import default_mc_nodes
 from repro.noc.mesh.vc import DeliveryStats
 
-_NUM_PORTS = len(Port)
-# opposite[port] for the four cardinal ports; LOCAL has no opposite
-_OPP = (0, int(Port.WEST), int(Port.EAST), int(Port.SOUTH), int(Port.NORTH))
 # _RR_PICK[last][mask] is the rotating-priority winner among the input
 # ports set in the 5-bit candidate ``mask`` (the scalar one-VC
 # ``VCRouter.grant`` round-robin as one table lookup)
@@ -69,175 +72,14 @@ _RR_PICK = tuple(
           for mask in range(1 << _NUM_PORTS))
     for last in range(_NUM_PORTS))
 
-
-# ---------------------------------------------------------------------------
-# Exact replay of the scalar traffic RNG stream
-# ---------------------------------------------------------------------------
-
-# raw words fetched per refill.  The stream is purely sequential, so the
-# block size cannot change a draw; 512 words cost the same per word to
-# fetch as larger blocks and keep a stream's replay lists near 40 KiB
-# (a sweep block holds one stream per lane)
-_RAW_BLOCK = 512
-_U32 = 0xFFFFFFFF
-# Generator.random() maps one raw PCG64 word to [0, 1): (word >> 11) * 2**-53
-_RANDOM_SCALE = 2.0 ** -53
-
-
-class _GeneratorStream:
-    """Fallback stream: the real per-lane Generator, call for call."""
-
-    __slots__ = ("_random", "_integers")
-
-    def __init__(self, seed: int, *key):
-        gen = rng.generator_for(seed, *key)
-        self._random = gen.random
-        self._integers = gen.integers
-
-    def random(self) -> float:
-        return float(self._random())
-
-    def integers(self, n: int) -> int:
-        return int(self._integers(n))
-
-
-class _RawStream:
-    """Replays ``Generator.random()``/``.integers(n)`` from raw words.
-
-    ``random()`` consumes one raw 64-bit word (bypassing the 32-bit
-    buffer); ``integers(n)`` uses numpy's buffered 32-bit Lemire
-    rejection sampler — the low half of a fresh word first, the stashed
-    high half on the next call.  Pre-fetching via ``random_raw`` is safe
-    because the raw stream is purely sequential.
-    """
-
-    __slots__ = ("_bg", "_words", "_dbl", "_pos", "_len", "_has32", "_buf32")
-
-    def __init__(self, seed: int, *key):
-        self._bg = rng.generator_for(seed, *key).bit_generator
-        self._words: list = []
-        self._dbl: list = []
-        self._pos = 0
-        self._len = 0
-        self._has32 = False
-        self._buf32 = 0
-
-    def _refill(self) -> None:
-        raw = self._bg.random_raw(_RAW_BLOCK)
-        self._words = raw.tolist()
-        self._dbl = ((raw >> np.uint64(11)) * _RANDOM_SCALE).tolist()
-        self._pos = 0
-        self._len = len(self._words)
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos == self._len:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._dbl[pos]
-
-    def integers(self, n: int) -> int:
-        """``Generator.integers(n)`` for ``1 <= n <= 2**32``."""
-        if n == 1:
-            return 0                # consumes no stream words
-        while True:
-            if self._has32:
-                self._has32 = False
-                w32 = self._buf32
-            else:
-                pos = self._pos
-                if pos == self._len:
-                    self._refill()
-                    pos = 0
-                self._pos = pos + 1
-                word = self._words[pos]
-                self._has32 = True
-                self._buf32 = word >> 32
-                w32 = word & _U32
-            m = w32 * n
-            leftover = m & _U32
-            # accept unless the draw lands in the biased low band:
-            # threshold = 2**32 % n, which is < n
-            if leftover >= n or leftover >= (_U32 - n + 1) % n:
-                return m >> 32
-
-
-_STREAM_CLS: type | None = None
-
-
-def _raw_stream_matches() -> bool:
-    """Install-time self-check: raw replay vs the real Generator."""
-    for seed in (0, 1, 12345):
-        fast = _RawStream(seed, "fastmesh-check")
-        gold = rng.generator_for(seed, "fastmesh-check")
-        for _ in range(400):
-            a, b = fast.random(), float(gold.random())
-            if a != b:
-                return False
-            if a < 0.5:
-                for n in (6, 3, 2, 1):
-                    if fast.integers(n) != int(gold.integers(n)):
-                        return False
-        # exercise the Lemire rejection loop (high-probability branch)
-        big = 3_000_000_000
-        for _ in range(64):
-            if fast.integers(big) != int(gold.integers(big)):
-                return False
-    return True
-
-
-def make_stream(seed: int, *key):
-    """A traffic RNG stream replaying ``rng.generator_for(seed, *key)``.
-
-    Uses the raw-word replay when the install-time self-check passes on
-    this numpy build, else the always-correct Generator fallback.
-    """
-    global _STREAM_CLS
-    if _STREAM_CLS is None:
-        try:
-            ok = _raw_stream_matches()
-        except Exception:           # fallback probe: any failure means "no"
-            ok = False
-        _STREAM_CLS = _RawStream if ok else _GeneratorStream
-    return _STREAM_CLS(seed, *key)
-
-
-# ---------------------------------------------------------------------------
-# The batched mesh kernel
-# ---------------------------------------------------------------------------
-
-# flit flag bits carried through the ring buffers
-_F_HEAD = 1
-_F_TAIL = 2
-_F_REPLY = 4
-
-# each flit is two packed int64 words:
-#   A = (dst << 15) | (src << 12..3) | flags      (node ids fit 12 bits)
-#   B = (birth << 32) | pid
-# B doubles as the age-arbitration key AND the wormhole lock value (pid
-# is unique per lane, so equal B means the same packet).
-_A_DST_SHIFT = 15
-_A_SRC_SHIFT = 3
-_A_SRC_MASK = 0xFFF
-_A_FLG_MASK = 7
-_MAX_NODES = _A_SRC_MASK + 1
-
 _RR_PICK_F = np.array(_RR_PICK, dtype=np.int64).ravel()    # [last*32 + mask]
 # single-contender grants: any arbiter picks the only requesting port
 _BIT_PORT_F = np.zeros(32, dtype=np.int64)
 for _p in range(_NUM_PORTS):
     _BIT_PORT_F[1 << _p] = _p
 del _p
-_NO_KEY = np.iinfo(np.int64).max
 _SH32 = np.int64(32)
 _ARANGE5 = np.arange(_NUM_PORTS, dtype=np.int64)
-_EMPTY_I = np.empty(0, dtype=np.int64)
-
-# deferred enqueues are packed as ``(lane*nodes + node) << 27 | A``:
-# the low bits are exactly the flit's A word, ready to scatter
-_PEND_SHIFT = 27
-_PEND_A_MASK = (1 << _PEND_SHIFT) - 1
 
 # cycles of deferred delivery records folded into the counters at once:
 # bounds the pending arrays; exact at any value, because latencies are
@@ -282,6 +124,9 @@ class BatchedMesh:
         n = width * height
         if n > _MAX_NODES:
             raise MeshConfigError("mesh too large for the batched engine")
+        # source queues (ring per node, flat over lanes); built first, as
+        # it rejects lane counts the deferred-enqueue code cannot pack
+        self._queues = SourceQueues(batch * n, source_capacity)
         self.width = width
         self.height = height
         self.batch = batch
@@ -297,7 +142,6 @@ class BatchedMesh:
         self._g = G
         self._pow2 = (F & (F - 1)) == 0
         self._fmask = F - 1
-        cap = max(2, int(source_capacity))
 
         # ---- input-buffer rings + materialised head caches -------------
         self._rf_a = np.zeros(G * F, dtype=np.int64)
@@ -319,20 +163,7 @@ class BatchedMesh:
         # True once any multi-flit packet exists: gates all lock logic
         self._wormhole = False
 
-        # ---- source queues (ring per node, flat over lanes) -------------
-        self._q_cap = cap
-        self._qf_a = np.zeros(B * n * cap, dtype=np.int64)
-        self._qf_b = np.zeros(B * n * cap, dtype=np.int64)
-        self._q_hd = np.zeros(B * n, dtype=np.int64)
-        self._q_ln = np.zeros(B * n, dtype=np.int64)
-        self._next_pid_arr = np.zeros(B, dtype=np.int64)
-        # deferred single-flit enqueues (packed ints in scalar inject
-        # order), flushed in bulk each step
-        self._pend: list = []
-        # per-cycle backlog snapshot shared by every lane's feed (one
-        # q_ln.tolist() per cycle instead of one slice per lane);
-        # invalidated by anything that mutates q_ln mid-cycle
-        self._snap: list = []
+        self._snap: list = []           # see _backlog_snapshot
         self._snap_cycle = -1
 
         # ---- per-lane delivery statistics (folded lazily) ---------------
@@ -361,22 +192,11 @@ class BatchedMesh:
         self._obase_f = gf - self._port_f
         self._bit_f = (1 << self._port_f).astype(np.float64)
         self._eject_f = self._port_f == 0
-        self._route_f = np.array(
-            [int(xy_route(node, dst, width))
-             for node in range(n) for dst in range(n)], dtype=np.int64)
+        self._route_f = route_table(width, height)
         self._rtbase_f = self._node_f * n
-        nbr_slot = np.full((n, _NUM_PORTS), -1, dtype=np.int64)
-        for node in range(n):
-            x, y = node % width, node // width
-            for port, dst in ((Port.EAST, node + 1 if x + 1 < width else -1),
-                              (Port.WEST, node - 1 if x > 0 else -1),
-                              (Port.SOUTH,
-                               node + width if y + 1 < height else -1),
-                              (Port.NORTH, node - width if y > 0 else -1)):
-                if dst >= 0:
-                    nbr_slot[node, port] = dst * _NUM_PORTS + _OPP[port]
         # boundary ports never carry traffic (XY routing): clip to 0
-        nbr_f = np.maximum(nbr_slot, 0).ravel()
+        nbr_f = np.maximum(neighbor_nodes(width, height) * _NUM_PORTS
+                           + np.array(_OPP), 0).ravel()
         self._nbr_g = (np.arange(B, dtype=np.int64)[:, None] * slots
                        + nbr_f[None, :]).ravel()
         self._local_g = (np.arange(B, dtype=np.int64)[:, None] * slots
@@ -388,43 +208,6 @@ class BatchedMesh:
         return self._n
 
     # ---- injection -------------------------------------------------------
-    def _grow_queues(self) -> None:
-        """Double source-queue capacity, normalising rings to head 0."""
-        cap = self._q_cap
-        queues = self.batch * self._n
-        order = ((self._q_hd[:, None] + np.arange(cap)) % cap
-                 + np.arange(queues, dtype=np.int64)[:, None] * cap)
-        for name in ("_qf_a", "_qf_b"):
-            old = getattr(self, name)
-            new = np.zeros(queues * cap * 2, dtype=np.int64)
-            new.reshape(queues, cap * 2)[:, :cap] = old.take(order)
-            setattr(self, name, new)
-        self._q_hd[:] = 0
-        self._q_cap = cap * 2
-
-    def _inject_now(self, lane: int, src: int, dst: int, size: int,
-                    reply: bool = False) -> None:
-        self._snap_cycle = -1
-        qi = lane * self._n + src
-        while int(self._q_ln[qi]) + size > self._q_cap:
-            self._grow_queues()
-        pid = int(self._next_pid_arr[lane])
-        self._next_pid_arr[lane] = pid + 1
-        kind = _F_REPLY if reply else 0
-        hd, ln = int(self._q_hd[qi]), int(self._q_ln[qi])
-        cap = self._q_cap
-        base = qi * cap
-        a = (dst << _A_DST_SHIFT) | (src << _A_SRC_SHIFT) | kind
-        b = (self.cycle << 32) | pid
-        for i in range(size):
-            p = base + (hd + ln + i) % cap
-            self._qf_a[p] = (a | (_F_HEAD if i == 0 else 0)
-                             | (_F_TAIL if i == size - 1 else 0))
-            self._qf_b[p] = b
-        self._q_ln[qi] = ln + size
-        if size > 1:
-            self._wormhole = True
-
     def inject(self, lane: int, src: int, dst: int, size: int,
                reply: bool = False) -> None:
         """Queue one packet (``size`` flits) at ``src`` on ``lane``."""
@@ -434,67 +217,26 @@ class BatchedMesh:
             raise MeshConfigError(f"destination {dst} outside mesh")
         if size <= 0:
             raise MeshConfigError(f"packet size must be positive, got {size}")
-        if self._pend:
-            self._flush_pending()
-        self._inject_now(lane, src, dst, size, reply)
-
-    def _flush_pending(self) -> None:
-        """Bulk-enqueue the deferred single-flit packets, in append order."""
-        self._snap_cycle = -1
-        pend = self._pend
-        k = len(pend)
-        if not k:
-            return
-        code = np.array(pend, dtype=np.int64)
-        del pend[:]
-        gidx = code >> _PEND_SHIFT
-        n = self._n
-        lanes = gidx // n
-        rank = np.arange(k, dtype=np.int64)
-        strict = True
-        if k > 1:
-            strict = bool((gidx[1:] > gidx[:-1]).all())
-            if not strict and bool((gidx[1:] < gidx[:-1]).any()):
-                # appends arrived out of (lane, node) order: rare path
-                nodes = (code >> _A_SRC_SHIFT) & _A_SRC_MASK
-                dsts = (code >> _A_DST_SHIFT) & _A_SRC_MASK
-                for i in range(k):
-                    self._inject_now(int(lanes[i]), int(nodes[i]),
-                                     int(dsts[i]), 1)
-                return
-        pid = (self._next_pid_arr.take(lanes)
-               + (rank - np.searchsorted(lanes, lanes)))
-        self._next_pid_arr += np.bincount(lanes, minlength=self.batch)
-        if strict:
-            # Bernoulli fast path: every queue appears at most once
-            ql = self._q_ln.take(gidx)
-            if int(ql.max()) + 1 > self._q_cap:
-                self._grow_queues()
-            cap = self._q_cap
-            pos = (self._q_hd.take(gidx) + ql) % cap
-            qi = gidx * cap + pos
-            self._q_ln[gidx] += 1
-        else:
-            # consecutive duplicates of one queue (greedy sources) get
-            # consecutive ring slots and per-lane sequential packet ids
-            off = rank - np.searchsorted(gidx, gidx)
-            while int((self._q_ln.take(gidx) + off).max()) + 1 > self._q_cap:
-                self._grow_queues()
-            cap = self._q_cap
-            pos = ((self._q_hd.take(gidx) + self._q_ln.take(gidx) + off)
-                   % cap)
-            qi = gidx * cap + pos
-            last = np.empty(k, dtype=bool)
-            last[:-1] = gidx[:-1] != gidx[1:]
-            last[-1] = True
-            self._q_ln[gidx[last]] += off[last] + 1
-        self._qf_a[qi] = code & _PEND_A_MASK
-        self._qf_b[qi] = pid + (self.cycle << 32)
+        self._queues.defer(lane * self._n + src, size,
+                           (dst << _A_DST_SHIFT) | (src << _A_SRC_SHIFT)
+                           | (_F_REPLY if reply else 0))
+        if size > 1:
+            self._wormhole = True
 
     def source_backlog(self, lane: int, node: int) -> int:
-        if self._pend:
-            self._flush_pending()
-        return int(self._q_ln[lane * self._n + node])
+        return self._queues.backlog(lane * self._n + node)
+
+    def _backlog_snapshot(self) -> list:
+        """Every source queue's length this cycle, one list per cycle.
+
+        Shared by every lane's feed (one ``tolist()`` per cycle instead
+        of one slice per lane); queue lengths change only inside
+        :meth:`step`, so the list holds for the whole cycle.
+        """
+        if self._snap_cycle != self.cycle:
+            self._snap = self._queues.ln.tolist()
+            self._snap_cycle = self.cycle
+        return self._snap
 
     # ---- simulation ------------------------------------------------------
     def step(self) -> None:
@@ -648,18 +390,18 @@ class BatchedMesh:
         # ---- injection: one flit per node per cycle --------------------
         # (forwards only push ports 1-4, so the local-port credit check
         # below still sees exactly the scalar engine's post-pop state)
-        if self._pend:
-            self._flush_pending()
-        q_ln = self._q_ln
+        queues = self._queues
+        queues.flush(self.cycle)
+        q_ln = queues.ln
         can = (q_ln != 0) & (ln.take(self._local_g) < F)
         iq = np.flatnonzero(can)
         if iq.size:
-            cap = self._q_cap
-            qh = self._q_hd.take(iq)
+            cap = queues.cap
+            qh = queues.hd.take(iq)
             qi = iq * cap + qh
-            i_a = self._qf_a.take(qi)
-            i_b = self._qf_b.take(qi)
-            self._q_hd[iq] = (qh + 1) % cap
+            i_a = queues.a.take(qi)
+            i_b = queues.b.take(qi)
+            queues.hd[iq] = (qh + 1) % cap
             q_ln[iq] -= 1
             ig = self._local_g.take(iq)
 
@@ -820,30 +562,23 @@ class BatchedManyToFew:
         n_mc = len(mc)
         nodes = self.compute_nodes
         base = self.lane * mesh._n
-        q_ln = mesh._q_ln
-        append = mesh._pend.append
-        # The backlog snapshot (one q_ln.tolist() per mesh per cycle,
-        # shared by every lane and invalidated by any mid-cycle q_ln
-        # mutation) is safe in every path: each node is visited once per
-        # cycle (Bernoulli) or tracks its own local counter (greedy), so
-        # the values cannot go stale within a call.  Lanes index it by
-        # absolute queue id ``base + node``.
+        snapshot = mesh._backlog_snapshot
+        append = mesh._queues.pend.append
+        # The backlog snapshot is exact in every path: each node is
+        # visited once per cycle (Bernoulli) or tracks its own local
+        # counter (greedy).  Lanes index it by absolute queue id
+        # ``base + node``.
 
-        # per-node enqueue codes: the low bits are the flit's A word
-        node_codes = [(base + node, ((base + node) << _PEND_SHIFT)
-                      | (node << _A_SRC_SHIFT) | _F_HEAD | _F_TAIL)
-                      for node in nodes]
+        # per-node deferred-enqueue codes of a one-flit packet
+        node_codes = [(base + node, ((base + node) << _PEND_Q_SHIFT)
+                      | (node << _A_SRC_SHIFT)) for node in nodes]
         mc_codes = [node << _A_DST_SHIFT for node in mc]
 
         if rate is None:
             integers = stream.integers
 
             def feed() -> None:
-                cycle = mesh.cycle
-                if mesh._snap_cycle != cycle:
-                    mesh._snap = q_ln.tolist()
-                    mesh._snap_cycle = cycle
-                backlog = mesh._snap
+                backlog = snapshot()
                 for qi, code in node_codes:
                     have = backlog[qi]
                     while have < maxb:
@@ -857,73 +592,39 @@ class BatchedManyToFew:
             integers = stream.integers
 
             def feed() -> None:
-                cycle = mesh.cycle
-                if mesh._snap_cycle != cycle:
-                    mesh._snap = q_ln.tolist()
-                    mesh._snap_cycle = cycle
-                backlog = mesh._snap
+                backlog = snapshot()
                 for qi, code in node_codes:
                     if uniform() < rate and backlog[qi] < maxb:
                         append(code | mc_codes[integers(n_mc)])
 
             return feed
 
-        # inline the hot random() and integers() paths of _RawStream;
-        # the closure re-syncs the stream's cursor state on exit so the
-        # object stays usable stand-alone
-        threshold = (_U32 - (n_mc - 1)) % n_mc if n_mc > 1 else 0
-        mc0_code = mc_codes[0]
+        # inline the hot random() path of _RawStream (one list read per
+        # draw); the cursor is written back around each integers() call
+        # and on exit, so the stream object stays in step
+        integers = stream.integers
 
         def feed() -> None:
             pos = stream._pos
             dbl = stream._dbl
-            words = stream._words
             end = stream._len
-            has32 = stream._has32
-            buf32 = stream._buf32
-            cycle = mesh.cycle
-            if mesh._snap_cycle != cycle:
-                mesh._snap = q_ln.tolist()
-                mesh._snap_cycle = cycle
-            backlog = mesh._snap
+            backlog = snapshot()
             for qi, code in node_codes:
                 if pos == end:
                     stream._refill()
                     dbl = stream._dbl
-                    words = stream._words
                     pos = 0
                     end = stream._len
                 accept = dbl[pos] < rate
                 pos += 1
                 if accept and backlog[qi] < maxb:
-                    if n_mc == 1:
-                        dst = mc0_code  # integers(1) consumes nothing
-                    else:
-                        # numpy's buffered 32-bit Lemire sampler
-                        while True:
-                            if has32:
-                                has32 = False
-                                w32 = buf32
-                            else:
-                                if pos == end:
-                                    stream._refill()
-                                    dbl = stream._dbl
-                                    words = stream._words
-                                    pos = 0
-                                    end = stream._len
-                                word = words[pos]
-                                pos += 1
-                                buf32 = word >> 32
-                                has32 = True
-                                w32 = word & _U32
-                            m = w32 * n_mc
-                            if (m & _U32) >= threshold:
-                                break
-                        dst = mc_codes[m >> 32]
-                    append(code | dst)
+                    stream._pos = pos
+                    append(code | mc_codes[integers(n_mc)])
+                    # integers() may have refilled the block
+                    pos = stream._pos
+                    dbl = stream._dbl
+                    end = stream._len
             stream._pos = pos
-            stream._has32 = has32
-            stream._buf32 = buf32
 
         return feed
 

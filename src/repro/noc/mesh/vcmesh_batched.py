@@ -6,7 +6,9 @@ Fig 21/23-class sweep over VC counts x buffer depths x credit latencies
 x injection rates x seeds pays that interpreter once per grid point.
 This module simulates **the whole grid in lockstep** as flat NumPy
 arrays, one *lane* per grid point — the same struct-of-arrays design as
-:mod:`repro.noc.mesh.fastmesh`, extended along the VC axis:
+:mod:`repro.noc.mesh.fastmesh` (the two kernels share
+:mod:`repro.noc.mesh.lanes` and import nothing from each other),
+extended along the VC axis:
 
 * the global slot id is ``g = ((lane*n + node)*P + port)*V + vc`` with
   ``V`` the widest lane's VC count; per-slot capacity / credit-latency
@@ -26,11 +28,13 @@ arrays, one *lane* per grid point — the same struct-of-arrays design as
   start (the scalar pointer's ``port*num_vcs + vc`` order is the same
   order restricted to the lane's VCs), and age decodes a lone
   contender with ``frexp`` and compares B words otherwise;
-* injected packets are deferred and enqueued once per step: the flush
-  expands every packet into its flit train with ``np.repeat``, sets
-  HEAD/TAIL from each flit's offset, keeps inject order within each
-  source queue and grows the queues when needed.  Packet ids count up
-  in inject order, which is all the age arbiter's tie break needs;
+* injected packets are deferred and enqueued once per step by
+  :class:`repro.noc.mesh.lanes.SourceQueues` (shared with
+  :mod:`~repro.noc.mesh.fastmesh`): the flush expands every packet into
+  its flit train with ``np.repeat``, sets HEAD/TAIL from each flit's
+  offset, keeps inject order within each source queue and grows the
+  queues when needed.  Packet ids count up in inject order, which is
+  all the age arbiter's tie break needs;
 * delivery counters fold lazily from per-step ejection records; the
   accessors fold before they read.
 
@@ -39,7 +43,7 @@ and statistic-identical** to the scalar golden model, asserted per
 cycle by ``tests/test_vcmesh_equivalence.py`` (buffer occupancies,
 credit counters, delivery counters) and across random geometries by the
 registry fuzz harness.  Traffic replays the scalar draws through
-:func:`repro.noc.mesh.fastmesh.make_stream` on the identical
+:func:`repro.noc.mesh.lanes.make_stream` on the identical
 ``(seed, "shared-net", num_vcs)`` key.
 
 Entry points mirror the scalar experiment APIs and return the same
@@ -59,30 +63,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MeshConfigError
-from repro.noc.mesh.fastmesh import (_A_DST_SHIFT, _A_SRC_MASK,
-                                     _A_SRC_SHIFT, _F_HEAD, _F_REPLY,
-                                     _F_TAIL, _MAX_NODES, _NO_KEY,
-                                     make_stream)
 from repro.noc.mesh.flit import Packet, PacketKind
-from repro.noc.mesh.routing import Port, default_mc_nodes, xy_route
+from repro.noc.mesh.lanes import (_A_DST_SHIFT, _A_SRC_MASK, _A_SRC_SHIFT,
+                                  _EMPTY_I, _F_HEAD, _F_REPLY, _F_TAIL,
+                                  _MAX_NODES, _MAX_PACKET_FLITS, _NO_KEY,
+                                  _NUM_PORTS, _OPP, _PEND_Q_SHIFT,
+                                  _PEND_SIZE_SHIFT, SourceQueues,
+                                  make_stream, neighbor_nodes, route_table)
+from repro.noc.mesh.routing import default_mc_nodes
 from repro.noc.mesh.vc import SharedNetworkResult
-
-_NUM_PORTS = len(Port)
-_OPP = (0, 2, 1, 4, 3)          # LOCAL, EAST<->WEST, NORTH<->SOUTH
-_EMPTY_I = np.empty(0, dtype=np.int64)
 
 #: candidate bitmasks stay exact in float64 bincount weights up to here
 _MAX_VCS = 8
-
-# deferred packets are packed as ``queue << 43 | (size - 1) << 27 | A``
-# with the HEAD/TAIL bits of ``A`` clear: the flush expands each packet
-# into its flit train and sets them from each flit's offset
-_PEND_SIZE_SHIFT = 27
-_PEND_Q_SHIFT = 43
-_PEND_A_MASK = (1 << _PEND_SIZE_SHIFT) - 1
-_PEND_SIZE_MASK = (1 << (_PEND_Q_SHIFT - _PEND_SIZE_SHIFT)) - 1
-_MAX_PACKET_FLITS = _PEND_SIZE_MASK + 1
-_MAX_QUEUES = 1 << (63 - _PEND_Q_SHIFT)
 
 # steps of ejection records folded into the delivery counters at once:
 # exact at any value (integer counts); small enough that the record
@@ -141,8 +133,9 @@ class BatchedVCMesh:
         n = width * height
         if n > _MAX_NODES:
             raise MeshConfigError("mesh too large for the batched engine")
-        if batch * n > _MAX_QUEUES:
-            raise MeshConfigError("too many lanes for the batched engine")
+        # source queues (ring per node, flat over lanes); built first, as
+        # it rejects lane counts the deferred-enqueue code cannot pack
+        self._queues = SourceQueues(batch * n, source_capacity)
         self.width = width
         self.height = height
         self.batch = batch
@@ -211,23 +204,12 @@ class BatchedVCMesh:
         self._nbvc_f = gf - port_f * V
         self._cap_f = lane_cap.take(lane_f)
         self._bit_f = (1 << (port_f * V + vc_f)).astype(np.float64)
-        self._route_f = np.array(
-            [int(xy_route(node, dst, width))
-             for node in range(n) for dst in range(n)], dtype=np.int64)
+        self._route_f = route_table(width, height)
         self._rtbase_f = node_f * n
         # link map: slot (node, port, vc) <-> (nbr(node, port), OPP, vc)
         # — downstream input slot of an output channel AND upstream
         # output slot of an input channel (the link is symmetric)
-        nbr_node = np.full((n, P), -1, dtype=np.int64)
-        for node in range(n):
-            x, y = node % width, node // width
-            for port, dst in ((Port.EAST, node + 1 if x + 1 < width else -1),
-                              (Port.WEST, node - 1 if x > 0 else -1),
-                              (Port.SOUTH,
-                               node + width if y + 1 < height else -1),
-                              (Port.NORTH, node - width if y > 0 else -1)):
-                if dst >= 0:
-                    nbr_node[node, port] = dst
+        nbr_node = neighbor_nodes(width, height)
         opp = np.array(_OPP, dtype=np.int64)
         link = (nbr_node[node_f, port_f] * P * V
                 + opp.take(port_f) * V + vc_f)
@@ -261,18 +243,6 @@ class BatchedVCMesh:
         self._lats = np.unique(lane_lat)    # rows a cycle's credits hit
         self._cr_off = self._link_g + lane_lat.take(lane_f) * G
 
-        # ---- source queues (ring per node, flat over lanes) -------------
-        cap = max(2, int(source_capacity))
-        self._q_cap = cap
-        self._qf_a = np.zeros(B * n * cap, dtype=np.int64)
-        self._qf_b = np.zeros(B * n * cap, dtype=np.int64)
-        self._q_hd = np.zeros(B * n, dtype=np.int64)
-        self._q_ln = np.zeros(B * n, dtype=np.int64)
-        self._next_pid = 0
-        # deferred packets (packed ints in inject order), flushed in bulk
-        # before anything reads the queues
-        self._pend: list = []
-
         # ---- per-lane delivery statistics (folded lazily) ---------------
         self._d_count = np.zeros(B, dtype=np.int64)
         self._flits_delivered = np.zeros(B, dtype=np.int64)
@@ -290,85 +260,19 @@ class BatchedVCMesh:
         return self._n
 
     # ---- injection -------------------------------------------------------
-    def _grow_queues(self) -> None:
-        """Double source-queue capacity, normalising rings to head 0."""
-        cap = self._q_cap
-        queues = self.batch * self._n
-        order = ((self._q_hd[:, None] + np.arange(cap)) % cap
-                 + np.arange(queues, dtype=np.int64)[:, None] * cap)
-        for name in ("_qf_a", "_qf_b"):
-            old = getattr(self, name)
-            new = np.zeros(queues * cap * 2, dtype=np.int64)
-            new.reshape(queues, cap * 2)[:, :cap] = old.take(order)
-            setattr(self, name, new)
-        self._q_hd[:] = 0
-        self._q_cap = cap * 2
-
     def inject(self, lane: int, packet: Packet) -> None:
         """Queue one packet's flit train at its source on ``lane``."""
         if not 0 <= packet.src < self._n:
             raise MeshConfigError(f"source {packet.src} outside mesh")
         if not 0 <= packet.dst < self._n:
             raise MeshConfigError(f"destination {packet.dst} outside mesh")
-        if packet.size > _MAX_PACKET_FLITS:
-            raise MeshConfigError(
-                f"batched engine packets hold at most {_MAX_PACKET_FLITS} "
-                "flits")
-        self._pend.append(
-            ((lane * self._n + packet.src) << _PEND_Q_SHIFT)
-            | ((packet.size - 1) << _PEND_SIZE_SHIFT)
-            | (packet.dst << _A_DST_SHIFT) | (packet.src << _A_SRC_SHIFT)
+        self._queues.defer(
+            lane * self._n + packet.src, packet.size,
+            (packet.dst << _A_DST_SHIFT) | (packet.src << _A_SRC_SHIFT)
             | (_F_REPLY if packet.kind is PacketKind.REPLY else 0))
 
-    def _flush_pending(self) -> None:
-        """Enqueue the deferred packets' flit trains in one bulk scatter.
-
-        Packets keep their inject order within each source queue, and
-        packet ids count up in inject order (the age arbiter's tie
-        break; like the scalar model's ids they are unique across lanes),
-        whatever order the lanes and queues were appended in.
-        """
-        pend = self._pend
-        if not pend:
-            return
-        code = np.array(pend, dtype=np.int64)
-        del pend[:]
-        k = code.size
-        qid = code >> _PEND_Q_SHIFT
-        # queue-major, inject order within a queue
-        order = qid.argsort(kind="stable")
-        qid = qid.take(order)
-        code = code.take(order)
-        # age key B = (birth << 32) | pid; ids must stay below 2**32
-        # (a saturated 16-lane grid injects ~100 packets per cycle)
-        bword = order + ((self.cycle << 32) | self._next_pid)
-        self._next_pid += k
-        size = ((code >> _PEND_SIZE_SHIFT) & _PEND_SIZE_MASK) + 1
-        end = size.cumsum()
-        start = end - size
-        # flits queued ahead of each packet: the backlog plus the packets
-        # flushed before it into the same queue
-        ahead = (self._q_ln.take(qid) + start
-                 - start.take(qid.searchsorted(qid)))
-        while (ahead + size).max() > self._q_cap:
-            self._grow_queues()
-        cap = self._q_cap
-        # every flit's packet, and its ring slot: the packet's first
-        # free slot plus the flit's offset in the train
-        pk = np.arange(k, dtype=np.int64).repeat(size)
-        slot = ((self._q_hd.take(qid) + ahead - start).take(pk)
-                + np.arange(pk.size, dtype=np.int64)) % cap \
-            + (qid * cap).take(pk)
-        a = (code & _PEND_A_MASK).take(pk)
-        a[start] |= _F_HEAD
-        a[end - 1] |= _F_TAIL
-        self._qf_a[slot] = a
-        self._qf_b[slot] = bword.take(pk)
-        self._q_ln += np.bincount(qid, size, self._q_ln.size).astype(np.int64)
-
     def source_backlog(self, lane: int, node: int) -> int:
-        self._flush_pending()
-        return int(self._q_ln[lane * self._n + node])
+        return self._queues.backlog(lane * self._n + node)
 
     def add_sink(self, lane: int, node: int, callback) -> None:
         """``callback(DeliveredPacket, cycle)`` per ejected tail there."""
@@ -566,15 +470,16 @@ class BatchedVCMesh:
         # ---- injection: one flit per node per cycle into LOCAL ---------
         # (forwards only target ports 1-4, so this check sees exactly the
         # scalar engine's post-pop LOCAL state)
-        self._flush_pending()
-        q_ln = self._q_ln
+        queues = self._queues
+        queues.flush(cycle)
+        q_ln = queues.ln
         iq = (q_ln != 0).nonzero()[0]
         ig = _EMPTY_I
         if iq.size:
-            cap = self._q_cap
-            qh = self._q_hd.take(iq)
+            cap = queues.cap
+            qh = queues.hd.take(iq)
             qi = iq * cap + qh
-            i_a = self._qf_a.take(qi)
+            i_a = queues.a.take(qi)
             # LOCAL input slot of the head flit's class VC on its lane
             lg = np.where((i_a & _F_REPLY) != 0, self._q_reply.take(iq),
                           self._q_local.take(iq))
@@ -584,8 +489,8 @@ class BatchedVCMesh:
                 qi = qi.take(can)
                 i_a = i_a.take(can)
                 ig = lg.take(can)
-                i_b = self._qf_b.take(qi)
-                self._q_hd[iq] = (qh.take(can) + 1) % cap
+                i_b = queues.b.take(qi)
+                queues.hd[iq] = (qh.take(can) + 1) % cap
                 q_ln[iq] -= 1
 
         # ---- merged push: forwards (ports 1-4) + injections (LOCAL) ----
@@ -671,8 +576,8 @@ class _SharedNetLane:
                    for mc in mc_nodes]
         n_mc = len(mc_nodes)
         reply_limit = 2 * reply_flits
-        append = mesh._pend.append
-        extend = mesh._pend.extend
+        append = mesh._queues.pend.append
+        extend = mesh._queues.pend.extend
         uniform = stream.random
         integers = stream.integers
 
@@ -755,7 +660,7 @@ def batched_vc_points(points, *, width: int = 6, height: int = 6,
     serviced = [0] * len(grid)
     in_window = [0] * len(grid)
     samples: list = [[] for _ in grid]
-    q_ln = mesh._q_ln
+    q_ln = mesh._queues.ln
     step = mesh.step
 
     for cycle in range(cycles):

@@ -45,7 +45,6 @@ def test_describe_is_json_catalogue():
 
 def test_resolve_fills_domain_default():
     assert engines.resolve("mesh", None) == "batched"
-    assert engines.resolve("mesh", None, default="scalar") == "scalar"
     assert engines.resolve("mesh", "scalar") == "scalar"
 
 

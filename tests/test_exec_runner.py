@@ -60,14 +60,17 @@ def test_device_payload_round_trip(tiny):
 def test_latency_matrix_jobs_identity(v100):
     from repro.core.latency_bench import measured_latency_matrix
     sms = list(range(20))                  # 3 shards of (8, 8, 4)
-    one = measured_latency_matrix(v100, sms=sms, samples=1, jobs=1)
-    two = measured_latency_matrix(v100, sms=sms, samples=1, jobs=2)
-    four = measured_latency_matrix(v100, sms=sms, samples=1, jobs=4)
+    one = measured_latency_matrix(v100, sms=sms, samples=1, jobs=1,
+                                  engine="scalar")
+    two = measured_latency_matrix(v100, sms=sms, samples=1, jobs=2,
+                                  engine="scalar")
+    four = measured_latency_matrix(v100, sms=sms, samples=1, jobs=4,
+                                   engine="scalar")
     assert np.array_equal(one, two)
     assert np.array_equal(one, four)
     assert one.shape == (20, v100.num_slices)
     # legacy serial semantics (shared device) keeps shape and magnitude
-    legacy = measured_latency_matrix(v100, sms=sms, samples=1)
+    legacy = measured_latency_matrix(v100, sms=sms, samples=1, engine="scalar")
     assert legacy.shape == one.shape
     assert np.allclose(legacy.mean(), one.mean(), rtol=0.1)
 
@@ -75,9 +78,11 @@ def test_latency_matrix_jobs_identity(v100):
 def test_bandwidth_distribution_jobs_identity(v100):
     from repro.core.bandwidth_bench import slice_bandwidth_distribution
     sms = list(range(12))
-    serial = slice_bandwidth_distribution(v100, 0, sms=sms)
-    one = slice_bandwidth_distribution(v100, 0, sms=sms, jobs=1)
-    two = slice_bandwidth_distribution(v100, 0, sms=sms, jobs=2)
+    serial = slice_bandwidth_distribution(v100, 0, sms=sms, engine="scalar")
+    one = slice_bandwidth_distribution(v100, 0, sms=sms, jobs=1,
+                                       engine="scalar")
+    two = slice_bandwidth_distribution(v100, 0, sms=sms, jobs=2,
+                                       engine="scalar")
     # the flow solver is stateless: all three paths agree exactly
     assert np.array_equal(serial, one)
     assert np.array_equal(one, two)
@@ -87,8 +92,10 @@ def test_saturation_curve_jobs_identity(v100):
     from repro.core.bandwidth_bench import slice_saturation_curve
     sms = v100.hier.sms_in_gpc(0)
     counts = [1, 4, len(sms)]
-    serial = slice_saturation_curve(v100, 0, sms, counts=counts)
-    pooled = slice_saturation_curve(v100, 0, sms, counts=counts, jobs=2)
+    serial = slice_saturation_curve(v100, 0, sms, counts=counts,
+                                    engine="scalar")
+    pooled = slice_saturation_curve(v100, 0, sms, counts=counts, jobs=2,
+                                    engine="scalar")
     assert serial == pooled
     assert list(serial) == counts
 

@@ -34,7 +34,7 @@ from repro.noc.mesh.fastmesh import (
     batched_reply_bottleneck,
     batched_sweep_load,
 )
-from repro.noc.mesh.flit import Packet
+from repro.noc.mesh.flit import Packet, PacketKind
 from repro.noc.mesh.interfaces import run_reply_bottleneck
 from repro.noc.mesh.loadcurve import sweep_load
 from repro.noc.mesh.routing import default_mc_nodes
@@ -196,6 +196,49 @@ def test_multiflit_wormhole_matches(arbiter):
         batched.step()
         assert_stats_equal(scalar, batched)
     assert scalar.flits_delivered > len(schedule)   # multi-flit packets landed
+
+
+@pytest.mark.parametrize("arbiter", ["rr", "age"])
+def test_lockstep_bursts_bulk_flush(arbiter):
+    """The burst schedule of ``tests/test_vcmesh_equivalence.py`` on
+
+    ``BatchedMesh``, compared with one ``one_vc_mesh`` per lane at every
+    cycle: 1-3 packets per source per cycle, sources in a fresh random
+    node order each cycle with the lanes interleaved (one deferred flush
+    holds several packets per queue, appended out of lane and queue
+    order), 1- and 4-flit packets in one flush, source queues that start
+    at two flits, and backlog reads between same-cycle injects."""
+    width, height, lanes = 3, 3, 3
+    scalars = [one_vc_mesh(width, height, buffer_flits=3,
+                           arbiter_kind=arbiter) for _ in range(lanes)]
+    batched = BatchedMesh(width, height, batch=lanes, buffer_flits=3,
+                          arbiter_kinds=arbiter, source_capacity=2)
+    n = width * height
+    gen = np.random.default_rng(11)
+    for cycle in range(150):
+        for node in gen.permutation(n).tolist():
+            for lane, scalar in enumerate(scalars):
+                if scalar.source_backlog(node) >= 12:
+                    continue
+                for _ in range(int(gen.integers(0, 4))):
+                    dst = int(gen.integers(n - 1))
+                    dst += dst >= node
+                    reply = gen.random() < 0.5
+                    size = 4 if gen.random() < 0.4 else 1
+                    scalar.inject(Packet(src=node, dst=dst, size=size,
+                                         kind=(PacketKind.REPLY if reply
+                                               else PacketKind.REQUEST)))
+                    batched.inject(lane, node, dst, size, reply=reply)
+                    if gen.random() < 0.2:
+                        assert scalar.source_backlog(node) == \
+                            batched.source_backlog(lane, node), (cycle, lane)
+        for scalar in scalars:
+            scalar.step()
+        batched.step()
+        for lane, scalar in enumerate(scalars):
+            assert_stats_equal(scalar, batched, lane=lane)
+            assert scalar.source_backlog(0) == \
+                batched.source_backlog(lane, 0), (cycle, lane)
 
 
 # ---------------------------------------------------------------------------

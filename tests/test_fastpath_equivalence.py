@@ -18,7 +18,6 @@ from repro.core.bandwidth_bench import (aggregate_l2_bandwidth,
                                         single_sm_slice_bandwidth,
                                         slice_bandwidth_distribution,
                                         slice_saturation_curve)
-from repro.core.fastpath import resolve_engine
 from repro.core.fastpath.latency import structural_latency_matrix
 from repro.core.fastpath.noise import DRAW_CHUNK, NoiseBank, get_bank
 from repro.core.latency_bench import measured_latency_matrix
@@ -37,20 +36,53 @@ def device_pair(spec, seed):
 
 # ------------------------------------------------------------- engine arg
 
-def test_resolve_engine():
-    assert resolve_engine(None) == "scalar"
-    assert resolve_engine("scalar") == "scalar"
-    assert resolve_engine("vectorized") == "vectorized"
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        resolve_engine("turbo")
-
-
 def test_measurement_apis_reject_unknown_engine():
     gpu = SimulatedGPU("V100", seed=0)
     with pytest.raises(ConfigurationError):
         measured_latency_matrix(gpu, sms=[0], engine="turbo")
     with pytest.raises(ConfigurationError):
         slice_bandwidth_distribution(gpu, 0, sms=[0], engine="turbo")
+
+
+def test_scalar_engine_never_reaches_the_fast_path(monkeypatch):
+    """``engine="scalar"`` must run the golden model on every path.
+
+    Every public fast-path entry point raises here, so an inner call
+    that drops the engine and falls back to the (vectorized) default
+    fails instead of silently comparing the fast path with itself.
+    ``jobs=1`` runs the shard workers inline, covering the sharded
+    code on the calling process.
+    """
+    import inspect
+
+    from repro.core.fastpath import bandwidth, latency
+    from repro.core.latency_bench import latency_profile
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("engine='scalar' reached the fast path")
+
+    for module in (bandwidth, latency):
+        for name, fn in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                monkeypatch.setattr(module, name, forbidden)
+
+    gpu = SimulatedGPU("V100", seed=0)
+    pool = [0, 5, 9]
+    latency_profile(gpu, 0, samples=1, engine="scalar")
+    gpu.latency.latency_matrix(sms=pool, engine="scalar")
+    for jobs in (None, 1):
+        measured_latency_matrix(gpu, sms=pool, slices=[0, 3], samples=1,
+                                jobs=jobs, engine="scalar")
+        slice_bandwidth_distribution(gpu, 2, sms=pool, jobs=jobs,
+                                     engine="scalar")
+        slice_saturation_curve(gpu, 0, pool, counts=[1, 3], jobs=jobs,
+                               engine="scalar")
+    single_sm_slice_bandwidth(gpu, 4, 3, engine="scalar")
+    group_to_slice_bandwidth(gpu, pool, 0, engine="scalar")
+    aggregate_l2_bandwidth(gpu, engine="scalar")
+    aggregate_memory_bandwidth(gpu, engine="scalar")
+    measure_speedups(gpu, engine="scalar")
 
 
 # ------------------------------------------------------------ noise bank
@@ -109,7 +141,8 @@ def test_structural_matrix_memory_bound():
 def test_latency_matrix_bit_identical(spec, seed):
     g_scalar, g_fast = device_pair(spec, seed)
     sms = range(0, g_scalar.num_sms, 7)
-    a = measured_latency_matrix(g_scalar, sms=sms, samples=2)
+    a = measured_latency_matrix(g_scalar, sms=sms, samples=2,
+                                engine="scalar")
     b = measured_latency_matrix(g_fast, sms=sms, samples=2,
                                 engine="vectorized")
     assert (a == b).all()
@@ -117,7 +150,7 @@ def test_latency_matrix_bit_identical(spec, seed):
 
 def test_full_v100_matrix_and_device_state():
     g_scalar, g_fast = device_pair("V100", 0)
-    a = measured_latency_matrix(g_scalar, samples=2)
+    a = measured_latency_matrix(g_scalar, samples=2, engine="scalar")
     b = measured_latency_matrix(g_fast, samples=2, engine="vectorized")
     assert (a == b).all()
     # the vectorized engine replays the golden path's side effects
@@ -135,8 +168,10 @@ def test_interleaved_engines_share_one_stream():
     g_mixed, g_scalar = device_pair("V100", 3)
     first = measured_latency_matrix(g_mixed, sms=[0, 1], samples=2,
                                     engine="vectorized")
-    second = measured_latency_matrix(g_mixed, sms=[2, 3], samples=2)
-    ref = measured_latency_matrix(g_scalar, sms=[0, 1, 2, 3], samples=2)
+    second = measured_latency_matrix(g_mixed, sms=[2, 3], samples=2,
+                                     engine="scalar")
+    ref = measured_latency_matrix(g_scalar, sms=[0, 1, 2, 3], samples=2,
+                                  engine="scalar")
     assert (np.vstack([first, second]) == ref).all()
 
 
@@ -144,7 +179,8 @@ def test_sliced_and_shuffled_requests():
     g_scalar, g_fast = device_pair("A100", 1)
     sms = [17, 3, 40, 8]
     slices = [31, 0, 12, 5, 19]
-    a = measured_latency_matrix(g_scalar, sms=sms, slices=slices, samples=3)
+    a = measured_latency_matrix(g_scalar, sms=sms, slices=slices, samples=3,
+                                engine="scalar")
     b = measured_latency_matrix(g_fast, sms=sms, slices=slices, samples=3,
                                 engine="vectorized")
     assert (a == b).all()
@@ -152,7 +188,8 @@ def test_sliced_and_shuffled_requests():
 
 def test_sharded_jobs_parity():
     g_scalar, g_fast = device_pair("V100", 0)
-    a = measured_latency_matrix(g_scalar, sms=range(20), samples=2, jobs=1)
+    a = measured_latency_matrix(g_scalar, sms=range(20), samples=2, jobs=1,
+                                engine="scalar")
     b = measured_latency_matrix(g_fast, sms=range(20), samples=2, jobs=1,
                                 engine="vectorized")
     assert (a == b).all()
@@ -162,7 +199,7 @@ def test_structural_matrix_parity():
     for spec in SPECS:
         gpu = SimulatedGPU(spec, seed=5)
         for hit in (True, False):
-            a = gpu.latency.latency_matrix(hit=hit)
+            a = gpu.latency.latency_matrix(hit=hit, engine="scalar")
             b = gpu.latency.latency_matrix(hit=hit, engine="vectorized")
             assert (a == b).all()
 
@@ -174,7 +211,7 @@ def test_structural_matrix_parity():
 def test_bandwidth_distribution_bit_identical(spec, seed):
     g_scalar, g_fast = device_pair(spec, seed)
     sms = range(0, g_scalar.num_sms, 5)
-    a = slice_bandwidth_distribution(g_scalar, 2, sms=sms)
+    a = slice_bandwidth_distribution(g_scalar, 2, sms=sms, engine="scalar")
     b = slice_bandwidth_distribution(g_fast, 2, sms=sms,
                                      engine="vectorized")
     assert (a == b).all()
@@ -183,19 +220,20 @@ def test_bandwidth_distribution_bit_identical(spec, seed):
 def test_bandwidth_point_and_group_parity():
     for spec in SPECS:
         g_scalar, g_fast = device_pair(spec, 7)
-        assert single_sm_slice_bandwidth(g_scalar, 4, 3) \
+        assert single_sm_slice_bandwidth(g_scalar, 4, 3, engine="scalar") \
             == single_sm_slice_bandwidth(g_fast, 4, 3, engine="vectorized")
         gpc0 = g_scalar.hier.sms_in_gpc(0)
-        assert group_to_slice_bandwidth(g_scalar, gpc0, 0) \
+        assert group_to_slice_bandwidth(g_scalar, gpc0, 0,
+                                        engine="scalar") \
             == group_to_slice_bandwidth(g_fast, gpc0, 0,
                                         engine="vectorized")
 
 
 def test_aggregate_bandwidth_parity():
     g_scalar, g_fast = device_pair("V100", 0)
-    assert aggregate_l2_bandwidth(g_scalar) \
+    assert aggregate_l2_bandwidth(g_scalar, engine="scalar") \
         == aggregate_l2_bandwidth(g_fast, engine="vectorized")
-    assert aggregate_memory_bandwidth(g_scalar) \
+    assert aggregate_memory_bandwidth(g_scalar, engine="scalar") \
         == aggregate_memory_bandwidth(g_fast, engine="vectorized")
 
 
@@ -203,7 +241,8 @@ def test_saturation_curve_parity():
     g_scalar, g_fast = device_pair("A100", 2)
     pool = g_scalar.hier.sms_in_partition(0)
     counts = [1, 2, len(pool) // 2, len(pool)]
-    a = slice_saturation_curve(g_scalar, 0, pool, counts=counts)
+    a = slice_saturation_curve(g_scalar, 0, pool, counts=counts,
+                               engine="scalar")
     b = slice_saturation_curve(g_fast, 0, pool, counts=counts,
                                engine="vectorized")
     assert a == b
@@ -212,7 +251,7 @@ def test_saturation_curve_parity():
 def test_speedup_table_parity():
     for spec in SPECS:
         g_scalar, g_fast = device_pair(spec, 0)
-        assert measure_speedups(g_scalar) \
+        assert measure_speedups(g_scalar, engine="scalar") \
             == measure_speedups(g_fast, engine="vectorized")
 
 
@@ -232,11 +271,11 @@ def test_random_submatrix_parity(data):
         min_size=1, max_size=6, unique=True))
     samples = data.draw(st.integers(min_value=1, max_value=4))
     a = measured_latency_matrix(g_scalar, sms=sms, slices=slices,
-                                samples=samples)
+                                samples=samples, engine="scalar")
     b = measured_latency_matrix(g_fast, sms=sms, slices=slices,
                                 samples=samples, engine="vectorized")
     assert (a == b).all()
     sm = data.draw(st.sampled_from(sms))
     s = data.draw(st.sampled_from(slices))
-    assert single_sm_slice_bandwidth(g_scalar, sm, s) \
+    assert single_sm_slice_bandwidth(g_scalar, sm, s, engine="scalar") \
         == single_sm_slice_bandwidth(g_fast, sm, s, engine="vectorized")

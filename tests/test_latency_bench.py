@@ -45,7 +45,7 @@ def test_samples_validation(v100_fresh):
 
 def test_matrix_shape(v100_fresh):
     m = measured_latency_matrix(v100_fresh, sms=[0, 1, 2], slices=[0, 1],
-                                samples=1)
+                                samples=1, engine="scalar")
     assert m.shape == (3, 2)
 
 

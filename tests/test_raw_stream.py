@@ -1,4 +1,4 @@
-"""Raw-word replay of the traffic RNG (``fastmesh._RawStream``).
+"""Raw-word replay of the traffic RNG (``lanes._RawStream``).
 
 The batched mesh kernels draw their traffic from :class:`_RawStream`,
 which replays ``Generator.random()`` and ``Generator.integers(n)`` from
@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro import rng
-from repro.noc.mesh import fastmesh
-from repro.noc.mesh.fastmesh import _GeneratorStream, _RawStream, make_stream
+from repro.noc.mesh import lanes
+from repro.noc.mesh.lanes import _GeneratorStream, _RawStream, make_stream
 from repro.noc.mesh.vc import sweep_vc_grid
 
 BOUNDS = (1, 2, 3, 6, 3_000_000_000)
@@ -25,7 +25,7 @@ BLOCK = 7       # a small block forces many refills at odd offsets
 
 @pytest.fixture
 def small_block(monkeypatch):
-    monkeypatch.setattr(fastmesh, "_RAW_BLOCK", BLOCK)
+    monkeypatch.setattr(lanes, "_RAW_BLOCK", BLOCK)
 
 
 def _draw(stream, op):
@@ -83,10 +83,10 @@ def _grid_bytes() -> bytes:
 
 
 def test_generator_fallback_is_bit_identical(monkeypatch):
-    monkeypatch.setattr(fastmesh, "_STREAM_CLS", None)
+    monkeypatch.setattr(lanes, "_STREAM_CLS", None)
     assert type(make_stream(0, "shared-net", 1)) is _RawStream
     fast = _grid_bytes()
-    monkeypatch.setattr(fastmesh, "_STREAM_CLS", None)
-    monkeypatch.setattr(fastmesh, "_raw_stream_matches", lambda: False)
+    monkeypatch.setattr(lanes, "_STREAM_CLS", None)
+    monkeypatch.setattr(lanes, "_raw_stream_matches", lambda: False)
     assert type(make_stream(0, "shared-net", 1)) is _GeneratorStream
     assert _grid_bytes() == fast

@@ -443,6 +443,9 @@ def flaky_server():
     thread.start()
     yield port, handler
     done.set()
+    # closing alone leaves the thread blocked in accept() until the
+    # join times out; shutting the socket down wakes it at once
+    listener.shutdown(socket.SHUT_RDWR)
     listener.close()
     thread.join(timeout=5)
 

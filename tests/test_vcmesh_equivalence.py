@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, MeshConfigError
 from repro.exec import SweepRunner
+from repro.noc.mesh.fastmesh import BatchedMesh
 from repro.noc.mesh.flit import Packet, PacketKind
 from repro.noc.mesh.vc import (VCMesh, run_shared_network_experiment,
                                sweep_vc_grid)
@@ -83,8 +84,8 @@ def lockstep_bursts(width, height, cfgs, cycles, traffic_seed, arbiter):
     of lane and queue order (packet ids, the age tie break, follow
     inject order, not queue order); 1- and 4-flit packets mix in one
     flush; the batched source queues start at two flits, so flushes
-    must grow them; and backlog reads between same-cycle injects flush
-    part of a cycle's packets early.
+    must grow them; and backlog reads between same-cycle injects must
+    count the packets still deferred.
     """
     scalars = [VCMesh(width, height, num_vcs=v, buffer_flits=d,
                       credit_latency=la, arbiter_kind=arbiter)
@@ -255,6 +256,11 @@ def test_batched_packing_limits():
     with pytest.raises(MeshConfigError, match="too many lanes"):
         BatchedVCMesh(64, 64, num_vcs=(1,) * 257, buffer_flits=2,
                       credit_latency=1)
+    # the one-VC kernel defers its packets in the same code
+    with pytest.raises(MeshConfigError, match="at most"):
+        BatchedMesh(3, 3, batch=1).inject(0, 0, 1, too_long)
+    with pytest.raises(MeshConfigError, match="too many lanes"):
+        BatchedMesh(64, 64, batch=257)
 
 
 @pytest.mark.parametrize("reply_flits", [0, -3])
