@@ -24,7 +24,11 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   one section per kernel, as the pool plan's two units (bottleneck,
   then the fairness pair) and as the in-process report's one fused
   4-lane lockstep run; min of 3 each, bit-identity of the metrics
-  verified.  No floor: ``cpu_count`` is part of the record.
+  verified.  No floor: ``cpu_count`` is part of the record;
+* ``cold_device_request`` — the serve-cold request shape: a fresh V100
+  device per seed measuring an 8-SM latency matrix on the default
+  engine, per-request ms (median), with bit-identity against the scalar
+  engine at one seed.  No floor: ``cpu_count`` is part of the record.
 """
 
 from __future__ import annotations
@@ -195,6 +199,35 @@ def report_mesh_timings(repeats: int = 3) -> dict:
     return record
 
 
+def cold_device_request_timings(requests: int = 200,
+                                base_seed: int = 10_000_000) -> dict:
+    """Per-request cost of a cold device measurement (serve-cold shape)."""
+    import statistics
+
+    from repro.core.latency_bench import measured_latency_matrix
+
+    sms = list(range(8))
+
+    def request(seed, engine=None):
+        gpu = SimulatedGPU("V100", seed=seed)
+        return measured_latency_matrix(gpu, sms=sms, samples=2,
+                                       engine=engine)
+
+    request(base_seed - 1)                      # imports, first-use state
+    times = []
+    for seed in range(base_seed, base_seed + requests):
+        start = time.perf_counter()
+        request(seed)
+        times.append(time.perf_counter() - start)
+    return {
+        "gpu": "V100", "sms": len(sms), "samples": 2, "requests": requests,
+        "per_request_ms": statistics.median(times) * 1e3,
+        "bit_identical": bool((request(base_seed)
+                               == request(base_seed, "scalar")).all()),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def collect() -> dict:
     return {
         "cpu_count": os.cpu_count(),
@@ -203,6 +236,7 @@ def collect() -> dict:
         "vectorized_engine": vectorized_engine_timings(),
         "fastmesh_engine": fastmesh_engine_timings(),
         "report_mesh": report_mesh_timings(),
+        "cold_device_request": cold_device_request_timings(),
     }
 
 
@@ -219,6 +253,7 @@ def bench_perf_engine(benchmark):
     assert mesh["bit_identical"]
     assert mesh["speedup"] >= 5.0
     assert record["report_mesh"]["bit_identical"]
+    assert record["cold_device_request"]["bit_identical"]
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import units
+from repro import rng, units
 from repro.core.fastpath.latency import _geometry, _structural_base
 from repro.core.fastpath.noise import get_bank
 from repro.errors import ConfigurationError, SolverError
@@ -43,8 +43,8 @@ def _slice_capacities(topology, services) -> dict:
     todo = [s for s in services if s not in cache]
     if todo:
         spec = topology.spec
-        draws = get_bank().batch_normal(
-            topology.seed, [("slice-bw", s) for s in todo],
+        draws = get_bank().batch_normal_texts(
+            rng.render_keys(topology.seed, ("slice-bw", rng.COLUMN), todo),
             spec.slice_bw_sigma_gbps)
         for s, jit in zip(todo, draws.tolist()):
             cache[s] = max(spec.slice_bw_gbps + jit,

@@ -12,48 +12,34 @@ access sequence, so interleaving engines on one device never diverges.
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 import numpy as np
 
+from repro import rng
 from repro.core.fastpath.noise import DRAW_CHUNK, get_bank
 from repro.errors import ConfigurationError, LaunchError
+from repro.gpu.hierarchy import component_ids
+from repro.gpu.layout import LayoutArrays, spec_layout
+from repro.memory.address import AddressHasher
 from repro.runtime.device_api import (ISSUE_SLOT_CYCLES,
                                       MEM_ISSUE_OVERHEAD_CYCLES)
 
 
-class _Geometry:
-    """Array form of hierarchy + floorplan facts, cached per model, with
-    the model's [SM x slice] route-offset table (NaN until drawn)."""
-
-    def __init__(self, model):
-        spec, hier, fp = model.spec, model.hier, model.floorplan
-        sm_infos = [hier.sm_info(sm) for sm in range(spec.num_sms)]
-        sl_infos = [hier.slice_info(s) for s in range(spec.num_slices)]
-        self.sm_x = np.array([p.x for p in fp._sm_pos])
-        self.sm_y = np.array([p.y for p in fp._sm_pos])
-        self.sm_tpc = np.array([i.tpc for i in sm_infos])
-        self.sm_gpc = np.array([i.gpc for i in sm_infos])
-        self.sm_cpc = np.array([i.cpc for i in sm_infos])
-        self.sm_part = np.array([i.partition for i in sm_infos])
-        self.sl_x = np.array([p.x for p in fp._slice_pos])
-        self.sl_y = np.array([p.y for p in fp._slice_pos])
-        self.sl_part = np.array([i.partition for i in sl_infos])
-        self.sl_mp = np.array([i.mp for i in sl_infos])
-        self.part_first = np.array(
-            [p * spec.slices_per_partition
-             for p in range(spec.num_partitions)])
-        self.bridge = fp.bridge_point
-        self.route_offsets = np.full((spec.num_sms, spec.num_slices),
-                                     np.nan)
+def _geometry(model) -> LayoutArrays:
+    """The spec's shared hierarchy + floorplan arrays."""
+    return spec_layout(model.spec).arrays
 
 
-def _geometry(model) -> _Geometry:
-    geo = getattr(model, "_fastpath_geometry", None)
-    if geo is None:
-        geo = _Geometry(model)
-        model._fastpath_geometry = geo
-    return geo
+def _route_table(model) -> np.ndarray:
+    """The model's [SM x slice] route-offset table (NaN until drawn):
+    offsets depend on the seed, so the table lives on the model."""
+    table = getattr(model, "_fastpath_route_offsets", None)
+    if table is None:
+        spec = model.spec
+        table = np.full((spec.num_sms, spec.num_slices), np.nan)
+        model._fastpath_route_offsets = table
+    return table
 
 
 def _service_matrix(model, sm_idx: np.ndarray, sl_idx: np.ndarray,
@@ -124,35 +110,42 @@ def _miss_penalty(model, sm_idx: np.ndarray, sl_idx: np.ndarray,
     return penalty
 
 
-def _route_keys(tag: str, codes: np.ndarray, num_slices: int):
-    """``(tag, code // num_slices, code % num_slices)`` draw keys, made
-    :data:`DRAW_CHUNK` codes at a time (never one list per device)."""
-    for start in range(0, len(codes), DRAW_CHUNK):
-        major, minor = np.divmod(codes[start:start + DRAW_CHUNK], num_slices)
-        yield from zip(itertools.repeat(tag), major.tolist(), minor.tolist())
+#: Key shape of the measurement-jitter streams (the route-offset shape
+#: is ``(tag, group, service slice)``; see :func:`repro.rng.render_keys`).
+_MEASURE_SHAPE = ("measure", rng.COLUMN, rng.COLUMN, True, (0, rng.COLUMN))
+
+
+def _draw(seed: int, sigma: float, shape: tuple, *columns) -> np.ndarray:
+    """One keyed jitter draw per row of ``shape`` keys, rendered and drawn
+    :data:`DRAW_CHUNK` rows at a time (never one text list per device)."""
+    bank = get_bank()
+    parts = [bank.batch_normal_texts(
+        rng.render_keys(seed, shape,
+                        *(c[start:start + DRAW_CHUNK] for c in columns)),
+        sigma) for start in range(0, len(columns[0]), DRAW_CHUNK)]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _route_offsets(model, sm_idx: np.ndarray,
                    service: np.ndarray) -> np.ndarray:
     """[n x m] ``LatencyModel._route_offset`` values.
 
-    Each (SM, service slice) offset is drawn once per model into the
-    geometry's table, from the same keyed streams and in the same
+    Each (SM, service slice) offset is drawn once per model into its
+    route table, from the same keyed streams and in the same
     SM + GPC (+ CPC) addition order as the scalar model.
     """
     spec = model.spec
     geo = _geometry(model)
+    table = _route_table(model)
     num_slices = spec.num_slices
     rows = np.asarray(sm_idx)[:, None]
-    offsets = geo.route_offsets[rows, service]
+    offsets = table[rows, service]
     todo = np.isnan(offsets)
     if todo.any():
         codes = np.unique((rows * num_slices + service)[todo])
         sms, svs = np.divmod(codes, num_slices)
-        bank = get_bank()
-        off = bank.batch_normal(model.seed,
-                                _route_keys("route-sm", codes, num_slices),
-                                spec.sm_route_sigma_cycles)
+        off = _draw(model.seed, spec.sm_route_sigma_cycles,
+                    ("route-sm", rng.COLUMN, rng.COLUMN), sms, svs)
         levels = [("route-gpc", geo.sm_gpc, spec.gpc_route_sigma_cycles)]
         if spec.cpc_route_sigma_cycles and spec.tpcs_per_cpc:
             levels.append(("route-cpc", geo.sm_cpc,
@@ -160,11 +153,11 @@ def _route_offsets(model, sm_idx: np.ndarray,
         for tag, group_of, sigma in levels:
             groups, inverse = np.unique(group_of[sms] * num_slices + svs,
                                         return_inverse=True)
-            off = off + bank.batch_normal(
-                model.seed, _route_keys(tag, groups, num_slices),
-                sigma)[inverse]
-        geo.route_offsets[sms, svs] = off
-        offsets = geo.route_offsets[rows, service]
+            off = off + _draw(model.seed, sigma,
+                              (tag, rng.COLUMN, rng.COLUMN),
+                              *np.divmod(groups, num_slices))[inverse]
+        table[sms, svs] = off
+        offsets = table[rows, service]
     return offsets
 
 
@@ -178,32 +171,33 @@ def structural_latency_matrix(model, sms=None, slices=None,
     return total
 
 
+@functools.lru_cache(maxsize=8)
+def _first_addresses(num_slices: int, line_bytes: int, fold_bits: int,
+                     mode: str) -> tuple:
+    """({slice: first address homing to it}, scanned bytes) for one
+    hasher geometry: the scan is pure, so devices share it."""
+    hasher = AddressHasher(num_slices, line_bytes, fold_bits, mode)
+    limit = 1 * num_slices * line_bytes * 8
+    grid = np.arange(0, limit, line_bytes, dtype=np.uint64)
+    found, first = np.unique(hasher.slice_of_array(grid), return_index=True)
+    return dict(zip(found.tolist(), grid[first].tolist())), limit
+
+
 def slice_address_table(memory, slices) -> list:
     """First address homing to each requested slice (vectorized M[s] scan).
 
     Bit-equal to ``AddressHasher.addresses_for_slice(s, 1)[0]`` including
-    its failure mode, and cached on the hasher (the scan is pure).
+    its failure mode, and memoized per hasher geometry.
     """
     hasher = memory.hasher
-    cache = getattr(hasher, "_fastpath_first_address", None)
-    if cache is None:
-        cache = {}
-        hasher._fastpath_first_address = cache
-    todo = [s for s in slices if s not in cache]
-    if todo:
-        num_slices = hasher.num_slices
-        line_bytes = hasher.line_bytes
-        limit = 1 * num_slices * line_bytes * 8
-        grid = np.arange(0, limit, line_bytes, dtype=np.uint64)
-        homes = hasher.slice_of_array(grid)
-        for s in todo:
-            matches = np.flatnonzero(homes == s)
-            if matches.size == 0:
-                raise ConfigurationError(
-                    f"only found 0/1 addresses for slice {s} "
-                    f"in a {limit}-byte region")
-            cache[s] = int(grid[matches[0]])
-    return [cache[s] for s in slices]
+    first, limit = _first_addresses(hasher.num_slices, hasher.line_bytes,
+                                    hasher.fold_bits, hasher.mode)
+    for s in slices:
+        if s not in first:
+            raise ConfigurationError(
+                f"only found 0/1 addresses for slice {s} "
+                f"in a {limit}-byte region")
+    return [first[s] for s in slices]
 
 
 def vectorized_latency_matrix(gpu, sms=None, slices=None,
@@ -216,28 +210,28 @@ def vectorized_latency_matrix(gpu, sms=None, slices=None,
     """
     if samples <= 0:
         raise LaunchError("samples must be positive")
-    sms = list(sms) if sms is not None else gpu.hier.all_sms
-    slices = list(slices) if slices is not None else gpu.hier.all_slices
+    sms = component_ids(sms) if sms is not None else gpu.hier.all_sms
+    slices = (component_ids(slices) if slices is not None
+              else gpu.hier.all_slices)
     memory = gpu.memory
     model = memory.latency
     spec = gpu.spec
     addresses = slice_address_table(memory, slices)
     n, m = len(sms), len(slices)
-    base, service = _structural_base(model, np.asarray(sms, dtype=int),
-                                     np.asarray(slices, dtype=int), hit=True)
+    sm_idx = np.asarray(sms, dtype=int)
+    sl_idx = np.asarray(slices, dtype=int)
+    base, service = _structural_base(model, sm_idx, sl_idx, hit=True)
 
-    # measurement jitter: one stream per timed access, keyed by the
-    # golden path's monotone access sequence (warm-up draws are consumed
-    # by no one — each (seed, key) stream is independent)
-    seq0 = memory._access_seq
-    keys = (("measure", sm, home, True,
-             (0, seq0 + (i * m + j) * (samples + 1) + 2 + k))
-            for i, sm in enumerate(sms)
-            for j, home in enumerate(slices)
-            for k in range(samples))
-    noise = get_bank().batch_normal(
-        model.seed, keys, spec.measurement_jitter_cycles).reshape(n, m,
-                                                                  samples)
+    # measurement jitter: one stream per timed access (cell i*m+j, sample
+    # k), keyed by the golden path's monotone access sequence (warm-up
+    # draws are consumed by no one — each (seed, key) stream is
+    # independent)
+    cell, k = np.divmod(np.arange(n * m * samples), samples)
+    noise = _draw(model.seed, spec.measurement_jitter_cycles, _MEASURE_SHAPE,
+                  np.repeat(sm_idx, m * samples),
+                  np.tile(np.repeat(sl_idx, samples), n),
+                  memory._access_seq + cell * (samples + 1) + 2 + k
+                  ).reshape(n, m, samples)
 
     # Warp.ldcg timing: completion = max(0, issue_slot*0 + rint(base+noise)),
     # stall = issue overhead + completion, observed via integer clock()s
@@ -248,19 +242,20 @@ def vectorized_latency_matrix(gpu, sms=None, slices=None,
     # replay the golden path's device-state effects: per cell one real
     # warm access (installs the line, may touch DRAM) and `samples`
     # guaranteed hits on the line just installed
-    l2 = memory.l2
+    l2_slices = memory.l2.slices
     dram = memory.dram
     requests = memory.slice_requests
     line_bytes = spec.cache_line_bytes
-    home_mp = [gpu.hier.slice_info(s).mp for s in slices]
+    home_mp = _geometry(model).sl_mp[sl_idx].tolist()
     service_rows = service.tolist()
     for i in range(n):
         row = service_rows[i]
         for j in range(m):
             sv = row[j]
-            if not l2.access(sv, addresses[j]):
+            target = l2_slices[sv]
+            if not target.access(addresses[j]):
                 dram.channel(home_mp[j]).service(line_bytes)
-            l2.slices[sv].hits += samples
+            target.hits += samples
             requests[sv] += samples + 1
     memory._access_seq += n * m * (samples + 1)
     return matrix

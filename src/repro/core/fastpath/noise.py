@@ -32,13 +32,14 @@ fallback.  All parity is asserted draw-for-draw in
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import itertools
 import threading
 
 import numpy as np
 
-#: Keys digested and drawn per pass of :meth:`NoiseBank.batch_normal`;
+from repro import rng
+
+#: Keys digested and drawn per pass of :meth:`NoiseBank.batch_normal_texts`;
 #: bounds the per-key Python objects a whole-device batch holds at once.
 DRAW_CHUNK = 1024
 
@@ -148,12 +149,6 @@ _CHECK_DIGESTS = (
     1 << 32, 0xdeadbeef12345678, 0xffffffffffffffff, 1 << 63,
     0x0123456789abcdef, 0x9e3779b97f4a7c15, 0x100000001, 0xfedcba9876543210,
 )
-
-
-def _digest(seed: int, key: tuple) -> int:
-    """The exact stream digest of :func:`repro.rng._digest`."""
-    text = repr((int(seed), tuple(key))).encode()
-    return int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
 
 
 class NoiseBank:
@@ -269,30 +264,37 @@ class NoiseBank:
 
         ``keys`` is an iterable of tuples whose elements must ``repr``
         exactly as the scalar path's key parts do (plain Python ints,
-        bools and strings — not numpy scalars).  Keys are digested and
-        drawn :data:`DRAW_CHUNK` at a time, so a generator of keys never
-        holds more than one chunk of per-key Python objects; every
-        stream is independent, so chunking cannot change a draw.
+        bools and strings — not numpy scalars).
         """
         seed = int(seed)
-        keys = iter(keys)
+        return self.batch_normal_texts(
+            (rng.key_text(seed, key) for key in keys), sigma)
+
+    def batch_normal_texts(self, texts, sigma: float) -> np.ndarray:
+        """One draw per stream text (:func:`repro.rng.key_text` bytes, as
+        :func:`repro.rng.render_keys` writes them for a key batch).
+
+        Texts are digested and drawn :data:`DRAW_CHUNK` at a time, so a
+        generator of texts never holds more than one chunk of per-key
+        Python objects; every stream is independent, so chunking cannot
+        change a draw.
+        """
+        texts = iter(texts)
         parts = []
         while True:
-            chunk = list(itertools.islice(keys, DRAW_CHUNK))
+            chunk = list(itertools.islice(texts, DRAW_CHUNK))
             if not chunk:
                 break
-            parts.append(self._draw_chunk(seed, chunk))
+            parts.append(self._draw_chunk(rng.text_digests(chunk)))
         out = np.concatenate(parts) if parts else np.empty(0)
         # the per-stream Generator computes loc + scale * x; replicate
         # the identical float operation order on the whole batch
         return out * float(sigma) + 0.0
 
-    def _draw_chunk(self, seed: int, keys: list) -> np.ndarray:
-        """Standard-normal first draws of one chunk of key streams."""
-        n = len(keys)
+    def _draw_chunk(self, digs: np.ndarray) -> np.ndarray:
+        """Standard-normal first draws of one chunk of stream digests."""
+        n = len(digs)
         out = np.empty(n)
-        digs = np.array([_digest(seed, key) for key in keys],
-                        dtype=np.uint64)
         with self._lock:
             small = digs < np.uint64(1 << 32)
             if self.mode == "generic":

@@ -17,11 +17,14 @@ paper argues.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro import engines
 from repro.errors import LaunchError
 from repro.gpu.device import SimulatedGPU
+from repro.gpu.hierarchy import component_ids
 from repro.runtime.kernel import KernelSpec
 from repro.runtime.launcher import launch
 from repro.runtime.scheduler import PinnedScheduler
@@ -47,11 +50,13 @@ def measure_l2_latency(gpu: SimulatedGPU, sm: int, slices=None,
     """Average round-trip L2 *hit* latency from one SM to each slice.
 
     Returns one value per requested slice id (default: all slices),
-    in cycles.
+    in cycles.  Ids may be any integers (NumPy ones included).
     """
     if samples <= 0:
         raise LaunchError("samples must be positive")
-    slices = list(slices) if slices is not None else gpu.hier.all_slices
+    sm = operator.index(sm)
+    slices = (component_ids(slices) if slices is not None
+              else gpu.hier.all_slices)
     addresses = [gpu.memory.addresses_for_slice(s, 1)[0] for s in slices]
     results: list = []
     launch(gpu, _latency_kernel, KernelSpec(grid_dim=1, block_dim=32,
@@ -139,6 +144,7 @@ def measure_miss_penalty(gpu: SimulatedGPU, sm: int, slices=None,
     simulated L2 reports hit/miss exactly, so invalidating between timed
     accesses reproduces the paper's cold-line methodology.
     """
+    sm = operator.index(sm)
     slices = list(slices) if slices is not None else gpu.hier.all_slices
     hits = measure_l2_latency(gpu, sm, slices, samples)
     penalties = np.empty(len(slices))

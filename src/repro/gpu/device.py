@@ -4,7 +4,8 @@
 microbenchmarks, side-channel harnesses) works against.  It owns:
 
 * the spec (Table I parameters + calibration),
-* hierarchy and floorplan,
+* hierarchy and floorplan, shared by every device of one spec value
+  (:mod:`repro.gpu.layout`),
 * the NoC latency model and bandwidth topology,
 * the memory subsystem (hash, sliced L2, DRAM).
 
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from repro.gpu.floorplan import Floorplan
-from repro.gpu.hierarchy import Hierarchy
+from repro.gpu.layout import spec_layout
 from repro.gpu.specs import GPUSpec, get_spec
 
 
@@ -27,8 +27,9 @@ class SimulatedGPU:
     def __init__(self, spec: GPUSpec | str, seed: int = 0):
         self.spec = get_spec(spec) if isinstance(spec, str) else spec
         self.seed = seed
-        self.hier = Hierarchy(self.spec)
-        self.floorplan = Floorplan(self.spec, self.hier)
+        layout = spec_layout(self.spec)
+        self.hier = layout.hier
+        self.floorplan = layout.floorplan
 
     @cached_property
     def latency(self):
@@ -59,7 +60,6 @@ class SimulatedGPU:
 
     def fresh_memory(self):
         """A new, cold memory subsystem (drops all cached L2 state)."""
-        from repro.memory.subsystem import MemorySubsystem
         self.__dict__.pop("memory", None)
         return self.memory
 

@@ -13,6 +13,7 @@ methodology, as Section II-C notes.)
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,8 +116,9 @@ class Hierarchy:
                 for sm in self.sms_in_gpc(gpc)]
 
     @cached_property
-    def all_sms(self) -> list[int]:
-        return list(range(self.spec.num_sms))
+    def all_sms(self) -> tuple[int, ...]:
+        # a tuple: one Hierarchy is shared by every device of a spec
+        return tuple(range(self.spec.num_sms))
 
     # ---- memory side -----------------------------------------------------
     def slice_info(self, slice_id: int) -> SliceInfo:
@@ -148,8 +150,8 @@ class Hierarchy:
                 for s in self.slices_in_mp(mp)]
 
     @cached_property
-    def all_slices(self) -> list[int]:
-        return list(range(self.spec.num_slices))
+    def all_slices(self) -> tuple[int, ...]:
+        return tuple(range(self.spec.num_slices))
 
     # ---- cross-partition helpers ------------------------------------------
     def crosses_partition(self, sm: int, slice_id: int) -> bool:
@@ -171,6 +173,16 @@ class Hierarchy:
             return slice_id
         offset = slice_id - sm_part_first(spec, info.partition)
         return sm_part_first(spec, sm_part) + offset
+
+
+def component_ids(ids) -> list[int]:
+    """SM or slice ids as plain Python ints.
+
+    Ids enter the measurement noise-stream keys as text, and a NumPy
+    integer renders differently (``np.int64(0)``), so every latency entry
+    point normalises its ids here before drawing.
+    """
+    return [operator.index(i) for i in ids]
 
 
 def sm_part_first(spec: GPUSpec, partition: int) -> int:

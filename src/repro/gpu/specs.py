@@ -114,7 +114,8 @@ class GPUSpec:
                 f"{self.name}: gpc_partition needs {self.num_gpcs} entries")
         if any(p < 0 or p >= self.num_partitions for p in part):
             raise ConfigurationError(f"{self.name}: partition id out of range")
-        object.__setattr__(self, "gpc_partition", part)
+        # a tuple keeps the frozen spec hashable (spec_layout keys on it)
+        object.__setattr__(self, "gpc_partition", tuple(part))
 
     # ---- Derived counts --------------------------------------------------
     @property

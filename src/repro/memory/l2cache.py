@@ -28,8 +28,9 @@ class L2Slice:
         self.line_bytes = line_bytes
         self.ways = ways
         self.num_sets = capacity_bytes // (line_bytes * ways)
-        # per-set LRU: OrderedDict tag -> None, most recent last
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # per-set LRU: OrderedDict tag -> None, most recent last; a set
+        # is allocated on first access (most sets of a big L2 never are)
+        self._sets: dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -41,7 +42,9 @@ class L2Slice:
     def access(self, address: int) -> bool:
         """Access a byte address; returns True on hit.  Misses allocate."""
         set_idx, tag = self._locate(address)
-        entry = self._sets[set_idx]
+        entry = self._sets.get(set_idx)
+        if entry is None:
+            entry = self._sets[set_idx] = OrderedDict()
         if tag in entry:
             entry.move_to_end(tag)
             self.hits += 1
@@ -56,16 +59,16 @@ class L2Slice:
     def probe(self, address: int) -> bool:
         """Check residency without touching LRU state or counters."""
         set_idx, tag = self._locate(address)
-        return tag in self._sets[set_idx]
+        entry = self._sets.get(set_idx)
+        return entry is not None and tag in entry
 
     def invalidate(self) -> None:
         """Drop all lines (used to force cold misses)."""
-        for entry in self._sets:
-            entry.clear()
+        self._sets.clear()
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(entry) for entry in self._sets)
+        return sum(len(entry) for entry in self._sets.values())
 
 
 class SlicedL2:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.gpu.floorplan import Floorplan
 from repro.gpu.hierarchy import Hierarchy
+from repro.gpu.layout import spec_layout
 from repro.gpu.specs import GPUSpec
 
 
@@ -40,8 +41,9 @@ class HierarchicalCrossbar:
     def __init__(self, spec: GPUSpec, hierarchy: Hierarchy | None = None,
                  floorplan: Floorplan | None = None):
         self.spec = spec
-        self.hier = hierarchy or Hierarchy(spec)
-        self.floorplan = floorplan or Floorplan(spec, self.hier)
+        layout = spec_layout(spec)
+        self.hier = hierarchy or layout.hier
+        self.floorplan = floorplan or layout.floorplan
 
     def service_slice(self, sm: int, slice_id: int) -> int:
         """Slice that actually services an L2 *hit* for this SM.

@@ -21,6 +21,7 @@ import numpy as np
 from repro import engines, rng
 from repro.gpu.floorplan import Floorplan
 from repro.gpu.hierarchy import Hierarchy
+from repro.gpu.layout import spec_layout
 from repro.gpu.specs import GPUSpec
 from repro.noc.crossbar import HierarchicalCrossbar
 
@@ -47,8 +48,9 @@ class LatencyModel:
     def __init__(self, spec: GPUSpec, hierarchy: Hierarchy | None = None,
                  floorplan: Floorplan | None = None, seed: int = 0):
         self.spec = spec
-        self.hier = hierarchy or Hierarchy(spec)
-        self.floorplan = floorplan or Floorplan(spec, self.hier)
+        layout = spec_layout(spec)
+        self.hier = hierarchy or layout.hier
+        self.floorplan = floorplan or layout.floorplan
         self.crossbar = HierarchicalCrossbar(spec, self.hier, self.floorplan)
         self.seed = seed
         self._offset_cache: dict[tuple[int, int], float] = {}

@@ -195,6 +195,57 @@ def test_sharded_jobs_parity():
     assert (a == b).all()
 
 
+@pytest.mark.parametrize("engine", ("scalar", "vectorized"))
+@pytest.mark.parametrize("jobs", (None, 1))
+def test_numpy_integer_ids_measure_like_python_ints(engine, jobs):
+    """Ids enter the noise-stream keys as text, where ``np.int64(0)``
+    would read ``'np.int64(0)'``: every engine normalises them."""
+    plain = measured_latency_matrix(SimulatedGPU("V100", seed=4),
+                                    sms=[0, 1], slices=[2, 5], samples=2,
+                                    jobs=jobs, engine=engine)
+    numpy_ids = measured_latency_matrix(SimulatedGPU("V100", seed=4),
+                                        sms=np.arange(2),
+                                        slices=np.array([2, 5]), samples=2,
+                                        jobs=jobs, engine=engine)
+    assert (plain == numpy_ids).all()
+
+
+def test_numpy_integer_single_sm_entry_points():
+    from repro.core.latency_bench import (latency_profile,
+                                          measure_l2_latency,
+                                          measure_miss_penalty)
+
+    def fresh():
+        return SimulatedGPU("A100", seed=6)
+    sm, slices = np.int64(3), np.array([0, 41])
+    assert (measure_l2_latency(fresh(), sm, slices)
+            == measure_l2_latency(fresh(), 3, [0, 41])).all()
+    assert (measure_miss_penalty(fresh(), sm, slices)
+            == measure_miss_penalty(fresh(), 3, [0, 41])).all()
+    for engine in ("scalar", "vectorized"):
+        assert (latency_profile(fresh(), sm, engine=engine)
+                == latency_profile(fresh(), 3, engine="scalar")).all()
+
+
+def test_slice_address_table_matches_the_scan():
+    """The memoized first-address table equals the scalar M[s] scan for
+    every slice and hasher mode, and fails where the scan fails."""
+    from types import SimpleNamespace
+
+    from repro.core.fastpath.latency import slice_address_table
+    from repro.memory.address import AddressHasher
+    for spec in SPECS:
+        gpu = SimulatedGPU(spec, seed=0)
+        for mode in AddressHasher.MODES:
+            hasher = AddressHasher(gpu.num_slices, 128, mode=mode)
+            memory = SimpleNamespace(hasher=hasher)
+            slices = list(gpu.hier.all_slices)[::-1]
+            assert slice_address_table(memory, slices) \
+                == [hasher.addresses_for_slice(s, 1)[0] for s in slices]
+            with pytest.raises(ConfigurationError):
+                slice_address_table(memory, [gpu.num_slices])
+
+
 def test_structural_matrix_parity():
     for spec in SPECS:
         gpu = SimulatedGPU(spec, seed=5)

@@ -114,3 +114,82 @@ def test_hits_plus_misses_equals_accesses(addresses):
         s.access(a)
     assert s.hits + s.misses == len(addresses)
     assert s.resident_lines <= 4 * 8
+
+
+class EagerL2Slice:
+    """The set-per-list L2 slice every set allocated up front: the
+    reference the first-touch :class:`L2Slice` must match exactly."""
+
+    def __init__(self, capacity_bytes, line_bytes, ways):
+        from collections import OrderedDict
+        self.line_bytes, self.ways = line_bytes, ways
+        self.num_sets = capacity_bytes // (line_bytes * ways)
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.hits = self.misses = self.evictions = 0
+
+    def _locate(self, address):
+        line = address // self.line_bytes
+        return line % self.num_sets, line // self.num_sets
+
+    def access(self, address):
+        set_idx, tag = self._locate(address)
+        entry = self._sets[set_idx]
+        if tag in entry:
+            entry.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(entry) >= self.ways:
+            entry.popitem(last=False)
+            self.evictions += 1
+        entry[tag] = None
+        return False
+
+    def probe(self, address):
+        set_idx, tag = self._locate(address)
+        return tag in self._sets[set_idx]
+
+    def invalidate(self):
+        for entry in self._sets:
+            entry.clear()
+
+    @property
+    def resident_lines(self):
+        return sum(len(entry) for entry in self._sets)
+
+
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(("access", "probe")),
+              st.integers(0, 128 * 4 * 8 * 6)),
+    st.just(("invalidate", 0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_OPS, max_size=300))
+def test_first_touch_sets_match_eager_allocation(trace):
+    """Allocating sets on first touch changes no hit, miss, eviction,
+    LRU order, probe or residency of the eager model."""
+    lazy, eager = L2Slice(128 * 4 * 8, 128, 4), EagerL2Slice(128 * 4 * 8,
+                                                            128, 4)
+    for op, address in trace:
+        if op == "invalidate":
+            lazy.invalidate()
+            eager.invalidate()
+        else:
+            assert getattr(lazy, op)(address) == getattr(eager, op)(address)
+        assert (lazy.hits, lazy.misses, lazy.evictions,
+                lazy.resident_lines) == (eager.hits, eager.misses,
+                                         eager.evictions,
+                                         eager.resident_lines)
+    # LRU order, most recent last, set by set
+    assert [list(lazy._sets.get(i, ())) for i in range(lazy.num_sets)] \
+        == [list(entry) for entry in eager._sets]
+
+
+def test_sets_allocated_on_first_touch():
+    s = L2Slice(1024 * 128 * 16, 128, 16)
+    assert s.num_sets == 1024 and s.resident_lines == 0
+    assert not s.probe(0)
+    s.access(0)
+    s.access(128 * 1024)          # same set, another tag
+    assert len(s._sets) == 1 and s.resident_lines == 2

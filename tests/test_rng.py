@@ -48,3 +48,60 @@ def test_nested_tuple_keys_supported():
     a = rng.jitter(0, "m", (1, 2), sigma=1.0, n=2)
     b = rng.jitter(0, "m", (1, 3), sigma=1.0, n=2)
     assert not np.array_equal(a, b)
+
+
+# ------------------------------------------------------- rendered key text
+
+#: Every key shape the batched engines draw, as (shape, key builder).
+KEY_SHAPES = {
+    "measure": (("measure", rng.COLUMN, rng.COLUMN, True, (0, rng.COLUMN)),
+                lambda sm, home, seq: ("measure", sm, home, True, (0, seq))),
+    "route-sm": (("route-sm", rng.COLUMN, rng.COLUMN),
+                 lambda sm, sv: ("route-sm", sm, sv)),
+    "route-gpc": (("route-gpc", rng.COLUMN, rng.COLUMN),
+                  lambda gpc, sv: ("route-gpc", gpc, sv)),
+    "route-cpc": (("route-cpc", rng.COLUMN, rng.COLUMN),
+                  lambda cpc, sv: ("route-cpc", cpc, sv)),
+    "slice-bw": (("slice-bw", rng.COLUMN), lambda s: ("slice-bw", s)),
+}
+SEEDS = (0, 7, -5, -(2 ** 70), 2 ** 63, 2 ** 64 + 3, True, np.int64(11))
+
+
+@pytest.mark.parametrize("name", sorted(KEY_SHAPES))
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+def test_render_keys_writes_the_scalar_key_text(name, seed):
+    shape, build = KEY_SHAPES[name]
+    width = build.__code__.co_argcount
+    columns = [np.arange(start, start + 40) * (3 + k) % 97
+               for k, start in enumerate(range(0, 40 * width, 40))]
+    columns[-1] = columns[-1] + 10 ** 12          # large access sequences
+    texts = rng.render_keys(seed, shape, *columns)
+    keys = [build(*row) for row in zip(*(c.tolist() for c in columns))]
+    assert texts == [repr((int(seed), key)).encode() for key in keys]
+    assert texts == [rng.key_text(seed, key) for key in keys]
+    assert rng.text_digests(texts).tolist() \
+        == [rng._digest(seed, key) for key in keys]
+
+
+def test_render_keys_accepts_lists_and_empty_columns():
+    assert rng.render_keys(3, ("slice-bw", rng.COLUMN), [1, 2]) \
+        == [b"(3, ('slice-bw', 1))", b"(3, ('slice-bw', 2))"]
+    assert rng.render_keys(3, ("slice-bw", rng.COLUMN), []) == []
+    assert rng.text_digests([]).shape == (0,)
+
+
+def test_render_keys_escapes_constant_text():
+    """Constant key parts containing ``%`` or newlines render verbatim."""
+    shape = ("50%\n%d", rng.COLUMN, "\0")
+    assert rng.render_keys(1, shape, [4, 5]) \
+        == [rng.key_text(1, ("50%\n%d", v, "\0")) for v in (4, 5)]
+
+
+def test_render_keys_rejects_non_integer_columns():
+    shape = ("slice-bw", rng.COLUMN)
+    with pytest.raises(TypeError):
+        rng.render_keys(0, shape, [True, False])   # would render 1/0
+    with pytest.raises(TypeError):
+        rng.render_keys(0, shape, [1.0])
+    with pytest.raises(ValueError):
+        rng.render_keys(0, shape, [1], [2])
