@@ -28,7 +28,11 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
 * ``cold_device_request`` — the serve-cold request shape: a fresh V100
   device per seed measuring an 8-SM latency matrix on the default
   engine, per-request ms (median), with bit-identity against the scalar
-  engine at one seed.  No floor: ``cpu_count`` is part of the record.
+  engine at one seed.  No floor: ``cpu_count`` is part of the record;
+* ``noise_draw`` — ``NoiseBank.batch_normal_texts`` per-stream µs at the
+  cold request's batch sizes (32, 256 and 512 streams, texts rendered
+  beforehand), the bank's construction and ziggurat table-probe ms, and
+  bit-identity against per-digest ``default_rng`` on 10^4 streams.
 """
 
 from __future__ import annotations
@@ -228,6 +232,47 @@ def cold_device_request_timings(requests: int = 200,
     }
 
 
+def noise_draw_timings(sizes=(32, 256, 512), repeats: int = 200,
+                       digests: int = 10_000) -> dict:
+    """Batched keyed-normal draws: per-stream cost and bank set-up."""
+    import statistics
+
+    import numpy as np
+
+    from repro import rng
+    from repro.core.fastpath.noise import NoiseBank, get_bank
+
+    def median_ms(fn, runs):
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return statistics.median(times) * 1e3
+
+    bank = get_bank()
+    shape = ("route-sm", rng.COLUMN, rng.COLUMN)
+    per_stream = {}
+    for size in sizes:
+        texts = rng.render_keys(0, shape, np.arange(size) % 80,
+                                np.arange(size))
+        per_stream[str(size)] = median_ms(
+            lambda: bank.batch_normal_texts(texts, 1.0), repeats) \
+            * 1e3 / size
+    texts = rng.render_keys(1, shape, np.arange(digests) % 80,
+                            np.arange(digests))
+    want = [np.random.default_rng(d).standard_normal() * 1.0 + 0.0
+            for d in rng.text_digests(texts).tolist()]
+    return {
+        "mode": bank.mode,
+        "us_per_stream": per_stream,
+        "bank_init_ms": median_ms(NoiseBank, 5),
+        "table_probe_ms": median_ms(NoiseBank()._probe_tables, 5),
+        "bit_identical": bank.batch_normal_texts(texts, 1.0).tolist() == want,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def collect() -> dict:
     return {
         "cpu_count": os.cpu_count(),
@@ -237,6 +282,7 @@ def collect() -> dict:
         "fastmesh_engine": fastmesh_engine_timings(),
         "report_mesh": report_mesh_timings(),
         "cold_device_request": cold_device_request_timings(),
+        "noise_draw": noise_draw_timings(),
     }
 
 
@@ -254,6 +300,7 @@ def bench_perf_engine(benchmark):
     assert mesh["speedup"] >= 5.0
     assert record["report_mesh"]["bit_identical"]
     assert record["cold_device_request"]["bit_identical"]
+    assert record["noise_draw"]["bit_identical"]
 
 
 if __name__ == "__main__":

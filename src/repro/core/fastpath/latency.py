@@ -13,6 +13,7 @@ access sequence, so interleaving engines on one device never diverges.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -115,15 +116,19 @@ def _miss_penalty(model, sm_idx: np.ndarray, sl_idx: np.ndarray,
 _MEASURE_SHAPE = ("measure", rng.COLUMN, rng.COLUMN, True, (0, rng.COLUMN))
 
 
-def _draw(seed: int, sigma: float, shape: tuple, *columns) -> np.ndarray:
-    """One keyed jitter draw per row of ``shape`` keys, rendered and drawn
-    :data:`DRAW_CHUNK` rows at a time (never one text list per device)."""
-    bank = get_bank()
-    parts = [bank.batch_normal_texts(
+def _draw(seed: int, *requests) -> list:
+    """One keyed jitter draw per row of each ``(sigma, shape, columns)``
+    request, all in one bank call; keys are rendered :data:`DRAW_CHUNK`
+    rows at a time (never one text list per device)."""
+    sizes = [len(columns[0]) for _, _, columns in requests]
+    texts = itertools.chain.from_iterable(
         rng.render_keys(seed, shape,
-                        *(c[start:start + DRAW_CHUNK] for c in columns)),
-        sigma) for start in range(0, len(columns[0]), DRAW_CHUNK)]
-    return np.concatenate(parts) if parts else np.empty(0)
+                        *(c[start:start + DRAW_CHUNK] for c in columns))
+        for (_, shape, columns), size in zip(requests, sizes)
+        for start in range(0, size, DRAW_CHUNK))
+    sigma = np.repeat([s for s, _, _ in requests], sizes)
+    draws = get_bank().batch_normal_texts(texts, sigma)
+    return np.split(draws, np.cumsum(sizes)[:-1])
 
 
 def _route_offsets(model, sm_idx: np.ndarray,
@@ -144,18 +149,22 @@ def _route_offsets(model, sm_idx: np.ndarray,
     if todo.any():
         codes = np.unique((rows * num_slices + service)[todo])
         sms, svs = np.divmod(codes, num_slices)
-        off = _draw(model.seed, spec.sm_route_sigma_cycles,
-                    ("route-sm", rng.COLUMN, rng.COLUMN), sms, svs)
         levels = [("route-gpc", geo.sm_gpc, spec.gpc_route_sigma_cycles)]
         if spec.cpc_route_sigma_cycles and spec.tpcs_per_cpc:
             levels.append(("route-cpc", geo.sm_cpc,
                            spec.cpc_route_sigma_cycles))
+        requests = [(spec.sm_route_sigma_cycles,
+                     ("route-sm", rng.COLUMN, rng.COLUMN), (sms, svs))]
+        inverses = []
         for tag, group_of, sigma in levels:
             groups, inverse = np.unique(group_of[sms] * num_slices + svs,
                                         return_inverse=True)
-            off = off + _draw(model.seed, sigma,
-                              (tag, rng.COLUMN, rng.COLUMN),
-                              *np.divmod(groups, num_slices))[inverse]
+            requests.append((sigma, (tag, rng.COLUMN, rng.COLUMN),
+                             np.divmod(groups, num_slices)))
+            inverses.append(inverse)
+        off, *group_offs = _draw(model.seed, *requests)
+        for group_off, inverse in zip(group_offs, inverses):
+            off = off + group_off[inverse]
         table[sms, svs] = off
         offsets = table[rows, service]
     return offsets
@@ -227,11 +236,12 @@ def vectorized_latency_matrix(gpu, sms=None, slices=None,
     # draws are consumed by no one — each (seed, key) stream is
     # independent)
     cell, k = np.divmod(np.arange(n * m * samples), samples)
-    noise = _draw(model.seed, spec.measurement_jitter_cycles, _MEASURE_SHAPE,
-                  np.repeat(sm_idx, m * samples),
-                  np.tile(np.repeat(sl_idx, samples), n),
-                  memory._access_seq + cell * (samples + 1) + 2 + k
-                  ).reshape(n, m, samples)
+    columns = (np.repeat(sm_idx, m * samples),
+               np.tile(np.repeat(sl_idx, samples), n),
+               memory._access_seq + cell * (samples + 1) + 2 + k)
+    noise, = _draw(model.seed, (spec.measurement_jitter_cycles,
+                                _MEASURE_SHAPE, columns))
+    noise = noise.reshape(n, m, samples)
 
     # Warp.ldcg timing: completion = max(0, issue_slot*0 + rint(base+noise)),
     # stall = issue overhead + completion, observed via integer clock()s

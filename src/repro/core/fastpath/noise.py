@@ -10,23 +10,31 @@ This module reproduces numpy's seeding pipeline *vectorised*:
 
 1. ``SeedSequence`` entropy-pool mixing and ``generate_state(4,
    uint64)`` are pure 32-bit integer hashes whose round constants do not
-   depend on the data — they run here as uint32 array arithmetic over
-   every digest at once;
+   depend on the data — they run here as uint32 array arithmetic on
+   stacked ``(k, n)`` pool rows, over every digest at once;
 2. the PCG64 ``srandom`` initialisation (one 128-bit multiply-add) runs
    as 64-bit limb arithmetic;
-3. each draw installs the precomputed (state, inc) into one reused
-   ``PCG64`` bit generator and takes ``standard_normal()`` — the exact
-   first draw the per-key Generator would have produced.
+3. the first draw is array arithmetic too: one more LCG step and the
+   XSL-RR output give each stream's first ``next_uint64``, and the first
+   iteration of numpy's ``random_standard_normal`` ziggurat (strip
+   ``r & 0xff``, sign bit 8, 52-bit magnitude ``r >> 9``, value
+   ``magnitude * wi[strip]``) is returned when the magnitude is below
+   ``ki[strip]``.  Only the draws that iteration rejects (~1.5%) install
+   their (state, inc) into one reused ``PCG64`` bit generator and take
+   ``standard_normal()`` — the exact draw the per-key Generator makes.
 
-State installation uses a direct ctypes write into the bit generator's
-C struct when an *install-time self-check* proves the memory layout
-(native little-endian ``__uint128_t`` build); otherwise it falls back to
-the public ``.state`` setter, and if the vectorised seeding itself fails
-verification (foreign platform) every draw falls back to
-``default_rng`` — always correct, merely slower.  Digests below 2**32
-coerce to a single ``SeedSequence`` entropy word and always take the
-fallback.  All parity is asserted draw-for-draw in
-``tests/test_fastpath_equivalence.py``.
+numpy keeps ``wi``/``ki`` private, so each bank derives them at
+construction (a few ms) by drawing from installed states that force a
+chosen first output; a strip whose ``ki`` is not proven exact keeps
+``ki = 0`` and all its draws take the install path.  State installation
+uses a direct ctypes write into the bit generator's C struct when an
+*install-time self-check* proves the memory layout (native little-endian
+``__uint128_t`` build); otherwise it falls back to the public ``.state``
+setter, and if the vectorised seeding itself fails verification (foreign
+platform) every draw falls back to ``default_rng`` — always correct,
+merely slower.  Digests below 2**32 coerce to a single ``SeedSequence``
+entropy word and always take the fallback.  All parity is asserted
+draw-for-draw in ``tests/test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -57,57 +65,61 @@ _PCG_MULT_HI = np.uint64(2549297995355413924)
 _PCG_MULT_LO = np.uint64(4865540595714422341)
 
 
-def _hash_consts(init: int, mult: int, count: int):
-    """(xor, multiply) constants of ``count`` consecutive hashmix calls."""
+def _hash_consts(init: int, mult: int, count: int) -> tuple:
+    """(xor, multiply) constant columns of ``count`` consecutive hashmix
+    calls, shaped ``(count, 1)`` to broadcast over stacked pool rows."""
     xors, muls = [], []
     const = init
     for _ in range(count):
-        xors.append(np.uint32(const))
+        xors.append(const)
         const = (const * mult) & _U32_MASK
-        muls.append(np.uint32(const))
-    return tuple(xors), tuple(muls)
+        muls.append(const)
+    return (np.array(xors, dtype=np.uint32)[:, None],
+            np.array(muls, dtype=np.uint32)[:, None])
 
 
 # mix_entropy performs 16 hashmix calls for a 2-word entropy input
 # (4 pool fills + 4*3 inter-word mixes); generate_state performs 8.
 _MIX_XOR, _MIX_MUL = _hash_consts(_INIT_A, _MULT_A, 16)
 _GEN_XOR, _GEN_MUL = _hash_consts(_INIT_B, _MULT_B, 8)
+#: Per source pool word: the rows it mixes into, in SeedSequence's
+#: order, and the (xor, multiply) columns of its three hashmix calls.
+_MIX_STAGES = tuple(([d for d in range(4) if d != src],
+                     _MIX_XOR[4 + 3 * src:7 + 3 * src],
+                     _MIX_MUL[4 + 3 * src:7 + 3 * src]) for src in range(4))
 
 
-def _pool_mix(lo: np.ndarray, hi: np.ndarray) -> list:
-    """Vectorised ``SeedSequence.mix_entropy`` for [lo, hi] entropy."""
-    step = [0]
-
-    def hashmix(value):
-        k = step[0]
-        step[0] = k + 1
-        value = (value ^ _MIX_XOR[k]) * _MIX_MUL[k]
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = x * _MIX_L - y * _MIX_R
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros_like(lo)
-    pool = [hashmix(lo), hashmix(hi), hashmix(zero), hashmix(zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+def _pool_mix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Vectorised ``SeedSequence.mix_entropy`` for [lo, hi] entropy: the
+    ``(4, n)`` uint32 pool.  Each source word's three hashmix calls run
+    as one stacked operation (the source row is not mixed into itself,
+    so it stays fixed while they run)."""
+    pool = np.zeros((4, len(lo)), dtype=np.uint32)
+    pool[0], pool[1] = lo, hi
+    pool ^= _MIX_XOR[:4]
+    pool *= _MIX_MUL[:4]
+    pool ^= pool >> _XSHIFT
+    for src, (dst, xor, mul) in enumerate(_MIX_STAGES):
+        hashed = pool[src] ^ xor
+        hashed *= mul
+        hashed ^= hashed >> _XSHIFT
+        hashed *= _MIX_R
+        mixed = pool[dst]
+        mixed *= _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _XSHIFT
+        pool[dst] = mixed
     return pool
 
 
-def _state_words(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Vectorised ``SeedSequence.generate_state(4, uint64)`` words."""
+def _state_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Vectorised ``SeedSequence.generate_state(4, uint64)``: ``(4, n)``."""
     pool = _pool_mix(lo, hi)
-    words32 = []
-    for k in range(8):
-        value = (pool[k % 4] ^ _GEN_XOR[k]) * _GEN_MUL[k]
-        words32.append(value ^ (value >> _XSHIFT))
-    shift = np.uint64(32)
-    return tuple(words32[2 * j].astype(np.uint64)
-                 | (words32[2 * j + 1].astype(np.uint64) << shift)
-                 for j in range(4))
+    value = np.concatenate((pool, pool)) ^ _GEN_XOR
+    value *= _GEN_MUL
+    value ^= value >> _XSHIFT
+    words32 = value.astype(np.uint64)
+    return words32[0::2] | (words32[1::2] << np.uint64(32))
 
 
 def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
@@ -124,6 +136,14 @@ def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
     return a_hi * b_hi + w2 + (t >> s32)
 
 
+def _lcg_step(s_hi, s_lo, i_hi, i_lo) -> tuple:
+    """(hi, lo) limbs of the PCG64 step ``state * MULT + inc mod 2**128``."""
+    lo = s_lo * _PCG_MULT_LO + i_lo
+    hi = (_mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI
+          + s_hi * _PCG_MULT_LO + i_hi + (lo < i_lo).astype(np.uint64))
+    return hi, lo
+
+
 def _pcg_limbs(w0, w1, w2, w3) -> tuple:
     """PCG64 ``srandom(initstate=(w0,w1), initseq=(w2,w3))`` as limbs.
 
@@ -136,12 +156,55 @@ def _pcg_limbs(w0, w1, w2, w3) -> tuple:
     inc_hi = (w2 << one) | (w3 >> s63)
     t_lo = inc_lo + w1
     t_hi = inc_hi + w0 + (t_lo < inc_lo).astype(np.uint64)
-    p_lo = t_lo * _PCG_MULT_LO
-    p_hi = (_mulhi64(t_lo, _PCG_MULT_LO) + t_lo * _PCG_MULT_HI
-            + t_hi * _PCG_MULT_LO)
-    s_lo = p_lo + inc_lo
-    s_hi = p_hi + inc_hi + (s_lo < p_lo).astype(np.uint64)
-    return s_hi, s_lo, inc_hi, inc_lo
+    return (*_lcg_step(t_hi, t_lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _first_output(s_hi, s_lo, i_hi, i_lo) -> np.ndarray:
+    """PCG64 ``next_uint64`` from (state, inc) limbs: one LCG step, then
+    the XSL-RR output ``rotr64(hi ^ lo, hi >> 58)`` of the new state."""
+    hi, lo = _lcg_step(s_hi, s_lo, i_hi, i_lo)
+    word, rot = hi ^ lo, hi >> np.uint64(58)
+    return (word >> rot) | (word << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def _split(digs: np.ndarray) -> tuple:
+    """(low, high) uint32 words of uint64 digests."""
+    return ((digs & np.uint64(_U32_MASK)).astype(np.uint32),
+            (digs >> np.uint64(32)).astype(np.uint32))
+
+
+# PCG64 arithmetic on Python ints, for installing states that force a
+# chosen first output (the ziggurat table probe).
+_PCG_MULT = (int(_PCG_MULT_HI) << 64) | int(_PCG_MULT_LO)
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+_U128_MASK = (1 << 128) - 1
+
+
+def _forced_state(output: int) -> tuple:
+    """A PCG64 (state, inc) whose next two ``next_uint64`` outputs are
+    ``output`` and a value below 2**11 (so a following ``next_double``
+    reads 0.0).
+
+    The post-step state is ``(hi=0, lo=output)``, whose XSL-RR output is
+    ``output`` itself; ``inc`` steers the next state to ``(0, t)`` with
+    ``t`` in {0, 1} (``inc`` must be odd); the inverse LCG step then
+    gives the state to install.
+    """
+    inc = (1 - (output & 1) - output * _PCG_MULT) & _U128_MASK
+    return ((output - inc) * _PCG_MULT_INV) & _U128_MASK, inc
+
+
+#: ``random_standard_normal``'s first ziggurat draw splits a 64-bit
+#: output into a strip index, a sign bit and a 52-bit magnitude.
+_ZIG_STRIPS = 256
+_RABS_BITS = 52
+_RABS_MASK = np.uint64((1 << _RABS_BITS) - 1)
+
+
+def _ziggurat_output(idx: int, rabs: int, negative: bool = False) -> int:
+    """The ``next_uint64`` value that selects strip ``idx``, magnitude
+    ``rabs`` and the given sign in the ziggurat's first iteration."""
+    return idx | (int(negative) << 8) | (rabs << 9)
 
 
 #: Digests exercising the install path at self-check time (all >= 2**32).
@@ -164,6 +227,9 @@ class NoiseBank:
         self._bg = np.random.PCG64()
         self._gen = np.random.Generator(self._bg)
         self._raw = None
+        # ziggurat strip tables; ki = 0 sends a strip to the install path
+        self._wi = np.zeros(_ZIG_STRIPS)
+        self._ki = np.zeros(_ZIG_STRIPS, dtype=np.uint64)
         self.mode = "generic"
         if self._seeding_ok():
             for mode in ("ctypes", "state"):
@@ -173,17 +239,19 @@ class NoiseBank:
                 if self._draws_ok():
                     break
                 self.mode = "generic"
+        if self.mode != "generic":
+            self._probe_tables()
+            if not self._draws_ok():
+                self._ki[:] = 0
 
     # ---- install-time self-checks ---------------------------------------
     def _seeding_ok(self) -> bool:
         """Vectorised SeedSequence words must match numpy's own."""
-        digs = np.array(_CHECK_DIGESTS, dtype=np.uint64)
-        lo = (digs & np.uint64(_U32_MASK)).astype(np.uint32)
-        hi = (digs >> np.uint64(32)).astype(np.uint32)
-        words = _state_words(lo, hi)
-        for i, d in enumerate(digs.tolist()):
+        words = _state_words(*_split(np.array(_CHECK_DIGESTS,
+                                              dtype=np.uint64)))
+        for i, d in enumerate(_CHECK_DIGESTS):
             expect = np.random.SeedSequence(d).generate_state(4, np.uint64)
-            if any(int(words[j][i]) != int(expect[j]) for j in range(4)):
+            if words[:, i].tolist() != expect.tolist():
                 return False
         return True
 
@@ -220,61 +288,120 @@ class NoiseBank:
             return False
 
     def _draws_ok(self) -> bool:
-        """End-to-end: fast draws must equal per-key ``default_rng``."""
+        """End-to-end: chunk draws must equal per-key ``default_rng``
+        (every one through the install path while ``ki`` is all 0)."""
         try:
-            digs = np.array(_CHECK_DIGESTS, dtype=np.uint64)
-            got = np.empty(len(_CHECK_DIGESTS))
-            self._fast_draws(digs, np.arange(len(_CHECK_DIGESTS)), got)
+            got = self._draw_chunk(np.array(_CHECK_DIGESTS, dtype=np.uint64))
         except Exception:
             return False
-        return all(
-            float(got[i]) == float(np.random.default_rng(d).standard_normal())
-            for i, d in enumerate(_CHECK_DIGESTS))
+        return got.tolist() == [np.random.default_rng(d).standard_normal()
+                                for d in _CHECK_DIGESTS]
+
+    def _forced_draw(self, output: int) -> tuple:
+        """(draw, consumed exactly one output) of ``standard_normal()`` on
+        a state whose first output is ``output`` (see
+        :func:`_forced_state`)."""
+        state, inc = _forced_state(output)
+        self._install(state, inc)
+        value = self._gen.standard_normal()
+        if self.mode == "ctypes":
+            post = (self._raw[1] << 64) | self._raw[0]
+        else:
+            post = self._bg.state["state"]["state"]
+        return value, post == output
+
+    def _accepts(self, idx: int, rabs: int) -> bool:
+        """Whether the first ziggurat iteration returns at (idx, rabs),
+        with the value the vectorised draw computes."""
+        value, one = self._forced_draw(_ziggurat_output(idx, rabs))
+        return one and value == float(rabs) * self._wi[idx]
+
+    def _probe_tables(self) -> None:
+        """Derive numpy's private ziggurat tables ``wi``/``ki`` by forced
+        draws; a strip whose ``ki`` is not proven keeps ``ki = 0``.
+
+        ``wi[idx]`` is the draw at magnitude 1 (returned on the first
+        iteration, or by the wedge test that the forced ``next_double`` of
+        0.0 passes).  ``ki[idx] = k`` is proven when magnitude ``k - 1``
+        returns after one output and ``k`` does not; ``k`` is searched
+        near ``2**52 * wi[idx-1] / wi[idx]`` (exact or one low), and by
+        bisection for strip 0.
+        """
+        wi, ki = self._wi, self._ki
+        for idx in range(_ZIG_STRIPS):
+            wi[idx] = self._forced_draw(_ziggurat_output(idx, 1))[0]
+        if not self._accepts(0, 1):
+            return
+        lo, hi = 1, 1 << _RABS_BITS         # accepts lo; hi is past the end
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self._accepts(0, mid) else (lo, mid)
+        ki[0] = hi
+        for idx in range(1, _ZIG_STRIPS):
+            if not wi[idx] > 0:
+                continue
+            ratio = wi[idx - 1] / wi[idx] * 2.0 ** _RABS_BITS
+            if not 1 <= ratio < 2 ** _RABS_BITS:
+                continue                    # strip 1: past 2**52, ki = 0
+            k = int(ratio)
+            if self._accepts(idx, k):
+                if k + 1 == 1 << _RABS_BITS or not self._accepts(idx, k + 1):
+                    ki[idx] = k + 1
+            elif self._accepts(idx, k - 1):
+                ki[idx] = k
 
     # ---- draws ------------------------------------------------------------
-    def _fast_draws(self, digs: np.ndarray, idx, out: np.ndarray) -> None:
-        """Standard-normal first draws for ``digs[idx]`` into ``out[idx]``."""
-        lo = (digs & np.uint64(_U32_MASK)).astype(np.uint32)
-        hi = (digs >> np.uint64(32)).astype(np.uint32)
-        s_hi, s_lo, i_hi, i_lo = _pcg_limbs(*_state_words(lo, hi))
-        sh, sl = s_hi.tolist(), s_lo.tolist()
-        ih, il = i_hi.tolist(), i_lo.tolist()
-        draw = self._gen.standard_normal
+    def _install(self, state: int, inc: int) -> None:
+        """Install a PCG64 (state, inc) into the scratch bit generator."""
         if self.mode == "ctypes":
             raw = self._raw
-            for k in idx.tolist():
-                raw[0] = sl[k]
-                raw[1] = sh[k]
-                raw[2] = il[k]
-                raw[3] = ih[k]
-                out[k] = draw()
+            raw[0], raw[1] = state & 0xFFFFFFFFFFFFFFFF, state >> 64
+            raw[2], raw[3] = inc & 0xFFFFFFFFFFFFFFFF, inc >> 64
         else:
-            bg = self._bg
-            template = {"bit_generator": "PCG64",
-                        "state": {"state": 0, "inc": 0},
-                        "has_uint32": 0, "uinteger": 0}
-            for k in idx.tolist():
-                template["state"] = {"state": (sh[k] << 64) | sl[k],
-                                     "inc": (ih[k] << 64) | il[k]}
-                bg.state = template
-                out[k] = draw()
+            self._bg.state = {"bit_generator": "PCG64",
+                              "state": {"state": state, "inc": inc},
+                              "has_uint32": 0, "uinteger": 0}
 
-    def batch_normal(self, seed: int, keys, sigma: float) -> np.ndarray:
+    def _ziggurat(self, r: np.ndarray) -> tuple:
+        """(draw, accepted) of ``random_standard_normal``'s first ziggurat
+        iteration on first outputs ``r``: strip ``r & 0xff``, sign bit 8,
+        magnitude ``(r >> 9) & (2**52 - 1)``, returned iff it is below the
+        strip's ``ki``."""
+        idx = (r & np.uint64(0xFF)).astype(np.intp)
+        rabs = (r >> np.uint64(9)) & _RABS_MASK
+        draws = rabs.astype(np.float64) * self._wi[idx]
+        np.negative(draws, out=draws,
+                    where=(r & np.uint64(0x100)).astype(bool))
+        return draws, rabs < self._ki[idx]
+
+    def _install_draws(self, limbs: tuple, idx: np.ndarray,
+                       out: np.ndarray) -> None:
+        """``out[idx]``: install each stream's PCG64 limbs into the
+        scratch generator and take ``standard_normal()``."""
+        draw = self._gen.standard_normal
+        sh, sl, ih, il = (limb[idx].tolist() for limb in limbs)
+        for k, s_hi, s_lo, i_hi, i_lo in zip(idx.tolist(), sh, sl, ih, il):
+            self._install((s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
+            out[k] = draw()
+
+    def batch_normal(self, seed: int, keys, sigma) -> np.ndarray:
         """One draw per key: ``rng.jitter(seed, *key, sigma=sigma)[0]``.
 
-        ``keys`` is an iterable of tuples whose elements must ``repr``
-        exactly as the scalar path's key parts do (plain Python ints,
-        bools and strings — not numpy scalars).
+        ``keys`` is an iterable of key tuples, rendered by
+        :func:`repro.rng.key_text`; ``sigma`` is as in
+        :meth:`batch_normal_texts`.
         """
         seed = int(seed)
         return self.batch_normal_texts(
             (rng.key_text(seed, key) for key in keys), sigma)
 
-    def batch_normal_texts(self, texts, sigma: float) -> np.ndarray:
+    def batch_normal_texts(self, texts, sigma) -> np.ndarray:
         """One draw per stream text (:func:`repro.rng.key_text` bytes, as
         :func:`repro.rng.render_keys` writes them for a key batch).
 
-        Texts are digested and drawn :data:`DRAW_CHUNK` at a time, so a
+        ``sigma`` is one scale for every stream or an array with one per
+        stream, so streams of several scales draw in one call.  Texts
+        are digested and drawn :data:`DRAW_CHUNK` at a time, so a
         generator of texts never holds more than one chunk of per-key
         Python objects; every stream is independent, so chunking cannot
         change a draw.
@@ -287,25 +414,35 @@ class NoiseBank:
                 break
             parts.append(self._draw_chunk(rng.text_digests(chunk)))
         out = np.concatenate(parts) if parts else np.empty(0)
+        scale = np.asarray(sigma, dtype=np.float64)
+        if scale.ndim and scale.shape != out.shape:
+            raise ValueError(f"{scale.shape[0]} sigmas for {len(out)} "
+                             f"streams")
         # the per-stream Generator computes loc + scale * x; replicate
         # the identical float operation order on the whole batch
-        return out * float(sigma) + 0.0
+        return out * scale + 0.0
 
     def _draw_chunk(self, digs: np.ndarray) -> np.ndarray:
-        """Standard-normal first draws of one chunk of stream digests."""
-        n = len(digs)
-        out = np.empty(n)
+        """Standard-normal first draws of one chunk of stream digests.
+
+        Every stream's first output and first ziggurat iteration run as
+        array arithmetic; the draws that iteration rejects (~1.5%) take
+        the per-stream install path.  Digests below 2**32 seed a
+        one-word ``SeedSequence`` and take ``default_rng``.
+        """
         with self._lock:
-            small = digs < np.uint64(1 << 32)
             if self.mode == "generic":
-                small = np.ones(n, dtype=bool)
-            slow_idx = np.flatnonzero(small)
-            for k in slow_idx.tolist():
+                out = np.empty(len(digs))
+                small = np.ones(len(digs), dtype=bool)
+            else:
+                limbs = _pcg_limbs(*_state_words(*_split(digs)))
+                out, accepted = self._ziggurat(_first_output(*limbs))
+                small = digs < np.uint64(1 << 32)
+                self._install_draws(limbs, np.flatnonzero(~accepted & ~small),
+                                    out)
+            for k in np.flatnonzero(small).tolist():
                 out[k] = np.random.default_rng(
                     int(digs[k])).standard_normal()
-            fast_idx = np.flatnonzero(~small)
-            if fast_idx.size:
-                self._fast_draws(digs, fast_idx, out)
         return out
 
 

@@ -37,9 +37,24 @@ class _Column:
 COLUMN = _Column()
 
 
+def _plain(part):
+    """``part`` with NumPy integers and bools as their Python values, in
+    nested tuples too: ``repr(np.int64(0))`` is ``'np.int64(0)'``, not
+    ``'0'``, so a NumPy id would otherwise key a different stream."""
+    if isinstance(part, tuple):
+        return tuple([_plain(p) for p in part])
+    if isinstance(part, (np.integer, np.bool_)):
+        return part.item()
+    return part
+
+
 def key_text(seed: int, key: Iterable) -> bytes:
-    """The bytes a (seed, key) stream is digested from."""
-    return repr((int(seed), tuple(key))).encode()
+    """The bytes a (seed, key) stream is digested from.
+
+    NumPy integer and bool key parts render as the equal Python ``int``
+    and ``bool``, so ``np.int64(3)`` and ``3`` key one stream.
+    """
+    return repr((int(seed), _plain(tuple(key)))).encode()
 
 
 def render_keys(seed: int, shape: tuple, *columns) -> list:
@@ -71,10 +86,14 @@ def render_keys(seed: int, shape: tuple, *columns) -> list:
 
 
 def text_digests(texts) -> np.ndarray:
-    """uint64 stream seeds of key texts: first 8 sha256 bytes, little-end."""
+    """uint64 stream seeds of key texts: first 8 sha256 bytes, little-end.
+
+    The whole 32-byte digests are joined and every fourth ``<u8`` taken,
+    which skips slicing one ``bytes`` per text.
+    """
     sha256 = hashlib.sha256
-    return np.frombuffer(b"".join([sha256(text).digest()[:8]
-                                   for text in texts]), dtype="<u8")
+    return np.frombuffer(b"".join([sha256(text).digest() for text in texts]),
+                         dtype="<u8")[::4]
 
 
 def _digest(seed: int, key: Iterable) -> int:

@@ -144,6 +144,8 @@ def warm_imports() -> None:
 
     Keeps the first request's latency at compute cost rather than
     import cost; a no-op for whatever a forked worker already inherited.
+    The noise bank is built here too, so its self-checks and ziggurat
+    table probe run at worker start, not inside the first cold request.
     """
     import numpy                                            # noqa: F401
 
@@ -151,7 +153,10 @@ def warm_imports() -> None:
     import repro.core.latency_bench                         # noqa: F401
     import repro.noc.mesh.fastmesh                          # noqa: F401
     import repro.sidechannel.probe                          # noqa: F401
+    from repro.core.fastpath import noise
     from repro.serve import experiments                     # noqa: F401
+
+    noise.get_bank()
 
 
 def _worker_main(worker_id: int, inbox, outbox, cache_dir,

@@ -19,6 +19,7 @@ from repro.core.bandwidth_bench import (aggregate_l2_bandwidth,
                                         slice_bandwidth_distribution,
                                         slice_saturation_curve)
 from repro.core.fastpath.latency import structural_latency_matrix
+from repro.core.fastpath import noise
 from repro.core.fastpath.noise import DRAW_CHUNK, NoiseBank, get_bank
 from repro.core.latency_bench import measured_latency_matrix
 from repro.core.speedup_bench import measure_speedups
@@ -100,13 +101,20 @@ def test_batch_normal_matches_rng_jitter():
         assert (batch == scalar).all()
 
 
-@pytest.mark.parametrize("mode", ("ctypes", "generic"))
-def test_batch_normal_chunk_edges(mode):
-    """Chunked draws equal per-key jitter on every chunk boundary."""
+def _bank_in_mode(mode):
     bank = NoiseBank()
     if mode == "ctypes" and bank.mode != "ctypes":
         pytest.skip("the ctypes install path failed its self-check here")
+    if mode != "generic" and bank.mode == "generic":
+        pytest.skip("the vectorised seeding failed its self-check here")
     bank.mode = mode
+    return bank
+
+
+@pytest.mark.parametrize("mode", ("ctypes", "state", "generic"))
+def test_batch_normal_chunk_edges(mode):
+    """Chunked draws equal per-key jitter on every chunk boundary."""
+    bank = _bank_in_mode(mode)
     for n in (0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
               3 * DRAW_CHUNK + 7):
         keys = [("route-sm", k % 97, k) for k in range(n)]
@@ -116,6 +124,103 @@ def test_batch_normal_chunk_edges(mode):
             batch = bank.batch_normal(3, given_keys, 2.5)
             assert batch.shape == (n,)
             assert (batch == scalar).all()
+
+
+def _reference_draw(state: int, inc: int) -> tuple:
+    """(first ``standard_normal()``, post-draw state) of a public
+    ``Generator`` whose PCG64 state is set through ``.state``."""
+    bit_gen = np.random.PCG64()
+    bit_gen.state = {"bit_generator": "PCG64",
+                     "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+    value = np.random.Generator(bit_gen).standard_normal()
+    return value, bit_gen.state["state"]["state"]
+
+
+def _vector_draw(bank, state: int, inc: int) -> tuple:
+    """(draw, accepted) of the bank's array path for one (state, inc)."""
+    mask = (1 << 64) - 1
+    limbs = tuple(np.array([v], dtype=np.uint64)
+                  for v in (state >> 64, state & mask, inc >> 64, inc & mask))
+    draw, accepted = bank._ziggurat(noise._first_output(*limbs))
+    return draw[0], bool(accepted[0])
+
+
+def test_forced_outputs_match_the_generator_on_every_strip():
+    """For every ziggurat strip: magnitude ``ki - 1`` is returned by the
+    array path bit-for-bit, ``ki`` is handed to the install path (the
+    Generator consumes more than one output there), and magnitude 0 with
+    the sign bit set reads ``-0.0``."""
+    bank = get_bank()
+    if bank.mode == "generic":
+        pytest.skip("the vectorised seeding failed its self-check here")
+    ki = bank._ki.tolist()
+    assert ki[1] == 0 and sum(k > 0 for k in ki) == 255
+    for idx in range(256):
+        cases = [(0, True)]
+        if ki[idx]:
+            cases += [(ki[idx] - 1, False), (ki[idx] - 1, True)]
+        if ki[idx] < 2 ** 52:
+            cases.append((ki[idx], False))
+        for rabs, negative in cases:
+            output = noise._ziggurat_output(idx, rabs, negative)
+            state, inc = noise._forced_state(output)
+            want, post = _reference_draw(state, inc)
+            got, accepted = _vector_draw(bank, state, inc)
+            assert accepted == (rabs < ki[idx]) == (post == output)
+            if accepted:
+                assert got == want
+                assert np.signbit(got) == np.signbit(want) == negative
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2 ** 32, 2 ** 64 - 1), min_size=1,
+                max_size=80))
+def test_chunk_draws_match_default_rng(digests):
+    got = get_bank()._draw_chunk(np.array(digests, dtype=np.uint64))
+    want = [np.random.default_rng(d).standard_normal() for d in digests]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("failing", ("every strip", "strip 7"))
+def test_failed_table_probe_still_matches(monkeypatch, failing):
+    """A strip whose table probe fails keeps ``ki = 0``: every draw in it
+    takes the per-stream install path, and draws stay exact."""
+    forced_draw = NoiseBank._forced_draw
+
+    def broken(self, output):
+        if failing == "every strip" or output & 0xFF == 7:
+            return 0.0, False
+        return forced_draw(self, output)
+
+    monkeypatch.setattr(NoiseBank, "_forced_draw", broken)
+    bank = NoiseBank()
+    if bank.mode == "generic":
+        pytest.skip("the vectorised seeding failed its self-check here")
+    assert bank._ki[7] == 0
+    assert (bank._ki == 0).all() == (failing == "every strip")
+    digests = np.random.default_rng(5).integers(
+        2 ** 32, 2 ** 64, size=3000, dtype=np.uint64, endpoint=False)
+    got = bank._draw_chunk(digests)
+    assert got.tolist() == [np.random.default_rng(int(d)).standard_normal()
+                            for d in digests]
+
+
+def test_per_row_sigma_equals_per_part_sigmas():
+    bank = get_bank()
+    parts = [(rng.render_keys(2, ("route-sm", rng.COLUMN, rng.COLUMN),
+                              np.arange(40) % 8, np.arange(40)), 3.5),
+             (rng.render_keys(2, ("route-gpc", rng.COLUMN, rng.COLUMN),
+                              np.arange(7), np.arange(7)), 1.25),
+             (rng.render_keys(2, ("slice-bw", rng.COLUMN), [0]), 7)]
+    texts = [t for part, _ in parts for t in part]
+    sigma = np.concatenate([np.full(len(part), float(s))
+                            for part, s in parts])
+    joined = bank.batch_normal_texts(iter(texts), sigma)
+    assert joined.tolist() == [v for part, s in parts
+                               for v in bank.batch_normal_texts(part, s)]
+    with pytest.raises(ValueError):
+        bank.batch_normal_texts(texts, sigma[:-1])
 
 
 def test_structural_matrix_memory_bound():

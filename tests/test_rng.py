@@ -105,3 +105,68 @@ def test_render_keys_rejects_non_integer_columns():
         rng.render_keys(0, shape, [1.0])
     with pytest.raises(ValueError):
         rng.render_keys(0, shape, [1], [2])
+
+
+def test_text_digests_are_the_first_eight_sha256_bytes():
+    import hashlib
+    texts = [b"", b"(0, ('slice-bw', 1))", bytes(range(256))]
+    assert rng.text_digests(texts).tolist() == [
+        int.from_bytes(hashlib.sha256(t).digest()[:8], "little")
+        for t in texts]
+
+
+# --------------------------------------------------------- NumPy key parts
+
+def test_key_text_renders_numpy_parts_as_python_values():
+    plain = ("measure", 3, 7, True, (0, (5, False)))
+    mixed = ("measure", np.int64(3), np.uint8(7), np.True_,
+             (np.int32(0), (np.int16(5), np.bool_(False))))
+    assert rng.key_text(0, mixed) == rng.key_text(0, plain) \
+        == repr((0, plain)).encode()
+    assert rng.key_text(np.int64(9), ["a", 1]) == b"(9, ('a', 1))"
+
+
+def _numpy_ids_match(draw, *ids):
+    """``draw`` reads the same with NumPy ids as with the Python ids."""
+    as_numpy = [np.bool_(i) if isinstance(i, bool) else np.int64(i)
+                for i in ids]
+    assert np.array_equal(draw(*ids), draw(*as_numpy))
+
+
+def test_numpy_ids_key_the_same_latency_samples():
+    from repro.gpu.device import SimulatedGPU
+    latency = SimulatedGPU("V100", seed=0).latency
+    _numpy_ids_match(lambda sm, sl, hit: latency.sample(sm, sl, n=3,
+                                                        hit=hit),
+                     0, 1, True)
+
+
+def test_numpy_ids_key_the_same_memory_access():
+    from repro.gpu.device import SimulatedGPU
+
+    def access(sm, address):
+        return SimulatedGPU("V100", seed=0).memory.access(
+            sm, address).latency_cycles
+
+    _numpy_ids_match(access, 0, 0)
+
+
+def test_numpy_ids_key_the_same_sm_to_sm_latency():
+    from repro.gpu.device import SimulatedGPU
+    latency = SimulatedGPU("H100", seed=0).latency
+    _numpy_ids_match(latency.sm_to_sm_latency, 0, 5)
+
+
+def test_numpy_ids_key_the_same_slice_bandwidth():
+    from repro.gpu.device import SimulatedGPU
+    topology = SimulatedGPU("V100", seed=0).topology
+    _numpy_ids_match(topology._slice_capacity, 3)
+
+
+def test_numpy_ids_key_the_same_covert_measurement():
+    from repro.gpu.device import SimulatedGPU
+    from repro.sidechannel.covert import CovertChannel
+    channel = CovertChannel(SimulatedGPU("V100", seed=0), 0, [0, 1], [2, 3])
+    _numpy_ids_match(lambda active, symbol:
+                     channel._receiver_bandwidth(active, symbol=symbol),
+                     True, 4)

@@ -31,6 +31,16 @@ from repro.serve.workers import (SHM_PREFIX, VNODES, HashRing,
 SMALL = dict(gpu="V100", seed=0, sms=[0, 1], samples=1)
 
 
+def test_warm_imports_builds_the_noise_bank(monkeypatch):
+    """The bank's self-checks and table probe run at worker start."""
+    from repro.core.fastpath import noise
+    from repro.serve.workers import warm_imports
+
+    monkeypatch.setattr(noise, "_BANK", None)
+    warm_imports()
+    assert isinstance(noise._BANK, noise.NoiseBank)
+
+
 # --------------------------------------------------------------------------
 # consistent hashing
 # --------------------------------------------------------------------------
