@@ -24,7 +24,8 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   one section per kernel, as the pool plan's two units (bottleneck,
   then the fairness pair) and as the in-process report's one fused
   4-lane lockstep run; min of 3 each, bit-identity of the metrics
-  verified.  No floor: ``cpu_count`` is part of the record;
+  verified, and the fused run's µs per kernel step (feeds included).
+  No floor: ``cpu_count`` is part of the record;
 * ``cold_device_request`` — the serve-cold request shape: a fresh V100
   device per seed measuring an 8-SM latency matrix on the default
   engine, per-request ms (median), with bit-identity against the scalar
@@ -45,6 +46,7 @@ import time
 from _figutil import show
 
 from repro.gpu.device import SimulatedGPU
+from repro.units import MEGA
 
 
 def latency_matrix_timings() -> dict:
@@ -197,6 +199,8 @@ def report_mesh_timings(repeats: int = 3) -> dict:
         metrics[name] = result
     for name in ("per_section", "pool_plan"):
         record[f"fused_vs_{name}"] = record["fused_s"] / record[f"{name}_s"]
+    record["fused_us_per_step"] = (record["fused_s"] / record["fused_steps"]
+                                   * MEGA)
     record["bit_identical"] = (metrics["per_section"] == metrics["pool_plan"]
                                == metrics["fused"])
     record["cpu_count"] = os.cpu_count()

@@ -37,6 +37,15 @@ vectorisation exact:
   the VC kernel) and folding delivery stats into per-lane counters
   lazily reproduces the scalar order bit for bit.
 
+With a few lanes a step costs about one microsecond per NumPy call, so
+:meth:`BatchedMesh.step` keeps the count low: it schedules on the
+occupied slots' ids, arbitrates with one pick-table lookup per grant
+(the round-robin pointer or the age lanes' row selects the table row),
+writes every granted output's wormhole lock once, sends eject outputs'
+credit checks to an always-empty sentinel slot, and re-reads the head
+of every slot a flit left or entered once, after the merged push.
+DESIGN.md §12 gives the argument why each of these is exact.
+
 Entry points mirror the scalar experiment APIs and return the same
 result dataclasses: :func:`batched_sweep_load`,
 :func:`batched_load_curves`, :func:`batched_fairness_experiment(s)` and
@@ -63,21 +72,24 @@ from repro.noc.mesh.lanes import (_A_DST_SHIFT, _A_FLG_MASK, _A_SRC_MASK,
 from repro.noc.mesh.routing import default_mc_nodes
 from repro.noc.mesh.vc import DeliveryStats
 
-# _RR_PICK[last][mask] is the rotating-priority winner among the input
-# ports set in the 5-bit candidate ``mask`` (the scalar one-VC
-# ``VCRouter.grant`` round-robin as one table lookup)
-_RR_PICK = tuple(
-    tuple(next((idx for off in range(1, _NUM_PORTS + 1)
-                for idx in [(last + off) % _NUM_PORTS] if mask >> idx & 1), 0)
-          for mask in range(1 << _NUM_PORTS))
-    for last in range(_NUM_PORTS))
-
-_RR_PICK_F = np.array(_RR_PICK, dtype=np.int64).ravel()    # [last*32 + mask]
-# single-contender grants: any arbiter picks the only requesting port
-_BIT_PORT_F = np.zeros(32, dtype=np.int64)
-for _p in range(_NUM_PORTS):
-    _BIT_PORT_F[1 << _p] = _p
-del _p
+# _PICK_F[row + mask] is the input port granted among the ports set in
+# the 5-bit candidate ``mask``.  An output's ``row`` is ``32*last`` on an
+# rr lane: rotating priority from the last winner ``last`` (the scalar
+# one-VC ``VCRouter.grant`` round-robin as one table lookup).  Age lanes
+# use row ``_AGE_ROW``: the lone contender's port, or -1 when several
+# contend (the kernel then picks the oldest head).  _NEXT_ROW_F at the
+# same index is the row the output's next grant reads: the winner's row
+# on rr lanes, the age row again on age lanes.
+_AGE_ROW = _NUM_PORTS * 32
+_RR_PICK = [next((idx for off in range(1, _NUM_PORTS + 1)
+                  for idx in [(last + off) % _NUM_PORTS]
+                  if mask >> idx & 1), 0)
+            for last in range(_NUM_PORTS) for mask in range(32)]
+_AGE_PICK = [(mask.bit_length() - 1 if mask & (mask - 1) == 0 else -1)
+             for mask in range(32)]
+_PICK_F = np.array(_RR_PICK + _AGE_PICK, dtype=np.int64)
+_NEXT_ROW_F = np.array([port * 32 for port in _RR_PICK]
+                       + [_AGE_ROW] * 32, dtype=np.int64)
 _SH32 = np.int64(32)
 _ARANGE5 = np.arange(_NUM_PORTS, dtype=np.int64)
 
@@ -147,7 +159,9 @@ class BatchedMesh:
         self._rf_a = np.zeros(G * F, dtype=np.int64)
         self._rf_b = np.zeros(G * F, dtype=np.int64)
         self._hd = np.zeros(G, dtype=np.int64)
-        self._ln = np.zeros(G, dtype=np.int64)
+        # ln[G] is a sentinel slot that stays empty: the credit target of
+        # every eject output, so the credit check needs no eject mask
+        self._ln = np.zeros(G + 1, dtype=np.int64)
         self._h_a = np.zeros(G, dtype=np.int64)
         self._h_b = np.zeros(G, dtype=np.int64)
         self._h_out = np.zeros(G, dtype=np.int64)
@@ -155,11 +169,12 @@ class BatchedMesh:
         # ---- router state ----------------------------------------------
         self._lock = np.full(G, -1, dtype=np.int64)
         self._body_out = np.zeros(G, dtype=np.int64)
-        self._rr_last = np.full(G, _NUM_PORTS - 1, dtype=np.int64)
-        self._arb_age = np.array([k == "age" for k in arbiter_kinds])
-        self._arb_age_f = np.repeat(self._arb_age, slots)
-        self._has_rr = bool((~self._arb_age).any())
-        self._has_age = bool(self._arb_age.any())
+        # per-output _PICK_F row; an rr pointer starts at the last port
+        self._arb_row = np.repeat(
+            np.array([_AGE_ROW if k == "age" else (_NUM_PORTS - 1) * 32
+                      for k in arbiter_kinds], dtype=np.int64), slots)
+        self._has_rr = "rr" in arbiter_kinds
+        self._has_age = "age" in arbiter_kinds
         # True once any multi-flit packet exists: gates all lock logic
         self._wormhole = False
 
@@ -191,17 +206,21 @@ class BatchedMesh:
         self._lane_f = gf // slots
         self._obase_f = gf - self._port_f
         self._bit_f = (1 << self._port_f).astype(np.float64)
-        self._eject_f = self._port_f == 0
         self._route_f = route_table(width, height)
         self._rtbase_f = self._node_f * n
-        # boundary ports never carry traffic (XY routing): clip to 0
-        nbr_f = np.maximum(neighbor_nodes(width, height) * _NUM_PORTS
-                           + np.array(_OPP), 0).ravel()
-        self._nbr_g = (np.arange(B, dtype=np.int64)[:, None] * slots
-                       + nbr_f[None, :]).ravel()
-        self._local_g = (np.arange(B, dtype=np.int64)[:, None] * slots
-                         + (np.arange(n, dtype=np.int64)
-                            * _NUM_PORTS)[None, :]).ravel()
+        # downstream input slot of every output; eject outputs (and the
+        # boundary ports, which XY routing never uses) point at the
+        # sentinel slot G
+        nbr = neighbor_nodes(width, height)
+        nbr_f = (nbr * _NUM_PORTS + np.array(_OPP)).ravel()
+        self._nbr_g = np.where(
+            np.tile(nbr.ravel(), B) < 0, G,
+            (np.arange(B, dtype=np.int64)[:, None] * slots
+             + nbr_f[None, :]).ravel())
+        # queue q = lane*n + node injects into local slot q*5: the local
+        # slots' lengths are a strided view of ln
+        self._local_g = np.arange(0, G, _NUM_PORTS, dtype=np.int64)
+        self._ln_local = self._ln[:G:_NUM_PORTS]
 
     @property
     def num_nodes(self) -> int:
@@ -256,118 +275,82 @@ class BatchedMesh:
         self._last_tflg = _EMPTY_I
 
         # ---- schedule: pure function of pre-cycle state ----------------
-        occ = ln != 0
+        # the occupied slots' output slots; an output slot's flat id is
+        # also its grant and lock index
+        occ = (ln != 0).nonzero()[0]
+        out_g = self._obase_f.take(occ) + h_out.take(occ)
+        # contender bitmask per output slot: bit = input port
+        bits = self._bit_f.take(occ)
         if wormhole:
-            # a head flit needs its output lock free (or its own); body
-            # flits stream behind the lock their head already holds (a
-            # lock stores the holder's B word: equal B = same packet)
-            is_head = (h_a & _F_HEAD) != 0
-            lockv = self._lock.take(self._obase_f + h_out)
-            elig = occ & (~is_head | (lockv == -1) | (lockv == h_b))
-        else:
-            elig = occ
-        eg = np.flatnonzero(elig)
-        if eg.size:
-            # contender bitmask per output slot: bit = input port; the
-            # output slot's flat id is also its grant and lock index
-            out_g = self._obase_f.take(eg) + h_out.take(eg)
-            M = np.bincount(out_g, weights=self._bit_f.take(eg),
-                            minlength=G)
-            cand = np.flatnonzero(M != 0)
-            # downstream credit from pre-cycle buffer lengths (each input
-            # buffer has exactly one upstream contender: no interference)
-            okc = (self._eject_f.take(cand)
-                   | (ln.take(self._nbr_g.take(cand)) < F))
-            granted = cand[okc]
-        else:
-            granted = _EMPTY_I
+            # a head needs its output lock free; a body flit always finds
+            # its own packet's lock there (a lock stores the holder's B
+            # word, held from head to tail), so one test covers both.  A
+            # blocked flit contributes no bit.
+            lockv = self._lock.take(out_g)
+            bits *= (lockv == -1) | (lockv == h_b.take(occ))
+        M = np.bincount(out_g, weights=bits, minlength=G)
+        cand = (M != 0).nonzero()[0]
+        # downstream credit from pre-cycle buffer lengths (each input
+        # buffer has exactly one upstream contender: no interference;
+        # eject outputs read the always-empty sentinel)
+        down = self._nbr_g.take(cand)
+        okc = ln.take(down) < F
+        granted = cand.compress(okc)
 
         # ---- apply moves ----------------------------------------------
-        dg = ig = _EMPTY_I
+        src_g = dg = ig = _EMPTY_I
         if granted.size:
-            # single-contender grants (most of them, away from the MC
-            # hotspots) need no arbitration: the winner is the only
-            # requesting port, whatever the arbiter kind
+            # one table lookup per grant: rr rotating priority, or an age
+            # lane's lone contender (-1 marks a contended age output)
             mg = M.take(granted).astype(np.int64)
-            win = _BIT_PORT_F.take(mg)
-            multi = (mg & (mg - 1)) != 0
-            agem = (self._arb_age_f.take(granted)
-                    if self._has_rr and self._has_age else None)
-            if self._has_age and multi.any():
-                # oldest head wins (min B = min (birth<<32 | pid)); only
-                # the truly contended age-lane grants are gathered
-                am = agem & multi if agem is not None else multi
-                if am.any():
-                    ga = granted[am]
-                    b5 = (self._obase_f.take(ga)[:, None] + _ARANGE5).ravel()
-                    req = (h_out.take(b5).reshape(-1, _NUM_PORTS)
-                           == self._port_f.take(ga)[:, None])
-                    req &= elig.take(b5).reshape(-1, _NUM_PORTS)
-                    k5 = np.where(req, h_b.take(b5).reshape(-1, _NUM_PORTS),
-                                  _NO_KEY)
-                    win[am] = k5.argmin(axis=1)
+            row = self._arb_row.take(granted) + mg
+            win = _PICK_F.take(row)
             if self._has_rr:
-                rm = multi if agem is None else ~agem & multi
-                if rm.any():
-                    gr = granted[rm]
-                    win[rm] = _RR_PICK_F.take(self._rr_last.take(gr) * 32
-                                              + mg[rm])
-                if agem is None:
-                    self._rr_last[granted] = win
-                else:
-                    rrm = ~agem
-                    self._rr_last[granted[rrm]] = win[rrm]
-            src_g = self._obase_f.take(granted) + win
+                self._arb_row[granted] = _NEXT_ROW_F.take(row)
+            rbase = self._obase_f.take(granted)
+            if self._has_age:
+                am = (win < 0).nonzero()[0]
+                if am.size:
+                    # oldest head wins (min B = min (birth<<32 | pid))
+                    # among the contenders named by the mask bits
+                    cols = rbase.take(am)[:, None] + _ARANGE5
+                    req = (mg.take(am)[:, None] >> _ARANGE5) & 1
+                    keys = np.where(req, h_b.take(cols), _NO_KEY)
+                    win[am] = keys.argmin(axis=1)
+            src_g = rbase + win
             f_a = h_a.take(src_g)
             f_b = h_b.take(src_g)
 
             if wormhole:
+                # one lock write per grant: a tail releases, any other
+                # flit holds its B word (a head acquires; a body rewrites
+                # the word its head stored); body_out of the source slot
+                # names this output (a body's head already named it; a
+                # lone flit's is never read, the next flit being a head)
                 f_tail = (f_a & _F_TAIL) != 0
-                # wormhole locks: tails release, head-only flits acquire
-                self._lock[granted[f_tail]] = -1
-                acq = ((f_a & _F_HEAD) != 0) & ~f_tail
-                if acq.any():
-                    ga2 = granted[acq]
-                    self._lock[ga2] = f_b[acq]
-                    self._body_out[src_g[acq]] = self._port_f.take(ga2)
+                self._lock[granted] = np.where(f_tail, -1, f_b)
+                self._body_out[src_g] = self._port_f.take(granted)
 
-            # pop the moved flits, then re-materialise the new heads
+            # pop the moved flits (their new heads are read after the
+            # push); one grant per output, so src_g has no repeats
             nh = hd.take(src_g) + 1
             if pow2:
                 nh &= fmask
             else:
                 nh %= F
             hd[src_g] = nh
-            nl = ln.take(src_g) - 1
-            ln[src_g] = nl
-            rem = nl != 0
-            if rem.any():
-                rs = src_g[rem]
-                ri = rs * F + nh[rem]
-                na = self._rf_a.take(ri)
-                h_a[rs] = na
-                h_b[rs] = self._rf_b.take(ri)
-                rt = self._route_f.take(self._rtbase_f.take(rs)
-                                        + (na >> _A_DST_SHIFT))
-                if wormhole:
-                    h_out[rs] = np.where((na & _F_HEAD) != 0, rt,
-                                         self._body_out.take(rs))
-                else:
-                    h_out[rs] = rt
+            ln[src_g] = ln.take(src_g) - 1
 
             # ejections: deferred stats + the sink-visible tail record
-            ej = self._eject_f.take(granted)
-            if ej.any():
+            down = down.compress(okc)
+            is_ej = down == G
+            ej = is_ej.nonzero()[0]
+            if ej.size:
                 if wormhole:
-                    self._fd_pend.append(self._lane_f.take(granted[ej]))
-                    tm = ej & f_tail
-                    jg = granted[tm]
-                    ja = f_a[tm]
-                    jb = f_b[tm]
-                else:
-                    jg = granted[ej]
-                    ja = f_a[ej]
-                    jb = f_b[ej]
+                    self._fd_pend.append(self._lane_f.take(granted.take(ej)))
+                    ej = (is_ej & f_tail).nonzero()[0]
+                jg = granted.take(ej)
+                ja = f_a.take(ej)
                 jl = self._lane_f.take(jg)
                 if not wormhole:
                     self._fd_pend.append(jl)
@@ -375,17 +358,18 @@ class BatchedMesh:
                     jsrc = (ja >> _A_SRC_SHIFT) & _A_SRC_MASK
                     self._st_lane.append(jl)
                     self._st_src.append(jsrc)
-                    self._st_lat.append(self.cycle - (jb >> _SH32))
+                    self._st_lat.append(self.cycle
+                                        - (f_b.take(ej) >> _SH32))
                     self._last_tg = jg
                     self._last_tl = jl
                     self._last_tsrc = jsrc
                     self._last_tflg = ja & _A_FLG_MASK
 
             # forwards: queued for the merged push below
-            fw = ~ej
-            dg = self._nbr_g.take(granted[fw])
-            m_a = f_a[fw]
-            m_b = f_b[fw]
+            fw = (~is_ej).nonzero()[0]
+            dg = down.take(fw)
+            m_a = f_a.take(fw)
+            m_b = f_b.take(fw)
 
         # ---- injection: one flit per node per cycle --------------------
         # (forwards only push ports 1-4, so the local-port credit check
@@ -393,8 +377,7 @@ class BatchedMesh:
         queues = self._queues
         queues.flush(self.cycle)
         q_ln = queues.ln
-        can = (q_ln != 0) & (ln.take(self._local_g) < F)
-        iq = np.flatnonzero(can)
+        iq = ((q_ln != 0) & (self._ln_local < F)).nonzero()[0]
         if iq.size:
             cap = queues.cap
             qh = queues.hd.take(iq)
@@ -428,19 +411,22 @@ class BatchedMesh:
             self._rf_a[ri] = p_a
             self._rf_b[ri] = p_b
             ln[tgt] = dl + 1
-            fresh = dl == 0
-            if fresh.any():
-                fs = tgt[fresh]
-                fa = p_a[fresh]
-                h_a[fs] = fa
-                h_b[fs] = p_b[fresh]
-                rt = self._route_f.take(self._rtbase_f.take(fs)
-                                        + (fa >> _A_DST_SHIFT))
-                if wormhole:
-                    h_out[fs] = np.where((fa & _F_HEAD) != 0, rt,
-                                         self._body_out.take(fs))
-                else:
-                    h_out[fs] = rt
+
+        # ---- head caches: re-read the head of every slot a flit left
+        # or entered (an emptied slot's stale head is never read) -------
+        touched = np.concatenate((src_g, tgt))
+        if touched.size:
+            ri = touched * F + hd.take(touched)
+            na = self._rf_a.take(ri)
+            h_a[touched] = na
+            h_b[touched] = self._rf_b.take(ri)
+            rt = self._route_f.take(self._rtbase_f.take(touched)
+                                    + (na >> _A_DST_SHIFT))
+            if wormhole:
+                h_out[touched] = np.where(na & _F_HEAD, rt,
+                                          self._body_out.take(touched))
+            else:
+                h_out[touched] = rt
 
         self.cycle += 1
         if len(self._st_lane) >= _STATS_FLUSH_CYCLES:
@@ -511,7 +497,8 @@ class BatchedMesh:
 
     def buffer_occupancy(self, lane: int) -> list:
         """Flit count of every input buffer (invariant checks in tests)."""
-        return self._ln.reshape(self.batch, self._slots)[lane].tolist()
+        return self._ln[:self._g].reshape(self.batch,
+                                          self._slots)[lane].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ arbiters: Fig 21, Fig 23) and
 :class:`~repro.noc.mesh.vcmesh_batched.BatchedVCMesh` (per-lane VC
 count, buffer depth and credit latency: the VC sweep) both simulate
 ``B`` independent mesh *lanes* as flat NumPy arrays.  They stay two
-kernels: the one-VC step of ``BatchedVCMesh`` costs about twice a
-``BatchedMesh`` step (DESIGN.md §16), so folding the one-VC work onto
-it would slow the Fig 23 sweep.  What they have in common lives here,
-and neither kernel module imports the other:
+kernels: the one-VC step of ``BatchedVCMesh`` costs 1.45-1.65x a
+``BatchedMesh`` step, inject included (DESIGN.md §16), so folding the
+one-VC work onto it would slow the Fig 23 sweep.  What they have in
+common lives here, and neither kernel module imports the other:
 
 * :func:`make_stream` replays the scalar traffic RNG
   (``rng.generator_for(seed, *key)``'s ``random()`` and
@@ -319,12 +319,14 @@ class SourceQueues:
         b0 = (cycle << 32) | self.next_pid
         self.next_pid += k
         ln = self.ln
-        if (not (code & _PEND_SIZE_BITS).any()
-                and (k == 1 or bool((qid[1:] > qid[:-1]).all()))):
+        # queue-id steps that do not increase: none means one packet per
+        # queue in queue order
+        ties = k > 1 and np.count_nonzero(qid[1:] <= qid[:-1])
+        if not ties and not np.count_nonzero(code & _PEND_SIZE_BITS):
             # one single-flit packet per queue, in queue order (every
-            # Bernoulli cycle): no sort, no flit trains
+            # Bernoulli cycle): no flit trains
             ahead = ln.take(qid)
-            if int(ahead.max()) >= self.cap:
+            if np.count_nonzero(ahead >= self.cap):
                 self.grow()
             cap = self.cap
             slot = (self.hd.take(qid) + ahead) % cap + qid * cap
@@ -332,29 +334,31 @@ class SourceQueues:
             self.b[slot] = np.arange(b0, b0 + k, dtype=np.int64)
             ln[qid] = ahead + 1
             return
-        # queue-major, inject order within a queue
-        order = qid.argsort(kind="stable")
-        qid = qid.take(order)
-        code = code.take(order)
-        bword = order + b0
+        if ties and np.count_nonzero(qid[1:] < qid[:-1]):
+            # queue-major, inject order within a queue
+            order = qid.argsort(kind="stable")
+            qid = qid.take(order)
+            code = code.take(order)
+            bword = order + b0
+        else:
+            # already queue-major (the lanes' feeds and a reply lane's
+            # controllers append in queue order): no sort
+            bword = np.arange(b0, b0 + k, dtype=np.int64)
+        # every packet's flit train, flit by flit; queue-major order
+        # makes a flit's rank among this flush's flits of its queue its
+        # distance from the queue's first flushed flit
         size = ((code >> _PEND_SIZE_SHIFT) & _PEND_SIZE_MASK) + 1
-        end = size.cumsum()
-        start = end - size
-        # flits queued ahead of each packet: the backlog plus the packets
-        # flushed before it into the same queue
-        ahead = ln.take(qid) + start - start.take(qid.searchsorted(qid))
-        while (ahead + size).max() > self.cap:
+        fq = qid.repeat(size)
+        ahead = (ln.take(fq) + np.arange(fq.size, dtype=np.int64)
+                 - fq.searchsorted(fq))
+        while np.count_nonzero(ahead >= self.cap):
             self.grow()
         cap = self.cap
-        # every flit's packet, and its ring slot: the packet's first
-        # free slot plus the flit's offset in the train
-        pk = np.arange(k, dtype=np.int64).repeat(size)
-        slot = ((self.hd.take(qid) + ahead - start).take(pk)
-                + np.arange(pk.size, dtype=np.int64)) % cap \
-            + (qid * cap).take(pk)
-        a = (code & _PEND_A_MASK).take(pk)
-        a[start] |= _F_HEAD
+        slot = (self.hd.take(fq) + ahead) % cap + fq * cap
+        end = size.cumsum()
+        a = (code & _PEND_A_MASK).repeat(size)
+        a[end - size] |= _F_HEAD
         a[end - 1] |= _F_TAIL
         self.a[slot] = a
-        self.b[slot] = bword.take(pk)
-        ln += np.bincount(qid, size, ln.size).astype(np.int64)
+        self.b[slot] = bword.repeat(size)
+        ln += np.bincount(fq, minlength=ln.size)

@@ -198,8 +198,10 @@ def test_multiflit_wormhole_matches(arbiter):
     assert scalar.flits_delivered > len(schedule)   # multi-flit packets landed
 
 
-@pytest.mark.parametrize("arbiter", ["rr", "age"])
-def test_lockstep_bursts_bulk_flush(arbiter):
+@pytest.mark.parametrize("arbiters", [("rr",) * 3, ("age",) * 3,
+                                      ("rr", "age", "rr")],
+                         ids=["rr", "age", "rr-age-rr"])
+def test_lockstep_bursts_bulk_flush(arbiters):
     """The burst schedule of ``tests/test_vcmesh_equivalence.py`` on
 
     ``BatchedMesh``, compared with one ``one_vc_mesh`` per lane at every
@@ -207,13 +209,17 @@ def test_lockstep_bursts_bulk_flush(arbiter):
     node order each cycle with the lanes interleaved (one deferred flush
     holds several packets per queue, appended out of lane and queue
     order), 1- and 4-flit packets in one flush, source queues that start
-    at two flits, and backlog reads between same-cycle injects."""
-    width, height, lanes = 3, 3, 3
+    at two flits, and backlog reads between same-cycle injects.  The
+    mixed rr/age batch is the report's fused run in small: wormhole
+    locks and round-robin pointers written on every grant of every lane.
+    The eject outputs' sentinel slot must stay empty throughout."""
+    width, height, lanes = 3, 3, len(arbiters)
     scalars = [one_vc_mesh(width, height, buffer_flits=3,
-                           arbiter_kind=arbiter) for _ in range(lanes)]
+                           arbiter_kind=arbiter) for arbiter in arbiters]
     batched = BatchedMesh(width, height, batch=lanes, buffer_flits=3,
-                          arbiter_kinds=arbiter, source_capacity=2)
+                          arbiter_kinds=arbiters, source_capacity=2)
     n = width * height
+    slots = n * 5
     gen = np.random.default_rng(11)
     for cycle in range(150):
         for node in gen.permutation(n).tolist():
@@ -235,7 +241,9 @@ def test_lockstep_bursts_bulk_flush(arbiter):
         for scalar in scalars:
             scalar.step()
         batched.step()
+        assert batched._ln[batched._g] == 0, cycle
         for lane, scalar in enumerate(scalars):
+            assert len(batched.buffer_occupancy(lane)) == slots
             assert_stats_equal(scalar, batched, lane=lane)
             assert scalar.source_backlog(0) == \
                 batched.source_backlog(lane, 0), (cycle, lane)

@@ -76,11 +76,12 @@ def _contents(queues: SourceQueues, q: int) -> list:
 
 
 @pytest.mark.parametrize("kind", ["single-sorted", "single-shuffled",
-                                  "trains"])
+                                  "trains", "trains-sorted"])
 def test_flush_matches_one_packet_at_a_time(kind):
-    """Random batches through both flush paths, with pops in between,
+    """Random batches through every flush path, with pops in between,
 
-    against a deque per queue filled one packet at a time."""
+    against a deque per queue filled one packet at a time ("trains-sorted"
+    appends its packets in queue order, ties and all: the no-sort path)."""
     gen = np.random.default_rng(7)
     n_queues = 6
     queues = SourceQueues(n_queues, 2)
@@ -95,6 +96,8 @@ def test_flush_matches_one_packet_at_a_time(kind):
                       1 if kind == "single-shuffled"
                       else 1 + int(gen.integers(4)))
                      for _ in range(int(gen.integers(0, 7)))]
+            if kind == "trains-sorted":
+                batch.sort(key=lambda packet: packet[0])
         for q, size in batch:
             a = (q << 5) | int(gen.integers(4)) << 2     # any A bits
             queues.pend.append(_pack(q, size, a))
