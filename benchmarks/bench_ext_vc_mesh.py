@@ -135,15 +135,18 @@ def _time_steps(mesh, inject, traffic) -> tuple:
     return inject_s / len(traffic) * MEGA, step_s / len(traffic) * MEGA
 
 
-def one_vc_step_timings(repeats: int = 3) -> dict:
+def one_vc_step_timings(repeats: int = 7) -> dict:
     """us/cycle: BatchedVCMesh(num_vcs=1) vs BatchedMesh, same traffic.
 
     Each kernel takes its packets through its public ``inject``, which
     defers them to the shared bulk flush inside ``step``
     (``repro.noc.mesh.lanes.SourceQueues``), so the record splits inject
-    and step time and gives their sum.  Min of ``repeats`` fresh runs per kernel and load
-    (packet construction not timed); the delivered counts of the two
-    kernels must agree lane for lane.
+    and step time and gives their sum.  Min of ``repeats`` fresh runs
+    per kernel and load (packet construction not timed); the delivered
+    counts of the two kernels must agree lane for lane.  Seven repeats,
+    because at three two back-to-back runs on a 2-vCPU VM read 1.61 and
+    1.27 at load 0.05, either side of the ~1.35 fold threshold (DESIGN
+    §16).
     """
     width, height = STEP_MESH["width"], STEP_MESH["height"]
     lanes = STEP_MESH["lanes"]

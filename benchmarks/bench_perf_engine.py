@@ -33,7 +33,13 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
 * ``noise_draw`` — ``NoiseBank.batch_normal_texts`` per-stream µs at the
   cold request's batch sizes (32, 256 and 512 streams, texts rendered
   beforehand), the bank's construction and ziggurat table-probe ms, and
-  bit-identity against per-digest ``default_rng`` on 10^4 streams.
+  bit-identity against per-digest ``default_rng`` on 10^4 streams;
+* ``flow_solver`` — the V100 Fig 9a aggregates (all SMs to all slices,
+  hit and miss) per call on each engine, and the max-min fill inside
+  them: the golden model's dense ``progressive_fill`` vs the vectorized
+  engine's event-driven ``FillPlan.fill`` on the L2 aggregate's
+  converged instance, bit-identity verified on both.  No floor:
+  ``cpu_count`` is part of the record.
 """
 
 from __future__ import annotations
@@ -277,6 +283,80 @@ def noise_draw_timings(sizes=(32, 256, 512), repeats: int = 200,
     }
 
 
+def flow_solver_timings(repeats: int = 5) -> dict:
+    """Fig 9a aggregates per engine, and the fill they spend it in.
+
+    Per-call ms is the median of ``repeats`` calls, each on a fresh V100
+    (built untimed), engines interleaved.  The fill instance is the L2
+    aggregate's last fixed-point iterate: caps and budget-link
+    capacities at the converged inflation, 2,688 flows over 192 links,
+    one SM's MSHR budget link saturating per round.  The event fill's
+    index plan is built once per solve, so it is timed apart
+    (``plan_ms``).
+    """
+    import statistics
+
+    import numpy as np
+
+    from repro.core.bandwidth_bench import (aggregate_l2_bandwidth,
+                                            aggregate_memory_bandwidth)
+    from repro.core.fastpath.bandwidth import traffic_arrays
+    from repro.noc.flows import FillPlan, progressive_fill, solve_arrays
+
+    def median_ms(fn, setup=lambda: None):
+        times = []
+        results = []
+        for _ in range(repeats):
+            arg = setup()
+            start = time.perf_counter()
+            results.append(fn(arg))
+            times.append(time.perf_counter() - start)
+        return statistics.median(times) * 1e3, results[-1]
+
+    record = {}
+    for name, aggregate in (("l2", aggregate_l2_bandwidth),
+                            ("memory", aggregate_memory_bandwidth)):
+        row = {}
+        values = {}
+        for engine in ("scalar", "vectorized"):
+            row[f"{engine}_ms"], values[engine] = median_ms(
+                lambda gpu: aggregate(gpu, engine=engine),
+                lambda: SimulatedGPU("V100", seed=0))
+        row["speedup"] = row["scalar_ms"] / row["vectorized_ms"]
+        row["bit_identical"] = values["scalar"] == values["vectorized"]
+        record[name] = row
+
+    gpu = SimulatedGPU("V100", seed=0)
+    arrays = traffic_arrays(
+        gpu, {sm: gpu.hier.all_slices for sm in gpu.hier.all_sms})
+    pair_flow, pair_link, littles, hard, capacity, _, is_littles = arrays
+    _, flow_inf, _, _ = solve_arrays(*arrays, event_fill=True)
+    link_inf = np.ones(capacity.shape[0])
+    np.maximum.at(link_inf, pair_link, flow_inf[pair_flow])
+    caps = np.minimum(littles / flow_inf, hard)
+    eff_capacity = np.where(is_littles, capacity / link_inf, capacity)
+    num_links = capacity.shape[0]
+    plan_ms, plan = median_ms(
+        lambda _: FillPlan(pair_flow, pair_link, caps.shape[0], num_links))
+    dense_ms, dense = median_ms(lambda _: progressive_fill(
+        caps, eff_capacity, pair_flow, pair_link, num_links))
+    event_ms, event = median_ms(lambda _: plan.fill(caps, eff_capacity))
+    record["fill"] = {
+        "flows": int(caps.shape[0]), "pairs": int(pair_flow.shape[0]),
+        "links": int(num_links),
+        "freeze_levels": int(np.unique(dense).size),
+        "dense_ms": dense_ms, "event_ms": event_ms, "plan_ms": plan_ms,
+        "speedup": dense_ms / event_ms,
+        "bit_identical": (dense.view(np.int64).tolist()
+                          == event.view(np.int64).tolist()),
+    }
+    record["bit_identical"] = (record["l2"]["bit_identical"]
+                               and record["memory"]["bit_identical"]
+                               and record["fill"]["bit_identical"])
+    record["cpu_count"] = os.cpu_count()
+    return record
+
+
 def collect() -> dict:
     return {
         "cpu_count": os.cpu_count(),
@@ -287,6 +367,7 @@ def collect() -> dict:
         "report_mesh": report_mesh_timings(),
         "cold_device_request": cold_device_request_timings(),
         "noise_draw": noise_draw_timings(),
+        "flow_solver": flow_solver_timings(),
     }
 
 
@@ -305,6 +386,7 @@ def bench_perf_engine(benchmark):
     assert record["report_mesh"]["bit_identical"]
     assert record["cold_device_request"]["bit_identical"]
     assert record["noise_draw"]["bit_identical"]
+    assert record["flow_solver"]["bit_identical"]
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ consuming the *same* deterministic ``repro.rng`` noise streams:
   (L2 residency/counters, DRAM bytes, access sequence);
 * :mod:`repro.core.fastpath.bandwidth` — Algorithm 2: batched
   single-flow solves and direct array assembly for the shared max-min
-  flow solver core (:func:`repro.noc.flows.solve_arrays`).
+  flow solver core (:func:`repro.noc.flows.solve_arrays`), run with its
+  event-driven fill (:class:`repro.noc.flows.FillPlan`).
 
 Callers select the engine with ``engine="scalar"|"vectorized"`` on the
 measurement APIs; ``tests/test_fastpath_equivalence.py`` asserts exact

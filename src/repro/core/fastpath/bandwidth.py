@@ -11,10 +11,12 @@ Two fast paths, both bit-identical to the scalar
   iteration over all SMs at once, lane-frozen exactly where the scalar
   solver's convergence test would break.
 * :func:`solve_traffic` assembles the solver's flat arrays straight from
-  a traffic pattern (same link registry order, same capacities, slice
-  jitter drawn in batch) and runs the *shared* core
-  :func:`repro.noc.flows.solve_arrays` — skipping the FlowNetwork
-  object/string machinery the scalar builder pays per flow.
+  a traffic pattern (:func:`traffic_arrays`: same link registry order,
+  same capacities, slice jitter drawn in batch) and runs the *shared*
+  core :func:`repro.noc.flows.solve_arrays` — skipping the FlowNetwork
+  object/string machinery the scalar builder pays per flow — with the
+  event-driven fill (:class:`repro.noc.flows.FillPlan`), whose rounds
+  touch only the links and the pairs they freeze.
 """
 
 from __future__ import annotations
@@ -153,10 +155,23 @@ def solve_traffic(gpu, traffic: dict, kind: AccessKind = AccessKind.READ,
                   l2_hit: bool = True) -> float:
     """Total steady-state GB/s for ``{sm: [home slices]}`` traffic.
 
-    Assembles the exact flat arrays ``FlowNetwork._arrays`` would build
-    for ``TopologyGraph.build(traffic, kind, l2_hit)`` — same link
-    registry insertion order, same per-flow link order, same capacities
-    — and runs the shared :func:`repro.noc.flows.solve_arrays` core.
+    Runs the shared :func:`repro.noc.flows.solve_arrays` core on the
+    arrays of :func:`traffic_arrays`, filling with the event-driven
+    :class:`repro.noc.flows.FillPlan` (bit-identical to the golden
+    model's dense fill).
+    """
+    rates, _flow_inf, _iters, _converged = solve_arrays(
+        *traffic_arrays(gpu, traffic, kind, l2_hit), event_fill=True)
+    return sum(rates.tolist())
+
+
+def traffic_arrays(gpu, traffic: dict, kind: AccessKind = AccessKind.READ,
+                   l2_hit: bool = True) -> tuple:
+    """:func:`repro.noc.flows.solve_arrays`' inputs for a traffic pattern.
+
+    The exact flat arrays ``FlowNetwork._arrays`` would build for
+    ``TopologyGraph.build(traffic, kind, l2_hit)`` — same link registry
+    insertion order, same per-flow link order, same capacities.
     """
     if not traffic:
         raise SolverError("traffic pattern is empty")
@@ -255,16 +270,13 @@ def solve_traffic(gpu, traffic: dict, kind: AccessKind = AccessKind.READ,
             pair_link.extend(links)
             num_flows += 1
 
-    rates, _flow_inf, _iters, _converged = solve_arrays(
-        np.asarray(pair_flow, dtype=np.int64),
-        np.asarray(pair_link, dtype=np.int64),
-        np.array(littles_caps),
-        np.full(num_flows, hard),
-        np.array(link_caps),
-        np.array(link_conc),
-        np.array(link_littles),
-    )
-    return sum(rates.tolist())
+    return (np.asarray(pair_flow, dtype=np.int64),
+            np.asarray(pair_link, dtype=np.int64),
+            np.array(littles_caps),
+            np.full(num_flows, hard),
+            np.array(link_caps),
+            np.array(link_conc),
+            np.array(link_littles))
 
 
 def vectorized_group_to_slice_bandwidth(gpu, sms, slice_id: int) -> float:

@@ -24,6 +24,14 @@ Two refinements reproduce real-GPU effects:
 
 The solver core is vectorised with numpy; aggregate experiments build
 ~10k flows and would be prohibitively slow with per-flow Python loops.
+Both measurement engines run the one fixed-point loop,
+:func:`solve_arrays`, and differ only in the water-filling inside it:
+
+* :func:`progressive_fill` is the golden model (:meth:`FlowNetwork.solve`):
+  each round repeats its array operations over every (flow, link) pair;
+* :class:`FillPlan` is the vectorized engine's event-driven fill, bit for
+  bit the same rates, whose rounds touch only the links and the pairs of
+  the flows they freeze (it uses that all unfrozen flows share one rate).
 """
 
 from __future__ import annotations
@@ -100,17 +108,126 @@ def progressive_fill(caps, capacities, pair_flow, pair_link,
     return rates
 
 
+def _csr_ptr(keys, size: int) -> np.ndarray:
+    """Row pointers of a CSR index over ``keys`` in ``range(size)``."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr
+
+
+def _rows(ptr, values, keys) -> np.ndarray:
+    """``values[ptr[k]:ptr[k + 1]]`` concatenated over sorted ``keys``."""
+    first, last = keys[0], keys[-1]
+    if last - first + 1 == keys.size:   # a run of keys is one slice
+        return values[ptr[first]:ptr[last + 1]]
+    starts = ptr[keys]
+    lengths = ptr[keys + 1] - starts
+    ends = np.cumsum(lengths)
+    return values[np.repeat(starts - (ends - lengths), lengths)
+                  + np.arange(ends[-1])]
+
+
+class FillPlan:
+    """Event-driven :func:`progressive_fill` over one fixed pair set.
+
+    Bit-identical to the dense fill, because every unfrozen flow has had
+    the same sequence of ``+= step`` added to it and so holds one rate,
+    ``level``.  Rounding ``c - level`` is monotone in ``c``, so the
+    smallest headroom is the cap of the first unfrozen flow in cap order
+    minus ``level``, and the cap test ``level >= caps - _EPS`` freezes a
+    prefix of that order (``searchsorted``).  Per-link counts of
+    unfrozen pairs stay exact integers: each freeze subtracts the frozen
+    flows' pairs.  The residual update, the saturation test, the
+    force-freeze guard and the non-finite-step exit are the dense fill's
+    own expressions; flows still unfrozen at that exit take ``level``.
+
+    The CSR index (link -> flows, flow -> links) is O(pairs) and built
+    once, so the fixed point reuses it for every fill; a round's array
+    work is then over the links, a few flow masks and the pairs of the
+    flows it freezes, not over every pair.
+    """
+
+    def __init__(self, pair_flow, pair_link, num_flows: int,
+                 num_links: int):
+        self.num_flows = num_flows
+        self.num_links = num_links
+        self._link_ptr = _csr_ptr(pair_link, num_links)
+        self._counts = np.diff(self._link_ptr)
+        self._link_flows = pair_flow[np.argsort(pair_link, kind="stable")]
+        self._flow_ptr = _csr_ptr(pair_flow, num_flows)
+        self._flow_links = pair_link[np.argsort(pair_flow, kind="stable")]
+
+    def fill(self, caps, capacities) -> np.ndarray:
+        """Max-min fair rates for ``caps`` (no NaN) over ``capacities``."""
+        num_flows = self.num_flows
+        rates = np.zeros(num_flows)
+        active = np.ones(num_flows, dtype=bool)
+        residual = capacities.astype(float).copy()
+        counts = self._counts.copy()
+        order = np.argsort(caps)         # equal caps are interchangeable
+        rank = np.empty(num_flows, dtype=np.int64)
+        rank[order] = np.arange(num_flows)
+        sorted_caps = caps[order]
+        thresholds = sorted_caps - _EPS       # nondecreasing, like caps
+        active_in_order = np.ones(num_flows, dtype=bool)
+        level = 0.0
+        remaining = num_flows
+        head = 0        # first unfrozen flow in cap order
+        capped = 0      # order[:capped] already passed the cap test
+        while remaining:
+            head += int(active_in_order[head:].argmax())
+            step = sorted_caps[head] - level
+            busy = counts > 0
+            if busy.any():
+                step = min(step, (residual[busy] / counts[busy]).min())
+            if not math.isfinite(step):
+                break
+            step = max(step, 0.0)
+            level += step
+            residual -= step * counts
+            hit = np.zeros(num_flows, dtype=bool)
+            reached = int(thresholds.searchsorted(level, "right"))
+            hit[order[capped:reached]] = True
+            capped = reached              # level never falls
+            saturated = ((residual <= _EPS) & busy).nonzero()[0]
+            if saturated.size:
+                hit[_rows(self._link_ptr, self._link_flows,
+                          saturated)] = True
+            frozen = (hit & active).nonzero()[0]
+            if not frozen.size:
+                # numerical guard: force-freeze the tightest flow
+                idx = np.flatnonzero(active)
+                frozen = idx[np.argmin(caps[idx] - level)][None]
+            active[frozen] = False
+            active_in_order[rank[frozen]] = False
+            rates[frozen] = level
+            remaining -= frozen.size
+            counts -= np.bincount(
+                _rows(self._flow_ptr, self._flow_links, frozen),
+                minlength=self.num_links)
+        rates[active] = level             # left by a non-finite step
+        return rates
+
+
 def solve_arrays(pair_flow, pair_link, littles_caps, hard_caps, capacity,
-                 is_conc, is_littles) -> tuple:
+                 is_conc, is_littles, event_fill: bool = False) -> tuple:
     """The solver core on flat arrays: (rates, flow_inf, iters, converged).
 
     Shared by :meth:`FlowNetwork.solve` and the vectorized measurement
     engine (``repro.core.fastpath.bandwidth``), which assembles the same
     arrays directly from the traffic pattern — both paths therefore run
-    the identical fixed-point iteration, keeping them bit-identical.
+    the identical fixed-point iteration.  The golden model fills with
+    :func:`progressive_fill`; the fast path sets ``event_fill`` and fills
+    through one :class:`FillPlan`, which gives the same rates bit for bit.
     """
+    for name, values in (("littles cap", littles_caps),
+                         ("hard cap", hard_caps), ("capacity", capacity)):
+        if np.isnan(values).any():
+            raise SolverError(f"{name} array holds NaN")
     num_flows = littles_caps.shape[0]
     num_links = capacity.shape[0]
+    plan = (FillPlan(pair_flow, pair_link, num_flows, num_links)
+            if event_fill else None)
     flow_inf = np.ones(num_flows)
     link_inf = np.ones(num_links)
     prev_rates = np.zeros(num_flows)
@@ -121,8 +238,11 @@ def solve_arrays(pair_flow, pair_link, littles_caps, hard_caps, capacity,
         damping = _DAMPING / (1.0 + iteration / 60.0)
         eff_capacity = np.where(is_littles, capacity / link_inf, capacity)
         caps = np.minimum(littles_caps / flow_inf, hard_caps)
-        rates = progressive_fill(caps, eff_capacity, pair_flow,
-                                 pair_link, num_links)
+        if plan is None:
+            rates = progressive_fill(caps, eff_capacity, pair_flow,
+                                     pair_link, num_links)
+        else:
+            rates = plan.fill(caps, eff_capacity)
         load = np.bincount(pair_link, weights=rates[pair_flow],
                            minlength=num_links)
         util = load / capacity
@@ -162,7 +282,7 @@ class Link:
     littles: bool = False
 
     def __post_init__(self):
-        if self.capacity_gbps <= 0:
+        if not self.capacity_gbps > 0:      # NaN fails this test too
             raise SolverError(f"link {self.name!r} needs positive capacity")
         if self.concentrator and self.littles:
             raise SolverError(f"link {self.name!r} cannot be both kinds")
@@ -181,6 +301,13 @@ class Flow:
     littles_cap_gbps: float = math.inf
     hard_cap_gbps: float = math.inf
     demand_gbps: float = math.inf
+
+    def __post_init__(self):
+        for kind, value in (("littles", self.littles_cap_gbps),
+                            ("hard", self.hard_cap_gbps),
+                            ("demand", self.demand_gbps)):
+            if math.isnan(value):
+                raise SolverError(f"flow {self.name!r} has a NaN {kind} cap")
 
     def base_cap(self, inflation: float) -> float:
         """Flow cap when its path's round-trip time is inflated by x."""
@@ -219,7 +346,8 @@ class FlowNetwork:
         """Register a shared link; re-adding the same name must agree."""
         existing = self._links.get(name)
         if existing is not None:
-            if abs(existing.capacity_gbps - capacity_gbps) > _EPS:
+            if (math.isnan(capacity_gbps)
+                    or abs(existing.capacity_gbps - capacity_gbps) > _EPS):
                 raise SolverError(
                     f"link {name!r} re-added with different capacity")
             return existing
@@ -273,9 +401,6 @@ class FlowNetwork:
             np.array([l.concentrator for l in link_list]),
             np.array([l.littles for l in link_list]),
         )
-
-    # retained alias: tests and downstream callers use the method form
-    _progressive_fill = staticmethod(progressive_fill)
 
     def solve(self) -> SolverResult:
         """Fixed-point max-min fair allocation with concentrator queueing."""

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SolverError
-from repro.noc.flows import Flow, FlowNetwork, Link
+from repro.noc.flows import (_EPS, FillPlan, Flow, FlowNetwork, Link,
+                             progressive_fill, solve_arrays)
 
 
 def make_net():
@@ -133,6 +135,8 @@ def test_relink_capacity_mismatch_rejected():
         net.add_link("l", 20.0)
     # re-adding with same capacity is idempotent
     assert net.add_link("l", 10.0).capacity_gbps == 10.0
+    net.add_link("wide", math.inf)
+    assert net.add_link("wide", math.inf).capacity_gbps == math.inf
 
 
 def test_invalid_link_rejected():
@@ -140,6 +144,47 @@ def test_invalid_link_rejected():
         Link("bad", 0.0)
     with pytest.raises(SolverError):
         Link("bad", 10.0, concentrator=True, littles=True)
+
+
+def test_nan_link_capacity_rejected():
+    """A NaN capacity used to pass ``<= 0`` and zero unrelated flows."""
+    with pytest.raises(SolverError):
+        Link("a", math.nan)
+    net = make_net()
+    with pytest.raises(SolverError):
+        net.add_link("a", math.nan)
+    net.add_link("b", 10.0)
+    with pytest.raises(SolverError):
+        net.add_link("b", math.nan)
+    net.add_flow("g", ["b"])
+    result = net.solve()
+    assert result.rate("g") == pytest.approx(10.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("field", ["littles_cap_gbps", "hard_cap_gbps",
+                                   "demand_gbps"])
+def test_nan_flow_cap_rejected(field):
+    with pytest.raises(SolverError):
+        Flow("f", ("l",), **{field: math.nan})
+    net = make_net()
+    net.add_link("l", 10.0)
+    with pytest.raises(SolverError):
+        net.add_flow("f", ["l"], **{field: math.nan})
+    assert not net.flows
+
+
+@pytest.mark.parametrize("array", ["littles_caps", "hard_caps", "capacity"])
+def test_solve_arrays_rejects_nan(array):
+    arrays = {"littles_caps": np.array([5.0, math.inf]),
+              "hard_caps": np.array([math.inf, math.inf]),
+              "capacity": np.array([10.0, 10.0])}
+    arrays[array][0] = math.nan
+    for event_fill in (False, True):
+        with pytest.raises(SolverError):
+            solve_arrays(np.array([0, 0, 1]), np.array([0, 1, 1]),
+                         arrays["littles_caps"], arrays["hard_caps"],
+                         arrays["capacity"], np.zeros(2, dtype=bool),
+                         np.zeros(2, dtype=bool), event_fill=event_fill)
 
 
 def test_flow_base_cap_validates_inflation():
@@ -250,3 +295,80 @@ def test_pareto_no_unused_headroom(n, capacity, cap):
         assert total == pytest.approx(capacity, rel=1e-4)
     else:
         assert total == pytest.approx(min(capacity, n * cap), rel=1e-4)
+
+
+# ---- hypothesis: the event-driven fill is the dense fill, bit for bit -------
+
+#: values at the fill's edges: zero and _EPS-sized caps and capacities
+#: (ties with the ``caps - _EPS`` freeze threshold), equal caps, +inf
+_EDGES = (0.0, _EPS / 2, _EPS, 2 * _EPS, 1.0, 1.0 + _EPS, math.inf)
+
+
+def _magnitudes():
+    return st.one_of(st.sampled_from(_EDGES), st.floats(1e-3, 1e3),
+                     st.floats(1e8, 1e15))
+
+
+@st.composite
+def _mixed_cases(draw):
+    num_links = draw(st.integers(1, 5))
+    capacities = draw(st.lists(_magnitudes(), min_size=num_links,
+                               max_size=num_links))
+    # paths may repeat a link, cross none, or leave links uncrossed
+    paths = draw(st.lists(st.lists(st.integers(0, num_links - 1),
+                                   max_size=4), min_size=1, max_size=8))
+    caps = draw(st.lists(_magnitudes(), min_size=len(paths),
+                         max_size=len(paths)))
+    return caps, capacities, paths
+
+
+@st.composite
+def _rounding_cases(draw):
+    """Wide links, each shared by 3-6 flows.
+
+    Once a round's step comes from a link, ``residual - step * count``
+    can round to a few ulps above _EPS at these magnitudes, so nothing
+    freezes and the force-freeze guard runs.
+    """
+    capacities = draw(st.lists(st.floats(1e8, 1e15), min_size=4,
+                               max_size=8))
+    caps, paths = [], []
+    for link in range(len(capacities)):
+        sharing = draw(st.integers(3, 6))
+        caps += draw(st.lists(st.one_of(st.just(math.inf),
+                                        st.floats(1e-3, 1e3)),
+                              min_size=sharing, max_size=sharing))
+        paths += [[link]] * sharing
+    return caps, capacities, paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_mixed_cases(), _rounding_cases()))
+# equal caps; the second cap's threshold ties the level exactly
+@example(case=([0.0, _EPS, _EPS], [1.0], [[0], [0], [0]]))
+# a link listed twice by one flow, and an uncrossed link
+@example(case=([1.0, math.inf], [10.0, 3.0, 5.0], [[0, 0], [0, 1]]))
+# a capacity below _EPS saturates before any flow grows
+@example(case=([math.inf, 2.0], [_EPS / 2, 4.0], [[0, 1], [1]]))
+# rounding leaves the link unsaturated: the force-freeze guard
+@example(case=([0.1, math.inf, math.inf, math.inf], [1e9], [[0]] * 4))
+# +inf caps on a +inf link: the non-finite-step exit at level 5
+@example(case=([5.0, math.inf], [math.inf], [[0], [0]]))
+# a flow crossing no link
+@example(case=([math.inf, 3.0], [2.0], [[], [0]]))
+def test_event_fill_matches_dense_fill_bitwise(case):
+    caps, capacities, paths = case
+    pair_flow = np.array([f for f, path in enumerate(paths) for _ in path],
+                         dtype=np.int64)
+    pair_link = np.array([l for path in paths for l in path],
+                         dtype=np.int64)
+    num_links = len(capacities)
+    plan = FillPlan(pair_flow, pair_link, len(caps), num_links)
+    caps = np.array(caps)
+    # one plan serves every fill of a fixed point: fill it twice
+    for scale in (1.0, 3.0):
+        link_caps = np.array(capacities) / scale
+        dense = progressive_fill(caps, link_caps, pair_flow, pair_link,
+                                 num_links)
+        event = plan.fill(caps, link_caps)
+        assert event.view(np.int64).tolist() == dense.view(np.int64).tolist()
