@@ -25,6 +25,10 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   then the fairness pair) and as the in-process report's one fused
   4-lane lockstep run; min of 3 each, bit-identity of the metrics
   verified, and the fused run's µs per kernel step (feeds included).
+  The fused run is timed again on the NumPy step: ``step`` names the
+  step this host selects (``"compiled"`` or ``"numpy"``),
+  ``compiled_us_per_step`` (null without the compiled step) and
+  ``numpy_us_per_step`` time both, and ``bit_identical`` covers both.
   No floor: ``cpu_count`` is part of the record;
 * ``cold_device_request`` — the serve-cold request shape: a fresh V100
   device per seed measuring an 8-SM latency matrix on the default
@@ -44,6 +48,7 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -178,37 +183,51 @@ def fastmesh_engine_timings(floor: float = 5.0, attempts: int = 4) -> dict:
 
 def report_mesh_timings(repeats: int = 3) -> dict:
     """Per-section, pool-plan and fused runs of the report's mesh tasks."""
+    from unittest import mock
+
     from repro import report
+    from repro.noc.mesh import onevc_step
 
     tasks = report._MESH_TASKS
+    fused = report._plan_units(tasks, jobs=None)
     plans = {
         "per_section": [(task,) for task in tasks],
         "pool_plan": report._plan_units(tasks, jobs=2),
-        "fused": report._plan_units(tasks, jobs=None),
+        "fused": fused,
+        "fused_numpy": fused,
     }
     cycles = {task: report._FAIRNESS["cycles"] for task in tasks}
     cycles["mesh-bottleneck"] = report._BOTTLENECK["cycles"]
-    record = {}
+    compiled = onevc_step.kernel() is not None
+    record = {"step": "compiled" if compiled else "numpy"}
     metrics = {}
     for name, units in plans.items():
         # kernel steps: each unit runs as long as its longest section
         record[f"{name}_steps"] = sum(max(cycles[task] for task in unit)
                                       for unit in units)
+        # "fused_numpy" hides the compiled step from the meshes it builds
+        step = (mock.patch.object(onevc_step, "kernel", lambda: None)
+                if name == "fused_numpy" else contextlib.nullcontext())
         best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = {}
-            for unit in units:
-                result.update(report._mesh_metrics(unit, 0, "batched"))
-            best = min(best, time.perf_counter() - start)
+        with step:
+            for _ in range(repeats):
+                start = time.perf_counter()
+                result = {}
+                for unit in units:
+                    result.update(report._mesh_metrics(unit, 0, "batched"))
+                best = min(best, time.perf_counter() - start)
         record[f"{name}_s"] = best
         metrics[name] = result
     for name in ("per_section", "pool_plan"):
         record[f"fused_vs_{name}"] = record["fused_s"] / record[f"{name}_s"]
     record["fused_us_per_step"] = (record["fused_s"] / record["fused_steps"]
                                    * MEGA)
+    record["numpy_us_per_step"] = (record["fused_numpy_s"]
+                                   / record["fused_steps"] * MEGA)
+    record["compiled_us_per_step"] = (record["fused_us_per_step"]
+                                      if compiled else None)
     record["bit_identical"] = (metrics["per_section"] == metrics["pool_plan"]
-                               == metrics["fused"])
+                               == metrics["fused"] == metrics["fused_numpy"])
     record["cpu_count"] = os.cpu_count()
     return record
 

@@ -349,6 +349,10 @@ def _cmd_engines(args) -> int:
                 "default": "*" if engine.default else "",
                 "summary": engine.summary})
     print(render_table(rows, title="Engine registry"))
+    for entry in engine_registry.describe():
+        if "step" in entry:
+            print(f"{entry['domain']}:{entry['name']} step on this host: "
+                  f"{entry['step']}")
     return 0
 
 

@@ -185,13 +185,24 @@ def fingerprint_for(ref: str) -> dict:
 
 
 def describe() -> list[dict]:
-    """JSON catalogue of every registered engine (for CLI/serve)."""
-    return [{"domain": e.domain, "name": e.name, "version": e.version,
-             "version_field": e.version_field, "golden": e.golden,
-             "default": e.default,
-             "capabilities": sorted(e.capabilities),
-             "summary": e.summary}
-            for e in _REGISTRY.values()]
+    """JSON catalogue of every registered engine (for CLI/serve).
+
+    The batched mesh engine's entry also says which step it runs on
+    this host (``"step"``): ``"compiled"``, or ``"numpy: <why>"`` when
+    the compiled one-VC step could not be built or trusted.  Asking
+    builds it if needed.
+    """
+    catalogue = [{"domain": e.domain, "name": e.name, "version": e.version,
+                  "version_field": e.version_field, "golden": e.golden,
+                  "default": e.default,
+                  "capabilities": sorted(e.capabilities),
+                  "summary": e.summary}
+                 for e in _REGISTRY.values()]
+    for entry in catalogue:
+        if (entry["domain"], entry["name"]) == ("mesh", "batched"):
+            from repro.noc.mesh import onevc_step
+            entry["step"] = onevc_step.status()
+    return catalogue
 
 
 # ---------------------------------------------------------------------------

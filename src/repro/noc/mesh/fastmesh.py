@@ -44,7 +44,11 @@ occupied slots' ids, arbitrates with one pick-table lookup per grant
 writes every granted output's wormhole lock once, sends eject outputs'
 credit checks to an always-empty sentinel slot, and re-reads the head
 of every slot a flit left or entered once, after the merged push.
-DESIGN.md §12 gives the argument why each of these is exact.
+DESIGN.md §12 gives the argument why each of these is exact.  Where
+the host can build it, each step instead runs as one call of the
+compiled one-VC step (:mod:`repro.noc.mesh.onevc_step`), which leaves
+every array bit-identical; the NumPy step is its reference and its
+fallback.
 
 Entry points mirror the scalar experiment APIs and return the same
 result dataclasses: :func:`batched_sweep_load`,
@@ -57,18 +61,21 @@ lint rule keeps the scalar and batched surfaces from drifting.
 
 from __future__ import annotations
 
+import ctypes
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MeshConfigError
+from repro.noc.mesh import onevc_step
 from repro.noc.mesh.lanes import (_A_DST_SHIFT, _A_FLG_MASK, _A_SRC_MASK,
                                   _A_SRC_SHIFT, _EMPTY_I, _F_HEAD, _F_REPLY,
                                   _F_TAIL, _MAX_NODES, _NO_KEY, _NUM_PORTS,
                                   _OPP, _PEND_Q_SHIFT, _RawStream,
-                                  SourceQueues, make_stream, neighbor_nodes,
-                                  route_table)
+                                  SourceQueues, check_lane, make_stream,
+                                  neighbor_nodes, route_table)
 from repro.noc.mesh.routing import default_mc_nodes
 from repro.noc.mesh.vc import DeliveryStats
 
@@ -112,8 +119,9 @@ class BatchedMesh:
     arbitration-grant index, and a ring position ``p`` of slot ``g``
     lives at flat index ``g*F + p``.  The whole schedule/apply phase
     runs as a short fixed sequence of 1-D NumPy ops regardless of lane
-    count.  Source enqueues and delivery statistics are deferred into
-    per-cycle batches (see the module docstring for why that is exact).
+    count.  The NumPy step defers source enqueues and delivery
+    statistics into per-cycle batches (see the module docstring for why
+    that is exact); the compiled step does both inside its one call.
     """
 
     def __init__(self, width: int, height: int, batch: int,
@@ -221,6 +229,7 @@ class BatchedMesh:
         # slots' lengths are a strided view of ln
         self._local_g = np.arange(0, G, _NUM_PORTS, dtype=np.int64)
         self._ln_local = self._ln[:G:_NUM_PORTS]
+        self._bind(onevc_step.kernel())
 
     @property
     def num_nodes(self) -> int:
@@ -230,6 +239,7 @@ class BatchedMesh:
     def inject(self, lane: int, src: int, dst: int, size: int,
                reply: bool = False) -> None:
         """Queue one packet (``size`` flits) at ``src`` on ``lane``."""
+        check_lane(lane, self.batch)
         if not 0 <= src < self._n:
             raise MeshConfigError(f"source {src} outside mesh")
         if not 0 <= dst < self._n:
@@ -243,6 +253,7 @@ class BatchedMesh:
             self._wormhole = True
 
     def source_backlog(self, lane: int, node: int) -> int:
+        check_lane(lane, self.batch)
         return self._queues.backlog(lane * self._n + node)
 
     def _backlog_snapshot(self) -> list:
@@ -260,6 +271,90 @@ class BatchedMesh:
     # ---- simulation ------------------------------------------------------
     def step(self) -> None:
         """Advance every lane one cycle (schedule, apply, inject)."""
+        # a flag, not a bound method stored on the mesh: that would be a
+        # reference cycle, keeping every finished mesh's arrays alive
+        # until the cyclic collector runs
+        if self._c_tails is None:
+            self._numpy_step()
+        else:
+            self._compiled_step()
+
+    def _bind(self, kernel) -> None:
+        """Step with ``kernel`` (a compiled step) or, if None, NumPy.
+
+        The compiled step works on this mesh's own arrays through one
+        ``onevc_step.Kernel`` context, folds delivery statistics straight
+        into the per-lane counters and leaves the ejected tails in
+        ``_c_tails`` (lane, node, source, flags rows).
+        """
+        self._c_tails = None
+        if kernel is None:
+            return
+        G = self._g
+        queues = self._queues
+        self._c_tails = np.zeros((4, G), dtype=np.int64)
+        self._c_ntails = 0
+        self._c_scratch = [np.zeros(size, dtype=np.int64) for size in
+                           (queues.hd.size, G, G, 2 * G + queues.hd.size)]
+        need, grants, gmask, touched = self._c_scratch
+        self._c_ctx = kernel.context(
+            slots=self._slots, n=self._n, batch=self.batch,
+            depth=self.buffer_flits, queues=queues.hd.size,
+            rf_a=self._rf_a, rf_b=self._rf_b, hd=self._hd, ln=self._ln,
+            h_a=self._h_a, h_b=self._h_b, h_out=self._h_out,
+            lock=self._lock, body_out=self._body_out,
+            arb_row=self._arb_row, nbr_g=self._nbr_g, node_f=self._node_f,
+            rtbase_f=self._rtbase_f, lane_f=self._lane_f,
+            route=self._route_f,
+            pick=_PICK_F, next_row=_NEXT_ROW_F, qhd=queues.hd,
+            qln=queues.ln, d_count=self._d_count,
+            d_lat_sum=self._d_lat_sum, d_lat_min=self._d_lat_min,
+            d_lat_max=self._d_lat_max, d_by_src=self._d_by_src,
+            d_lat_by_src=self._d_lat_by_src,
+            flits_delivered=self._flits_delivered, need=need,
+            grants=grants, gmask=gmask, touched=touched,
+            tails=self._c_tails)
+        self._c_addr = ctypes.addressof(self._c_ctx)
+        self._c_call = kernel.step
+        self._bind_rings()
+
+    def _bind_rings(self) -> None:
+        """Point the context at the source rings (``grow`` replaces them)."""
+        queues = self._queues
+        ctx = self._c_ctx
+        ctx.cap = queues.cap
+        ctx.qa = onevc_step.address(queues.a, "qa")
+        ctx.qb = onevc_step.address(queues.b, "qb")
+        self._c_rings = queues.a
+
+    def _compiled_step(self) -> None:
+        """One step as one C call, with this cycle's flush folded in."""
+        queues = self._queues
+        if queues.a is not self._c_rings:
+            self._bind_rings()
+        pend = queues.pend
+        k = len(pend)
+        if k:
+            b0 = queues.claim_ids(k, self.cycle)
+            codes = array("q", pend)
+            ptr = codes.buffer_info()[0]
+        else:
+            b0 = ptr = 0
+        call = self._c_call
+        res = call(self._c_addr, self.cycle, self._wormhole, ptr, k, b0)
+        while res == onevc_step.STEP_GROW:
+            queues.grow()
+            self._bind_rings()
+            res = call(self._c_addr, self.cycle, self._wormhole, ptr, k, b0)
+        if res < 0:
+            raise MeshConfigError("a deferred packet names no source queue")
+        if k:
+            del pend[:]
+        self._c_ntails = res
+        self.cycle += 1
+
+    def _numpy_step(self) -> None:
+        """The step as NumPy array code (the compiled step's reference)."""
         F, G = self.buffer_flits, self._g
         ln = self._ln
         hd = self._hd
@@ -467,6 +562,8 @@ class BatchedMesh:
     @property
     def last_ejected(self):
         """Tails ejected by the last step(): (lanes, nodes, srcs, flags)."""
+        if self._c_tails is not None:
+            return tuple(self._c_tails[:, :self._c_ntails].copy())
         return (self._last_tl, self._node_f.take(self._last_tg),
                 self._last_tsrc, self._last_tflg)
 
@@ -483,6 +580,7 @@ class BatchedMesh:
 
     def lane_stats(self, lane: int) -> DeliveryStats:
         """The lane's statistics as a scalar-shaped :class:`DeliveryStats`."""
+        check_lane(lane, self.batch)
         self._flush_stats()
         stats = DeliveryStats()
         stats.count = int(self._d_count[lane])
@@ -497,6 +595,7 @@ class BatchedMesh:
 
     def buffer_occupancy(self, lane: int) -> list:
         """Flit count of every input buffer (invariant checks in tests)."""
+        check_lane(lane, self.batch)
         return self._ln[:self._g].reshape(self.batch,
                                           self._slots)[lane].tolist()
 
@@ -522,6 +621,7 @@ class BatchedManyToFew:
     def __init__(self, mesh: BatchedMesh, lane: int, mc_nodes, seed: int = 0,
                  injection_rate: float | None = None,
                  max_source_backlog: int = 4):
+        check_lane(lane, mesh.batch)
         self.mesh = mesh
         self.lane = lane
         self.mc_nodes = list(mc_nodes)

@@ -47,6 +47,16 @@ def neighbor_nodes(width: int, height: int) -> np.ndarray:
     return nbr
 
 
+def check_lane(lane: int, batch: int) -> None:
+    """Reject a lane id outside ``0..batch-1``.
+
+    A queue id is ``lane*nodes + node``: an unchecked lane would land in
+    another lane's queues, or past the last one.
+    """
+    if not 0 <= lane < batch:
+        raise MeshConfigError(f"lane {lane} outside the {batch}-lane batch")
+
+
 def route_table(width: int, height: int) -> np.ndarray:
     """XY output port at ``node*nodes + dst``, flat."""
     n = width * height
@@ -293,6 +303,24 @@ class SourceQueues:
         self.hd[:] = 0
         self.cap = cap * 2
 
+    def claim_ids(self, k: int, cycle: int) -> int:
+        """Age key ``(cycle << 32) | pid`` of the first of ``k`` packets.
+
+        The next ``k`` packet ids are taken; the ``i``-th packet's key
+        is the result plus ``i``.
+        """
+        # age key B = (birth << 32) | pid: an id past 2**32 would spill
+        # into the birth bits (a saturated 16-lane grid injects ~100
+        # packets per cycle, so that is ~4e7 cycles away)
+        if self.next_pid + k > _PID_LIMIT:
+            raise MeshConfigError(
+                "the batched engine ran out of packet ids "
+                f"({_PID_LIMIT} per run); split the run into fewer "
+                "cycles or lanes")
+        b0 = (cycle << 32) | self.next_pid
+        self.next_pid += k
+        return b0
+
     def flush(self, cycle: int) -> None:
         """Enqueue the deferred packets' flit trains in one bulk scatter.
 
@@ -305,19 +333,10 @@ class SourceQueues:
         if not pend:
             return
         k = len(pend)
-        # age key B = (birth << 32) | pid: an id past 2**32 would spill
-        # into the birth bits (a saturated 16-lane grid injects ~100
-        # packets per cycle, so that is ~4e7 cycles away)
-        if self.next_pid + k > _PID_LIMIT:
-            raise MeshConfigError(
-                "the batched engine ran out of packet ids "
-                f"({_PID_LIMIT} per run); split the run into fewer "
-                "cycles or lanes")
+        b0 = self.claim_ids(k, cycle)
         code = np.array(pend, dtype=np.int64)
         del pend[:]
         qid = code >> _PEND_Q_SHIFT
-        b0 = (cycle << 32) | self.next_pid
-        self.next_pid += k
         ln = self.ln
         # queue-id steps that do not increase: none means one packet per
         # queue in queue order

@@ -69,7 +69,8 @@ from repro.noc.mesh.lanes import (_A_DST_SHIFT, _A_SRC_MASK, _A_SRC_SHIFT,
                                   _MAX_NODES, _MAX_PACKET_FLITS, _NO_KEY,
                                   _NUM_PORTS, _OPP, _PEND_Q_SHIFT,
                                   _PEND_SIZE_SHIFT, SourceQueues,
-                                  make_stream, neighbor_nodes, route_table)
+                                  check_lane, make_stream, neighbor_nodes,
+                                  route_table)
 from repro.noc.mesh.routing import default_mc_nodes
 from repro.noc.mesh.vc import SharedNetworkResult
 
@@ -262,6 +263,7 @@ class BatchedVCMesh:
     # ---- injection -------------------------------------------------------
     def inject(self, lane: int, packet: Packet) -> None:
         """Queue one packet's flit train at its source on ``lane``."""
+        check_lane(lane, self.batch)
         if not 0 <= packet.src < self._n:
             raise MeshConfigError(f"source {packet.src} outside mesh")
         if not 0 <= packet.dst < self._n:
@@ -272,10 +274,12 @@ class BatchedVCMesh:
             | (_F_REPLY if packet.kind is PacketKind.REPLY else 0))
 
     def source_backlog(self, lane: int, node: int) -> int:
+        check_lane(lane, self.batch)
         return self._queues.backlog(lane * self._n + node)
 
     def add_sink(self, lane: int, node: int, callback) -> None:
         """``callback(DeliveredPacket, cycle)`` per ejected tail there."""
+        check_lane(lane, self.batch)
         self._sinks[(lane, node)] = callback
 
     # ---- accounting ------------------------------------------------------
@@ -292,11 +296,13 @@ class BatchedVCMesh:
 
     def delivered_count(self, lane: int) -> int:
         """Packets fully ejected so far on one lane."""
+        check_lane(lane, self.batch)
         self._flush_stats()
         return int(self._d_count[lane])
 
     def delivered_flits(self, lane: int) -> int:
         """Flits ejected at LOCAL ports so far on one lane."""
+        check_lane(lane, self.batch)
         self._flush_stats()
         return int(self._flits_delivered[lane])
 
@@ -307,6 +313,7 @@ class BatchedVCMesh:
         the list aligns element for element with
         :meth:`repro.noc.mesh.vc.VCMesh.buffer_occupancy`.
         """
+        check_lane(lane, self.batch)
         vl = int(self._lane_vcs[lane])
         lane_ln = self._ln.reshape(self.batch, self._n * _NUM_PORTS,
                                    self._v)[lane]
@@ -314,6 +321,7 @@ class BatchedVCMesh:
 
     def credit_snapshot(self, lane: int) -> list:
         """Credit counters of every (node, port, VC), scalar order."""
+        check_lane(lane, self.batch)
         vl = int(self._lane_vcs[lane])
         lane_cr = self._credits.reshape(self.batch, self._n * _NUM_PORTS,
                                         self._v)[lane]

@@ -92,3 +92,18 @@ def a100_latency_matrix(a100):
 @pytest.fixture(scope="session")
 def h100_latency_matrix(h100):
     return h100.latency.latency_matrix()
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def mesh_step(request, monkeypatch):
+    """Every ``BatchedMesh`` the test builds takes this step.
+
+    ``"numpy"`` hides the compiled step from the loader for the test;
+    ``"compiled"`` skips where this host has no compiled step.
+    """
+    from repro.noc.mesh import onevc_step
+    if request.param == "numpy":
+        monkeypatch.setattr(onevc_step, "kernel", lambda: None)
+    elif onevc_step.kernel() is None:
+        pytest.skip(f"no compiled step here ({onevc_step.status()})")
+    return request.param
