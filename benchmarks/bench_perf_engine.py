@@ -25,11 +25,17 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   then the fairness pair) and as the in-process report's one fused
   4-lane lockstep run; min of 3 each, bit-identity of the metrics
   verified, and the fused run's µs per kernel step (feeds included).
-  The fused run is timed again on the NumPy step: ``step`` names the
-  step this host selects (``"compiled"`` or ``"numpy"``),
-  ``compiled_us_per_step`` (null without the compiled step) and
-  ``numpy_us_per_step`` time both, and ``bit_identical`` covers both.
-  No floor: ``cpu_count`` is part of the record;
+  The fused run is timed again under the Python loop on the compiled
+  step and on the NumPy step: ``step`` names the step this host selects
+  (``"compiled"`` or ``"numpy"``), ``compiled_run_us_per_cycle`` (the
+  compiled run), ``compiled_us_per_step`` (the compiled step with the
+  Python feeds; both null without a build) and ``numpy_us_per_step``
+  time the three, and ``bit_identical`` covers all of them.  No floor:
+  ``cpu_count`` is part of the record;
+* ``fig23_sweep`` — one ``batched_sweep_load`` at the benchmark suite's
+  fig23-sweep shape (six rates 0.03-0.4, 3000 cycles, warmup 500): the
+  compiled run, the Python loop on the host's step and on the NumPy
+  step, min of 5 each, with ``bit_identical`` over the three curves;
 * ``cold_device_request`` — the serve-cold request shape: a fresh V100
   device per seed measuring an 8-SM latency matrix on the default
   engine, per-request ms (median), with bit-identity against the scalar
@@ -181,10 +187,28 @@ def fastmesh_engine_timings(floor: float = 5.0, attempts: int = 4) -> dict:
     }
 
 
-def report_mesh_timings(repeats: int = 3) -> dict:
-    """Per-section, pool-plan and fused runs of the report's mesh tasks."""
+def _mesh_paths():
+    """Context managers forcing each mesh path on the meshes built inside.
+
+    ``"python_feeds"`` keeps the host's step but takes the Python loop
+    (no compiled run); ``"numpy"`` hides the compiled build altogether
+    (the NumPy step and the Python loop).
+    """
     from unittest import mock
 
+    from repro.noc.mesh import fastmesh, onevc_step
+
+    return {
+        "python_feeds": lambda: mock.patch.object(
+            fastmesh._CompiledRun, "make",
+            classmethod(lambda cls, owner: None)),
+        "numpy": lambda: mock.patch.object(onevc_step, "kernel",
+                                           lambda: None),
+    }
+
+
+def report_mesh_timings(repeats: int = 3) -> dict:
+    """Per-section, pool-plan and fused runs of the report's mesh tasks."""
     from repro import report
     from repro.noc.mesh import onevc_step
 
@@ -194,8 +218,10 @@ def report_mesh_timings(repeats: int = 3) -> dict:
         "per_section": [(task,) for task in tasks],
         "pool_plan": report._plan_units(tasks, jobs=2),
         "fused": fused,
+        "fused_python_feeds": fused,
         "fused_numpy": fused,
     }
+    paths = _mesh_paths()
     cycles = {task: report._FAIRNESS["cycles"] for task in tasks}
     cycles["mesh-bottleneck"] = report._BOTTLENECK["cycles"]
     compiled = onevc_step.kernel() is not None
@@ -205,11 +231,10 @@ def report_mesh_timings(repeats: int = 3) -> dict:
         # kernel steps: each unit runs as long as its longest section
         record[f"{name}_steps"] = sum(max(cycles[task] for task in unit)
                                       for unit in units)
-        # "fused_numpy" hides the compiled step from the meshes it builds
-        step = (mock.patch.object(onevc_step, "kernel", lambda: None)
-                if name == "fused_numpy" else contextlib.nullcontext())
+        path = paths.get(name.removeprefix("fused_"),
+                         contextlib.nullcontext)
         best = float("inf")
-        with step:
+        with path():
             for _ in range(repeats):
                 start = time.perf_counter()
                 result = {}
@@ -220,14 +245,53 @@ def report_mesh_timings(repeats: int = 3) -> dict:
         metrics[name] = result
     for name in ("per_section", "pool_plan"):
         record[f"fused_vs_{name}"] = record["fused_s"] / record[f"{name}_s"]
-    record["fused_us_per_step"] = (record["fused_s"] / record["fused_steps"]
-                                   * MEGA)
-    record["numpy_us_per_step"] = (record["fused_numpy_s"]
-                                   / record["fused_steps"] * MEGA)
-    record["compiled_us_per_step"] = (record["fused_us_per_step"]
+
+    def per_cycle(name):
+        return record[f"{name}_s"] / record[f"{name}_steps"] * MEGA
+
+    record["fused_us_per_step"] = per_cycle("fused")
+    record["numpy_us_per_step"] = per_cycle("fused_numpy")
+    # the compiled step under the Python loop, and the compiled run
+    record["compiled_us_per_step"] = (per_cycle("fused_python_feeds")
                                       if compiled else None)
+    record["compiled_run_us_per_cycle"] = (per_cycle("fused")
+                                           if compiled else None)
     record["bit_identical"] = (metrics["per_section"] == metrics["pool_plan"]
-                               == metrics["fused"] == metrics["fused_numpy"])
+                               == metrics["fused"]
+                               == metrics["fused_python_feeds"]
+                               == metrics["fused_numpy"])
+    record["cpu_count"] = os.cpu_count()
+    return record
+
+
+#: the benchmark suite's fig23-sweep call shape (one ``sweep_load``)
+FIG23_RATES = (0.03, 0.08, 0.13, 0.18, 0.25, 0.4)
+FIG23_RUN = {"cycles": 3000, "warmup": 500}
+
+
+def fig23_sweep_timings(repeats: int = 5) -> dict:
+    """One ``batched_sweep_load`` at the suite's shape on each path."""
+    from repro.noc.mesh import fastmesh, onevc_step
+
+    compiled = onevc_step.kernel() is not None
+    record = {"run": "compiled" if compiled else "python"}
+    curves = {}
+    for name, path in {"compiled_run": contextlib.nullcontext,
+                       **_mesh_paths()}.items():
+        if name == "compiled_run" and not compiled:
+            continue
+        best = float("inf")
+        with path():
+            for _ in range(repeats):
+                start = time.perf_counter()
+                curve = fastmesh.batched_sweep_load(FIG23_RATES, "rr",
+                                                    **FIG23_RUN)
+                best = min(best, time.perf_counter() - start)
+        record[f"{name}_s"] = best
+        curves[name] = curve
+    record["speedup"] = (record["python_feeds_s"] / record["compiled_run_s"]
+                         if compiled else None)
+    record["bit_identical"] = len(set(map(repr, curves.values()))) == 1
     record["cpu_count"] = os.cpu_count()
     return record
 
@@ -384,6 +448,7 @@ def collect() -> dict:
         "vectorized_engine": vectorized_engine_timings(),
         "fastmesh_engine": fastmesh_engine_timings(),
         "report_mesh": report_mesh_timings(),
+        "fig23_sweep": fig23_sweep_timings(),
         "cold_device_request": cold_device_request_timings(),
         "noise_draw": noise_draw_timings(),
         "flow_solver": flow_solver_timings(),
@@ -403,6 +468,7 @@ def bench_perf_engine(benchmark):
     assert mesh["bit_identical"]
     assert mesh["speedup"] >= 5.0
     assert record["report_mesh"]["bit_identical"]
+    assert record["fig23_sweep"]["bit_identical"]
     assert record["cold_device_request"]["bit_identical"]
     assert record["noise_draw"]["bit_identical"]
     assert record["flow_solver"]["bit_identical"]

@@ -48,7 +48,12 @@ DESIGN.md §12 gives the argument why each of these is exact.  Where
 the host can build it, each step instead runs as one call of the
 compiled one-VC step (:mod:`repro.noc.mesh.onevc_step`), which leaves
 every array bit-identical; the NumPy step is its reference and its
-fallback.
+fallback.  The same build holds the compiled *run*: the entry points'
+cycle loop (:class:`_MeshRun`: every lane's traffic source, the reply
+pair's memory controllers, the step and the collect) as one C call per
+stretch of cycles between the fairness marks, drawing each lane's
+PCG64 stream word for word as the Python feeds do.  The Python feeds
+and the per-cycle step are its reference and its fallback.
 
 Entry points mirror the scalar experiment APIs and return the same
 result dataclasses: :func:`batched_sweep_load`,
@@ -72,7 +77,8 @@ from repro.errors import MeshConfigError
 from repro.noc.mesh import onevc_step
 from repro.noc.mesh.lanes import (_A_DST_SHIFT, _A_FLG_MASK, _A_SRC_MASK,
                                   _A_SRC_SHIFT, _EMPTY_I, _F_HEAD, _F_REPLY,
-                                  _F_TAIL, _MAX_NODES, _NO_KEY, _NUM_PORTS,
+                                  _F_TAIL, _MAX_NODES, _MAX_PACKET_FLITS,
+                                  _NO_KEY, _NUM_PORTS,
                                   _OPP, _PEND_Q_SHIFT, _RawStream,
                                   SourceQueues, check_lane, make_stream,
                                   neighbor_nodes, route_table)
@@ -288,6 +294,7 @@ class BatchedMesh:
         ``_c_tails`` (lane, node, source, flags rows).
         """
         self._c_tails = None
+        self._c_kernel = kernel
         if kernel is None:
             return
         G = self._g
@@ -637,6 +644,13 @@ class BatchedManyToFew:
         self.stream = make_stream(seed, "mesh-traffic")
         self.injection_rate = injection_rate
         self.max_source_backlog = max_source_backlog
+        # each compute node's (queue id, deferred-enqueue code of a
+        # one-flit packet), and each MC's destination bits of that code
+        base = lane * mesh.num_nodes
+        self.node_codes = [(base + node, ((base + node) << _PEND_Q_SHIFT)
+                            | (node << _A_SRC_SHIFT))
+                           for node in self.compute_nodes]
+        self.mc_codes = [node << _A_DST_SHIFT for node in self.mc_nodes]
         self.feed = self._build_feed()
 
     def _build_feed(self):
@@ -645,21 +659,14 @@ class BatchedManyToFew:
         stream = self.stream
         rate = self.injection_rate
         maxb = self.max_source_backlog
-        mc = self.mc_nodes
-        n_mc = len(mc)
-        nodes = self.compute_nodes
-        base = self.lane * mesh._n
+        n_mc = len(self.mc_nodes)
         snapshot = mesh._backlog_snapshot
         append = mesh._queues.pend.append
         # The backlog snapshot is exact in every path: each node is
         # visited once per cycle (Bernoulli) or tracks its own local
-        # counter (greedy).  Lanes index it by absolute queue id
-        # ``base + node``.
-
-        # per-node deferred-enqueue codes of a one-flit packet
-        node_codes = [(base + node, ((base + node) << _PEND_Q_SHIFT)
-                      | (node << _A_SRC_SHIFT)) for node in nodes]
-        mc_codes = [node << _A_DST_SHIFT for node in mc]
+        # counter (greedy).  Lanes index it by absolute queue id.
+        node_codes = self.node_codes
+        mc_codes = self.mc_codes
 
         if rate is None:
             integers = stream.integers
@@ -752,28 +759,20 @@ def batched_load_curves(rates, arbiters=("rr", "age"), seeds=(0,),
     mesh = BatchedMesh(width, height, batch=len(kinds), arbiter_kinds=kinds,
                        source_capacity=64 + 1)
     mc_nodes = default_mc_nodes(width, height)
-    feeds = []
-    n_compute = 0
-    for lane_base, (_arbiter, seed) in enumerate(combos):
-        for offset, rate in enumerate(rates):
-            source = BatchedManyToFew(mesh, lane_base * len(rates) + offset,
-                                      mc_nodes, seed=seed,
-                                      injection_rate=rate,
-                                      max_source_backlog=64)
-            n_compute = len(source.compute_nodes)
-            feeds.append(source.feed)
-    for _ in range(warmup):
-        for feed in feeds:
-            feed()
-        mesh.step()
+    sources = [(cycles, BatchedManyToFew(mesh, lane_base * len(rates) + offset,
+                                         mc_nodes, seed=seed,
+                                         injection_rate=rate,
+                                         max_source_backlog=64))
+               for lane_base, (_arbiter, seed) in enumerate(combos)
+               for offset, rate in enumerate(rates)]
+    n_compute = len(sources[0][1].compute_nodes)
+    run = _MeshRun(mesh, sources)
+    run.run(0, warmup)
     mesh._flush_stats()
     start_count = mesh._d_count.copy()
     start_latency_sum = mesh._d_lat_sum.copy()
     start_cycle = mesh.cycle
-    for _ in range(cycles - warmup):
-        for feed in feeds:
-            feed()
-        mesh.step()
+    run.run(warmup, cycles)
     mesh._flush_stats()
     window = mesh.cycle - start_cycle
     curves = {}
@@ -895,9 +894,11 @@ class _ReplyPair:
                  request_lane: int, mc_nodes, seed: int):
         self.mesh = mesh
         self.window = section.window
+        self.end = section.cycles
         self.request_lane = request_lane
-        self._request_feed = BatchedManyToFew(mesh, request_lane, mc_nodes,
-                                              seed=seed).feed
+        self.request = BatchedManyToFew(mesh, request_lane, mc_nodes,
+                                        seed=seed)
+        self._request_feed = self.request.feed
         self.memories = {
             node: _BatchedMemoryNode(mesh, node,
                                      reply_flits=section.reply_flits,
@@ -934,6 +935,11 @@ class _ReplyPair:
             self.samples.append(self._busy_in_window / self.window)
             self._busy_in_window = 0
 
+    def controllers(self) -> list:
+        """Each controller's ``(pending, cooldown, busy, serviced)``."""
+        return [(list(memory.pending), memory._cooldown, memory.busy_cycles,
+                 memory.serviced) for memory in self._ordered]
+
     def result(self):
         from repro.noc.mesh.interfaces import ReplyBottleneckResult
         util = np.array(self.samples)
@@ -943,6 +949,258 @@ class _ReplyPair:
             peak_utilization=float(util.max()),
             window=self.window,
         )
+
+
+# ---------------------------------------------------------------------------
+# The cycle loop: Python loop and compiled run
+# ---------------------------------------------------------------------------
+
+class _MeshRun:
+    """A batched run's cycle loop: sources, controllers, step, collect.
+
+    Each cycle feeds the ``(end, BatchedManyToFew)`` sources in list
+    order, each while ``cycle < end``, then the reply pair (its request
+    lane's source, then one tick of every controller), steps the mesh
+    and collects the pair's request tails.  Where the mesh steps with a
+    compiled kernel, :meth:`run` is one call of the compiled run
+    (:class:`_CompiledRun`) per stretch of cycles; otherwise it is the
+    Python feeds and the mesh's step, cycle by cycle, which is the
+    compiled run's reference and its fallback.
+    """
+
+    def __init__(self, mesh: BatchedMesh, sources=(), pair=None):
+        self.mesh = mesh
+        self.sources = list(sources)
+        self.pair = pair
+        self._compiled = _CompiledRun.make(self)
+
+    @property
+    def compiled(self) -> bool:
+        return self._compiled is not None
+
+    def run(self, start: int, stop: int) -> None:
+        """Run cycles ``start .. stop-1`` (``start`` is the mesh's cycle)."""
+        mesh = self.mesh
+        if start != mesh.cycle or stop < start:
+            raise MeshConfigError(
+                f"cannot run cycles {start}..{stop} from cycle {mesh.cycle}")
+        if self._compiled is None:
+            self._run_python(start, stop)
+            return
+        if mesh._queues.pend and start < stop:
+            # packets injected by hand before the run: the Python feeds
+            # append after them, and the step flushes them together
+            self._run_python(start, start + 1)
+        self._compiled.run(stop)
+
+    def _run_python(self, start: int, stop: int) -> None:
+        feeds = [(end, source.feed) for end, source in self.sources]
+        pair = self.pair
+        pair_end = 0
+        if pair is not None:
+            feeds.append((pair.end, pair.feed))
+            pair_end = pair.end
+        step = self.mesh.step
+        for cycle in range(start, stop):
+            for end, feed in feeds:
+                if cycle < end:
+                    feed()
+            step()
+            if cycle < pair_end:
+                pair.collect()
+
+
+_U64 = (1 << 64) - 1
+
+
+def _stream_words(state: int, inc: int, has32: int, buf32: int) -> list:
+    """A :meth:`_RawStream.position` as the C run's six stream words."""
+    return [state >> 64, state & _U64, inc >> 64, inc & _U64, has32, buf32]
+
+
+def _stream_position(words) -> tuple:
+    """The inverse of :func:`_stream_words` (words as unsigned ints)."""
+    hi, lo, inc_hi, inc_lo, has32, buf32 = words
+    return (hi << 64) | lo, (inc_hi << 64) | inc_lo, has32, buf32
+
+
+class _CompiledRun:
+    """:class:`_MeshRun`'s cycle loop as one ``onevc_run`` call.
+
+    Holds the C run context: every source's nodes, codes and PCG64
+    stream, the controllers' placement and the per-cycle scratch
+    (``_ReplyPair`` builds its controllers alike, on distinct nodes, so
+    the first one's parameters are every one's).  The
+    Python objects stay the state of record: each :meth:`run` loads the
+    streams (:meth:`_RawStream.position`), the controllers and the
+    pair's window into the context and stores them back when the call
+    returns, so the Python loop can take over at any cycle.
+    """
+
+    @classmethod
+    def make(cls, owner: _MeshRun):
+        """The compiled run of ``owner``, or None where the Python loop
+        must run: no compiled kernel, a stream that is not the raw PCG64
+        replay (this NumPy failed :func:`make_stream`'s check), or
+        replies too long for a packed code (the Python loop raises)."""
+        kernel = owner.mesh._c_kernel
+        sources = list(owner.sources)
+        pair = owner.pair
+        if pair is not None:
+            sources.append((pair.end, pair.request))
+            if pair._ordered[0].reply_flits > _MAX_PACKET_FLITS:
+                return None
+        if kernel is None or any(type(source.stream) is not _RawStream
+                                 for _end, source in sources):
+            return None
+        # one cycle's packets: a Bernoulli node defers at most one, a
+        # greedy one tops up at most its cap, a controller one reply
+        codes_cap = sum(len(source.compute_nodes)
+                        * (1 if source.injection_rate is not None
+                           else max(source.max_source_backlog, 1))
+                        for _end, source in sources)
+        codes_cap += len(pair._ordered) if pair is not None else 0
+        return cls(owner.mesh, kernel, sources, pair, codes_cap)
+
+    def __init__(self, mesh, kernel, sources, pair, codes_cap: int):
+        self.mesh = mesh
+        self.sources = sources
+        self.pair = pair
+        self._call = kernel.run
+        node_off, mc_off = [0], [0]
+        node_q, node_code, mc_code = [], [], []
+        for _end, source in sources:
+            node_q += [queue for queue, _code in source.node_codes]
+            node_code += [code for _queue, code in source.node_codes]
+            node_off.append(len(node_q))
+            mc_code += source.mc_codes
+            mc_off.append(len(mc_code))
+        i64 = np.int64
+        # the context points into these arrays: they live as long as it
+        self._arrays = arrays = {
+            "src_end": np.array([end for end, _source in sources], i64),
+            "src_maxb": np.array([source.max_source_backlog
+                                  for _end, source in sources], i64),
+            # a greedy source's rate is -1
+            "src_rate": np.array([-1.0 if source.injection_rate is None
+                                  else source.injection_rate
+                                  for _end, source in sources]),
+            "src_node_off": np.array(node_off, i64),
+            "node_q": np.array(node_q, i64),
+            "node_code": np.array(node_code, i64),
+            "src_mc_off": np.array(mc_off, i64),
+            "mc_code": np.array(mc_code, i64),
+            "stream": np.zeros(6 * len(sources), i64),
+            "codes": np.zeros(codes_cap, i64),
+            "qpend": np.zeros(mesh._queues.hd.size, i64),
+        }
+        pairs = {"nmc": 0, "pair_end": 0, "window": 1}
+        if pair is not None:
+            memories = pair._ordered
+            mc_of_node = np.full(mesh.num_nodes, -1, i64)
+            for index, memory in enumerate(memories):
+                mc_of_node[memory.node] = index
+            arrays["mc_node"] = np.array([memory.node for memory in memories],
+                                         i64)
+            arrays["mc_of_node"] = mc_of_node
+            first = memories[0]
+            pairs.update(
+                nmc=len(memories), pair_end=pair.end, window=pair.window,
+                reply_flits=first.reply_flits,
+                service=first.service_cycles,
+                limit=first.reply_queue_limit,
+                reply_base=first._reply_lane * mesh.num_nodes,
+                request_lane=pair.request_lane)
+        self._ctx = kernel.run_context(nsrc=len(sources),
+                                       codes_cap=codes_cap, **pairs,
+                                       **arrays)
+        self._addr = ctypes.addressof(self._ctx)
+
+    def run(self, stop: int) -> None:
+        mesh = self.mesh
+        queues = mesh._queues
+        ctx = self._ctx
+        self._load(stop)
+        mesh._bind_rings()
+        res = self._call(mesh._c_addr, self._addr, stop)
+        while res == onevc_step.STEP_GROW:
+            # the cycle's feeds ran: the next call resumes at its step
+            queues.grow()
+            mesh._bind_rings()
+            res = self._call(mesh._c_addr, self._addr, stop)
+        self._store()
+        if res == onevc_step.RUN_NO_IDS:
+            queues.claim_ids(ctx.k, ctx.cycle)      # raises
+        if res < 0:
+            raise MeshConfigError(f"the compiled mesh run failed ({res})")
+
+    def _load(self, stop: int) -> None:
+        """Position, streams and controllers into the context."""
+        mesh = self.mesh
+        ctx = self._ctx
+        ctx.cycle = mesh.cycle
+        ctx.fed = 0
+        ctx.next_pid = mesh._queues.next_pid
+        ctx.wormhole = mesh._wormhole
+        ctx.ntails = mesh._c_ntails
+        words = [word for _end, source in self.sources
+                 for word in _stream_words(*source.stream.position())]
+        self._arrays["stream"][:] = np.array(words, np.uint64).view(np.int64)
+        pair = self.pair
+        if pair is None:
+            return
+        memories = pair._ordered
+        pending = [memory.pending for memory in memories]
+        # a controller takes at most one request per cycle (one eject
+        # port per node), so this many pending slots always suffice
+        pcap = max(map(len, pending)) + max(min(stop, pair.end) - mesh.cycle,
+                                            0)
+        pend = np.zeros((len(memories), max(pcap, 1)), np.int64)
+        for row, queue in zip(pend, pending):
+            row[:len(queue)] = list(queue)
+        windows = (min(stop, pair.end) // pair.window
+                   - min(mesh.cycle, pair.end) // pair.window)
+        self._pair_arrays = per_call = {
+            "mc_cool": np.array([m._cooldown for m in memories], np.int64),
+            "mc_busy": np.array([m.busy_cycles for m in memories], np.int64),
+            "mc_served": np.array([m.serviced for m in memories], np.int64),
+            "mc_head": np.zeros(len(memories), np.int64),
+            "mc_tail": np.array([len(queue) for queue in pending], np.int64),
+            "mc_pend": pend.ravel(),
+            "samples": np.zeros(max(windows, 1)),
+        }
+        for name, array in per_call.items():
+            setattr(ctx, name, onevc_step.address(array, name))
+        ctx.pcap = pend.shape[1]
+        ctx.busy_in_window = pair._busy_in_window
+        ctx.nsamples = 0
+
+    def _store(self) -> None:
+        """The context's position, streams and controllers back out."""
+        mesh = self.mesh
+        ctx = self._ctx
+        mesh.cycle = ctx.cycle
+        mesh._queues.next_pid = ctx.next_pid
+        mesh._wormhole = bool(ctx.wormhole)
+        mesh._c_ntails = ctx.ntails
+        words = self._arrays["stream"].view(np.uint64).tolist()
+        for index, (_end, source) in enumerate(self.sources):
+            source.stream.resume(*_stream_position(
+                words[6 * index:6 * index + 6]))
+        pair = self.pair
+        if pair is None:
+            return
+        arrays = self._pair_arrays
+        pend = arrays["mc_pend"].reshape(len(pair._ordered), ctx.pcap)
+        for index, memory in enumerate(pair._ordered):
+            memory._cooldown = int(arrays["mc_cool"][index])
+            memory.busy_cycles = int(arrays["mc_busy"][index])
+            memory.serviced = int(arrays["mc_served"][index])
+            memory.pending.clear()
+            memory.pending.extend(pend[index, arrays["mc_head"][index]:
+                                       arrays["mc_tail"][index]].tolist())
+        pair.samples += arrays["samples"][:ctx.nsamples].tolist()
+        pair._busy_in_window = ctx.busy_in_window
 
 
 def batched_mesh_sections(reply: ReplySection | None = None, fairness=(),
@@ -986,36 +1244,28 @@ def batched_mesh_sections(reply: ReplySection | None = None, fairness=(),
     # feeds run in lane order, so the deferred enqueues of one cycle stay
     # sorted by queue and flush in bulk (the request lane's controllers
     # flush them all at once when they read the reply backlog)
-    feeds = [(lane.cycles,
-              BatchedManyToFew(mesh, index, mc_nodes, seed=seed,
-                               injection_rate=lane.injection_rate).feed)
-             for index, lane in enumerate(fairness)]
+    sources = [(lane.cycles,
+                BatchedManyToFew(mesh, index, mc_nodes, seed=seed,
+                                 injection_rate=lane.injection_rate))
+               for index, lane in enumerate(fairness)]
     pair = None
-    reply_end = 0
     if reply is not None:
         pair = _ReplyPair(mesh, reply, len(fairness), mc_nodes, seed)
-        feeds.append((reply.cycles, pair.feed))
-        reply_end = reply.cycles
-    total = max(end for end, _feed in feeds)
+    run = _MeshRun(mesh, sources, pair)
+    total = max([end for end, _source in sources]
+                + [reply.cycles if reply is not None else 0])
 
-    # per-source delivery counts at every fairness warmup and end cycle
+    # per-source delivery counts at every fairness warmup and end cycle:
+    # the run stops at each for the copy
     marks = dict.fromkeys(c for lane in fairness
                           for c in (lane.warmup, lane.cycles))
-
-    def mark(cycle: int) -> None:
-        if cycle in marks:
+    cycle = 0
+    for stop in sorted({*marks, total}):
+        run.run(cycle, stop)
+        cycle = stop
+        if stop in marks:
             mesh._flush_stats()
-            marks[cycle] = mesh._d_by_src.copy()
-
-    for cycle in range(total):
-        mark(cycle)
-        for end, feed in feeds:
-            if cycle < end:
-                feed()
-        mesh.step()
-        if cycle < reply_end:
-            pair.collect()
-    mark(total)
+            marks[stop] = mesh._d_by_src.copy()
 
     compute_nodes = [node for node in range(width * height)
                      if node not in mc_nodes]

@@ -13,6 +13,9 @@ common lives here, and neither kernel module imports the other:
 * :func:`make_stream` replays the scalar traffic RNG
   (``rng.generator_for(seed, *key)``'s ``random()`` and
   ``integers(n)``) exactly from ``bit_generator.random_raw`` blocks;
+  the compiled one-VC run takes a stream over at its
+  :meth:`_RawStream.position` and hands it back with
+  :meth:`_RawStream.resume`;
 * the flit word format: every flit is two int64 words, ``A`` (dst, src,
   flags) and ``B`` (birth cycle, packet id), and a deferred packet is
   one packed int ``queue << 43 | (size-1) << 27 | A``;
@@ -105,7 +108,9 @@ class _RawStream:
     high half on the next call.  Pre-fetching via ``random_raw`` is safe
     because the raw stream is purely sequential.  A hot loop may read
     ``_dbl[_pos]`` inline for ``random()`` as long as it writes ``_pos``
-    back before calling a method.
+    back before calling a method.  :meth:`position` and :meth:`resume`
+    hand the stream to and from the compiled run, which draws the same
+    words in C.
     """
 
     __slots__ = ("_bg", "_words", "_dbl", "_pos", "_len", "_has32", "_buf32")
@@ -158,6 +163,34 @@ class _RawStream:
             # threshold = 2**32 % n, which is < n
             if leftover >= n or leftover >= (_U32 - n + 1) % n:
                 return m >> 32
+
+    def position(self) -> tuple:
+        """``(state, inc, has32, buf32)`` as the next draw sees them.
+
+        The PCG64 state and increment are the bit generator's, rewound
+        past the prefetched words not read yet; ``has32``/``buf32`` are
+        the stashed high half-word of :meth:`integers`.
+        """
+        state = self._bg.state
+        ahead = self._len - self._pos
+        if ahead:
+            rewound = np.random.PCG64(0)
+            rewound.state = state
+            rewound.advance(-ahead)
+            state = rewound.state
+        inner = state["state"]
+        return inner["state"], inner["inc"], int(self._has32), self._buf32
+
+    def resume(self, state: int, inc: int, has32: int, buf32: int) -> None:
+        """Continue from a :meth:`position` (nothing prefetched)."""
+        full = self._bg.state
+        full["state"] = {"state": state, "inc": inc}
+        self._bg.state = full
+        self._words = []
+        self._dbl = []
+        self._pos = self._len = 0
+        self._has32 = bool(has32)
+        self._buf32 = buf32
 
 
 _STREAM_CLS: type | None = None

@@ -1,9 +1,13 @@
-"""Build, trust and load the compiled one-VC mesh step (``onevc_step.c``).
+"""Build, trust and load the compiled one-VC mesh step and run.
 
 :class:`~repro.noc.mesh.fastmesh.BatchedMesh` runs each step either as
 NumPy array code or as one call of the C function in ``onevc_step.c``
 on the same arrays (through :mod:`ctypes`).  The results are the same
 bit for bit; the C step makes one call where the NumPy step makes ~70.
+The same build holds the compiled *run*: fastmesh's cycle loop (the
+traffic sources with their PCG64 streams, the reply pair's memory
+controllers, the step and the collect) for a stretch of cycles in one
+call, where the Python loop pays ~20 µs of interpreter per cycle.
 :func:`kernel` decides once per process which one runs:
 
 * the C source ships as package data and is compiled with the host C
@@ -21,18 +25,19 @@ bit for bit; the C step makes one call where the NumPy step makes ~70.
   loaded only when the same holds for the file, so a shared object that
   someone else planted is never loaded;
 * a fresh build is compiled under a unique temp name, checked in
-  lockstep against the NumPy step (:func:`_self_check`) and only then
-  moved into place with :func:`os.replace`, so workers that build at
-  the same time never see each other's partial files;
+  lockstep against the NumPy step and the Python loop
+  (:func:`_self_check`) and only then moved into place with
+  :func:`os.replace`, so workers that build at the same time never see
+  each other's partial files;
 * a build that fails to compile or fails its self-check leaves a
   ``.failed`` marker under the same name, so later processes take the
   NumPy step at once instead of compiling again (delete the marker to
   retry).
 
 Anything that fails (no compiler, a build error, no usable directory, an
-untrusted file, a self-check mismatch) leaves the NumPy step in place,
-and :func:`status` says why.  There is no option to pick a step: both
-give the same bytes.
+untrusted file, a self-check mismatch of the step or of the run) leaves
+the NumPy step and the Python feeds in place, and :func:`status` says
+why.  There is no option to pick a step: both give the same bytes.
 """
 
 from __future__ import annotations
@@ -53,8 +58,12 @@ from repro.noc.mesh import lanes
 
 SOURCE = "onevc_step.c"
 CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
-#: return code of ``onevc_step``: a source-queue ring must grow first
+#: return code of ``onevc_step`` and ``onevc_run``: a source-queue ring
+#: must grow first
 STEP_GROW = -1
+#: return code of ``onevc_run``: the cycle's packets need more packet ids
+#: than are left
+RUN_NO_IDS = -3
 #: failures recorded beside the build name: they recur on every build
 _RECORDED = ("build failed", "self-check mismatch")
 #: the Python side of a build's self-check: the NumPy step it is checked
@@ -80,8 +89,22 @@ class _Context(ctypes.Structure):
             "need", "grants", "gmask", "touched", "tails")])
 
 
+class _RunContext(ctypes.Structure):
+    """The C ``onevc_run_ctx``: the run's position, sources, controllers."""
+    _fields_ = ([(name, _I64) for name in (
+        "cycle", "fed", "k", "b0", "next_pid", "wormhole", "ntails", "nsrc",
+        "codes_cap", "nmc", "pair_end", "window", "reply_flits", "service",
+        "limit", "reply_base", "request_lane", "pcap", "busy_in_window",
+        "nsamples")]
+        + [(name, _PTR) for name in (
+            "src_end", "src_maxb", "src_rate", "src_node_off", "node_q",
+            "node_code", "src_mc_off", "mc_code", "stream", "mc_node",
+            "mc_of_node", "mc_cool", "mc_busy", "mc_served", "mc_head",
+            "mc_tail", "mc_pend", "samples", "codes", "qpend")])
+
+
 _FLOAT_FIELDS = frozenset({"d_lat_sum", "d_lat_min", "d_lat_max",
-                           "d_lat_by_src"})
+                           "d_lat_by_src", "src_rate", "samples"})
 
 
 def address(array: np.ndarray, name: str) -> int:
@@ -93,24 +116,47 @@ def address(array: np.ndarray, name: str) -> int:
     return array.ctypes.data
 
 
+def _filled(struct, fields: dict):
+    """``struct`` with sizes (ints) and arrays (by field name) set."""
+    for name, value in fields.items():
+        setattr(struct, name, address(value, name)
+                if isinstance(value, np.ndarray) else value)
+    return struct
+
+
 class Kernel:
-    """A loaded build: ``step(ctx, cycle, wormhole, codes, k, b0)``."""
+    """A loaded build.
+
+    ``step(ctx, cycle, wormhole, codes, k, b0)`` is one mesh step,
+    ``run(ctx, run_ctx, stop)`` the cycle loop up to ``stop`` and
+    ``draws(stream, ns, count, out)`` replays ``count`` draws of one
+    traffic stream (``ns[i]`` 0: ``random()``, else ``integers(ns[i])``).
+    """
 
     def __init__(self, lib: ctypes.CDLL):
         step = lib.onevc_step
         step.argtypes = (_PTR, _I64, _I64, _PTR, _I64, _I64)
         step.restype = _I64
+        run = lib.onevc_run
+        run.argtypes = (_PTR, _PTR, _I64)
+        run.restype = _I64
+        draws = lib.onevc_draws
+        draws.argtypes = (_PTR, _PTR, _I64, _PTR)
+        draws.restype = None
         self.step = step
+        self.run = run
+        self.draws = draws
         self._lib = lib
 
     @staticmethod
     def context(**fields) -> _Context:
-        """A context from sizes (ints) and arrays (by field name)."""
-        ctx = _Context()
-        for name, value in fields.items():
-            setattr(ctx, name, address(value, name)
-                    if isinstance(value, np.ndarray) else value)
-        return ctx
+        """A step context from sizes and arrays (by field name)."""
+        return _filled(_Context(), fields)
+
+    @staticmethod
+    def run_context(**fields) -> _RunContext:
+        """A run context from sizes and arrays (by field name)."""
+        return _filled(_RunContext(), fields)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +193,17 @@ def _build_dirs() -> list:
 
 
 def _flags() -> list:
-    """Compile flags: :data:`CFLAGS` and the layout of ``lanes.py``."""
+    """Compile flags: :data:`CFLAGS`, the layout of ``lanes.py`` and the
+    return codes."""
     layout = {
         "NUM_PORTS": lanes._NUM_PORTS, "F_HEAD": lanes._F_HEAD,
         "F_TAIL": lanes._F_TAIL, "A_DST_SHIFT": lanes._A_DST_SHIFT,
         "A_SRC_SHIFT": lanes._A_SRC_SHIFT, "A_SRC_MASK": lanes._A_SRC_MASK,
         "A_FLG_MASK": lanes._A_FLG_MASK,
         "PEND_SIZE_SHIFT": lanes._PEND_SIZE_SHIFT,
-        "PEND_Q_SHIFT": lanes._PEND_Q_SHIFT, "STEP_GROW": STEP_GROW}
+        "PEND_Q_SHIFT": lanes._PEND_Q_SHIFT, "F_REPLY": lanes._F_REPLY,
+        "PID_LIMIT": lanes._PID_LIMIT, "STEP_GROW": STEP_GROW,
+        "RUN_NO_IDS": RUN_NO_IDS}
     return [*CFLAGS, *(f"-D{name}={value}" for name, value in layout.items())]
 
 
@@ -343,12 +392,17 @@ def same_state(gold, fast) -> bool:
 
 
 def _self_check(candidate: Kernel, cycles: int = 120) -> bool:
-    """Twin meshes, NumPy step vs ``candidate``, compared every cycle.
+    """The step, then the run (:func:`_run_check`), against Python.
 
-    Mixed rr/age lanes, one- and five-flit packets (wormhole locks),
-    requests and replies, bursts appended out of lane and queue order,
-    and two-flit source rings that must grow.
+    The step: twin meshes, NumPy step vs ``candidate``, compared every
+    cycle.  Mixed rr/age lanes, one- and five-flit packets (wormhole
+    locks), requests and replies, bursts appended out of lane and queue
+    order, and two-flit source rings that must grow.
     """
+    return _step_check(candidate, cycles) and _run_check(candidate)
+
+
+def _step_check(candidate: Kernel, cycles: int) -> bool:
     from repro import rng
     from repro.noc.mesh.fastmesh import BatchedMesh
 
@@ -378,3 +432,70 @@ def _self_check(candidate: Kernel, cycles: int = 120) -> bool:
         if not same_state(gold, fast):
             return False
     return int(gold._d_count.sum()) > 0 and gold._queues.cap > 2
+
+
+def same_run(gold, fast) -> bool:
+    """Two ``fastmesh._MeshRun`` runs, bit for bit: the meshes, every
+    source's stream position, and the reply pair's controllers
+    (pending requests, cooldown, busy and serviced counts) and window."""
+    return same_state(gold.mesh, fast.mesh) and \
+        _run_state(gold) == _run_state(fast)
+
+
+def _run_state(run) -> tuple:
+    sources = [source for _end, source in run.sources]
+    pair = run.pair
+    if pair is None:
+        return [source.stream.position() for source in sources], None
+    sources.append(pair.request)
+    return ([source.stream.position() for source in sources],
+            (pair.controllers(), pair.samples, pair._busy_in_window))
+
+
+def _mixed_run(kernel: Kernel | None, cycles: int):
+    """A Bernoulli lane, a greedy lane and a reply pair on one mesh.
+
+    Two-flit source rings grow in the middle of runs, the sections end
+    at different cycles, and ``kernel`` None takes the Python loop.
+    """
+    from repro.noc.mesh.fastmesh import (BatchedManyToFew, BatchedMesh,
+                                         ReplySection, _MeshRun, _ReplyPair)
+
+    mesh = BatchedMesh(4, 3, batch=4, buffer_flits=3,
+                       arbiter_kinds=("rr", "age", "age", "rr"),
+                       source_capacity=2)
+    mesh._bind(kernel)
+    mc_nodes = [1, 3, 8, 10]
+    # the Bernoulli lane often finds its backlog cap reached
+    sources = [(cycles - 15, BatchedManyToFew(mesh, 0, mc_nodes, seed=1,
+                                              injection_rate=0.6,
+                                              max_source_backlog=2)),
+               (cycles, BatchedManyToFew(mesh, 1, mc_nodes, seed=2))]
+    pair = _ReplyPair(mesh, ReplySection(cycles - 8, window=10), 2,
+                      mc_nodes, seed=3)
+    return _MeshRun(mesh, sources, pair)
+
+
+def _run_check(candidate: Kernel, cycles: int = 120) -> bool:
+    """:func:`_mixed_run` on the Python loop vs ``candidate``'s run,
+    in stretches of 1 to 7 cycles, compared after each (:func:`same_run`)
+    and run past every section's end."""
+    from repro.errors import MeshConfigError
+
+    gold, fast = _mixed_run(None, cycles), _mixed_run(candidate, cycles)
+    if not fast.compiled:
+        return False
+    cycle = 0
+    for length in (1, 2, 1, 7) * (cycles // 7):
+        if cycle > cycles:
+            break
+        gold.run(cycle, cycle + length)
+        try:
+            fast.run(cycle, cycle + length)
+        except MeshConfigError:     # an error code from the C run
+            return False
+        cycle += length
+        if not same_run(gold, fast):
+            return False
+    return (gold.mesh._queues.cap > 2 and len(gold.pair.samples) > 2
+            and any(served for *_rest, served in gold.pair.controllers()))

@@ -56,6 +56,12 @@ def neighbor(node: int, port: Port, width: int, height: int) -> int:
 
 
 def default_mc_nodes(width: int = 6, height: int = 6) -> list:
-    """Memory-controller placement: spread along top and bottom edges."""
+    """Memory-controller placement: spread along top and bottom edges.
+
+    Each node is listed once, in order: on a one-row mesh the top and
+    bottom edges are the same row, and a controller listed twice would
+    be two controllers on one node.
+    """
     cols = [1, 3, 5]
-    return cols + [(height - 1) * width + c for c in cols]
+    return list(dict.fromkeys(cols + [(height - 1) * width + c
+                                      for c in cols]))

@@ -12,25 +12,37 @@ each step; this module adds:
   mismatch each leave the NumPy step in place with the same results;
   a compile error or mismatch is recorded, so no later process builds
   it again, and the build's name follows the layout it was built for;
-* lane ids outside the batch fail at the call in both batched kernels.
+* lane ids outside the batch fail at the call in both batched kernels;
+* the compiled run (sources, controllers and the cycle loop in C): its
+  PCG64 draws against the real Generator, its state against the Python
+  loop every cycle, the entry points' results under both steps, and the
+  self-check rejecting a run that skips a draw or drops a reply;
+* the batched and scalar engines agree on one-row meshes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import engines
+from repro import engines, rng
 from repro.errors import MeshConfigError
-from repro.noc.mesh import onevc_step
+from repro.noc.mesh import fastmesh, onevc_step
 from repro.noc.mesh.fastmesh import (BatchedManyToFew, BatchedMesh,
                                      FairnessLane, ReplySection,
+                                     batched_load_curves,
                                      batched_mesh_sections)
+from repro.noc.mesh.interfaces import run_reply_bottleneck
+from repro.noc.mesh.lanes import _RawStream
+from repro.noc.mesh.loadcurve import sweep_load
 from repro.noc.mesh.flit import Packet
 from repro.noc.mesh.routing import default_mc_nodes
+from repro.noc.mesh.traffic import run_fairness_experiment
 from repro.noc.mesh.vcmesh_batched import BatchedVCMesh
 
 
@@ -328,3 +340,261 @@ def test_engines_catalogue_names_the_step():
               if (row["domain"], row["name"]) == ("mesh", "batched")]
     assert entry["step"] == onevc_step.status()
     assert entry["step"] == "compiled" or entry["step"].startswith("numpy: ")
+
+
+# ---------------------------------------------------------------------------
+# Compiled run
+# ---------------------------------------------------------------------------
+
+def _needs_kernel():
+    kernel = onevc_step.kernel()
+    if kernel is None:
+        pytest.skip(f"no compiled run here ({onevc_step.status()})")
+    return kernel
+
+
+def _words(position) -> np.ndarray:
+    return np.array(fastmesh._stream_words(*position), np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_compiled_stream_replays_the_generator(seed):
+    """The C stream draws what ``rng.generator_for`` draws: random() and
+    integers(n) interleaved, for small n and for 3e9 (Lemire rejection),
+    in calls of uneven length so the stashed high half-word crosses
+    calls, and ends in the generator's own state."""
+    kernel = _needs_kernel()
+    gen = rng.generator_for(seed, "mesh-traffic")
+    words = _words(_RawStream(seed, "mesh-traffic").position())
+    plan = np.random.default_rng(seed).choice(
+        [0, 1, 2, 3, 6, 3_000_000_000], size=3000)
+    want = [float(gen.random()) if n == 0 else float(gen.integers(n))
+            for n in plan.tolist()]
+    got = []
+    start = 0
+    for count in [1, 2, 3, 5, 8, 13] * 100:
+        ns = plan[start:start + count].astype(np.int64)
+        out = np.zeros(ns.size)
+        kernel.draws(words.ctypes.data, ns.ctypes.data, ns.size,
+                     out.ctypes.data)
+        got += out.tolist()
+        start += count
+        if start >= plan.size:
+            break
+    assert start >= plan.size and got == want
+    state = gen.bit_generator.state
+    assert fastmesh._stream_position(words.tolist()) == (
+        state["state"]["state"], state["state"]["inc"],
+        state["has_uint32"], state["uinteger"])
+
+
+def _lockstep_runs(kernel, cycles):
+    """Python loop and ``kernel``'s run on twin meshes: a Bernoulli
+    lane, a greedy lane and a reply pair, with two-flit source rings."""
+    runs = []
+    for bound in (None, kernel):
+        mesh = BatchedMesh(5, 4, batch=4, buffer_flits=4,
+                           arbiter_kinds=("age", "rr", "rr", "age"),
+                           source_capacity=2)
+        mesh._bind(bound)
+        mc_nodes = [1, 3, 15, 17, 19]
+        sources = [(cycles - 40, BatchedManyToFew(mesh, 0, mc_nodes, seed=5,
+                                                  injection_rate=0.4)),
+                   (cycles, BatchedManyToFew(mesh, 1, mc_nodes, seed=6,
+                                             max_source_backlog=3))]
+        pair = fastmesh._ReplyPair(
+            mesh, ReplySection(cycles - 20, window=25, reply_flits=4), 2,
+            mc_nodes, seed=7)
+        runs.append(fastmesh._MeshRun(mesh, sources, pair))
+    return runs
+
+
+def test_compiled_run_matches_the_python_loop_every_cycle():
+    """One cycle per ``run`` call, compared after each: meshes, streams,
+    controllers and windows.  Source rings grow inside the C loop (the
+    call returns, the ring grows, the call resumes at the same cycle's
+    step), and packets injected by hand before a run join the next
+    step as they do on the Python loop (a reply-flagged one ejected
+    at a controller on the request lane is not its work)."""
+    kernel = _needs_kernel()
+    cycles = 300
+    gold, fast = _lockstep_runs(kernel, cycles)
+    assert not gold.compiled and fast.compiled
+    results = []
+    real = fast._compiled._call
+
+    def counting(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    fast._compiled._call = counting
+    for cycle in range(cycles + 10):
+        if cycle % 37 == 11:
+            for run in (gold, fast):
+                run.mesh.inject(3, 7, 2, 3)
+                run.mesh.inject(0, 4, 9, 1)
+                # a reply-flagged packet on the request lane is no work
+                run.mesh.inject(2, 8, 3, 1, reply=True)
+        gold.run(cycle, cycle + 1)
+        fast.run(cycle, cycle + 1)
+        assert onevc_step.same_state(gold.mesh, fast.mesh), cycle
+        assert gold.pair.controllers() == fast.pair.controllers(), cycle
+        assert gold.pair.samples == fast.pair.samples, cycle
+        assert onevc_step.same_run(gold, fast), cycle
+    assert results.count(onevc_step.STEP_GROW) >= 3
+    assert fast.mesh._queues.cap >= 16
+    assert len(fast.pair.samples) == (cycles - 20) // 25
+    assert sum(c[3] for c in fast.pair.controllers()) > 50
+    assert any(c[0] for c in fast.pair.controllers())   # a backlog
+
+
+def test_compiled_run_in_long_stretches_matches():
+    kernel = _needs_kernel()
+    gold, fast = _lockstep_runs(kernel, 400)
+    for run in (gold, fast):
+        run.run(0, 0)
+        run.run(0, 123)
+        run.run(123, 410)
+    assert onevc_step.same_run(gold, fast)
+    with pytest.raises(MeshConfigError, match="from cycle 410"):
+        fast.run(400, 420)
+
+
+def test_compiled_run_raises_at_the_packet_id_limit():
+    kernel = _needs_kernel()
+    for run in _lockstep_runs(kernel, 100):
+        run.mesh._queues.next_pid = (1 << 32) - 3
+        with pytest.raises(MeshConfigError, match="packet ids"):
+            run.run(0, 10)
+
+
+def test_entry_points_give_the_same_results_under_both_steps(mesh_step):
+    """The fused sections and a load sweep under the fixture's step (and
+    its loop) equal the Python loop on the NumPy step."""
+    def both():
+        return (batched_mesh_sections(
+                    ReplySection(cycles=700, window=50),
+                    [FairnessLane("rr", cycles=500, warmup=100),
+                     FairnessLane("age", cycles=800, warmup=0,
+                                  injection_rate=0.2)], seed=4),
+                batched_load_curves([0.05, 0.3], seeds=(1, 2), cycles=600,
+                                    warmup=150))
+
+    got = both()
+    with mock.patch.object(onevc_step, "kernel", lambda: None):
+        want = both()
+    (reply, lanes), curves = got
+    (want_reply, want_lanes), want_curves = want
+    assert reply.utilization.tolist() == want_reply.utilization.tolist()
+    assert (reply.mean_utilization, reply.peak_utilization) == (
+        want_reply.mean_utilization, want_reply.peak_utilization)
+    assert lanes == want_lanes and curves == want_curves
+
+
+class _WrongRun:
+    """The real kernel, with its run corrupted once, at the fifth call:
+    one draw of the first stream skipped, or one pending request (so
+    its reply) dropped."""
+
+    def __init__(self, real, how):
+        self.context = real.context
+        self.run_context = real.run_context
+        self.step = real.step
+        self.calls = 0
+
+        def run(ctx, run_ctx, stop):
+            res = real.run(ctx, run_ctx, stop)
+            self.calls += 1
+            if self.calls == 5:
+                how(onevc_step._RunContext.from_address(run_ctx))
+            return res
+
+        self.run = run
+
+
+def _skip_a_draw(run_ctx):
+    words = (ctypes.c_uint64 * 6).from_address(run_ctx.stream)
+    bg = np.random.PCG64(0)
+    state, inc, _has32, _buf32 = fastmesh._stream_position(list(words))
+    bg.state = {"bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+    bg.advance(1)
+    inner = bg.state["state"]
+    words[:4] = fastmesh._stream_words(inner["state"], inner["inc"],
+                                       0, 0)[:4]
+
+
+def _drop_a_reply(run_ctx):
+    head = (ctypes.c_int64 * run_ctx.nmc).from_address(run_ctx.mc_head)
+    tail = (ctypes.c_int64 * run_ctx.nmc).from_address(run_ctx.mc_tail)
+    for m in range(run_ctx.nmc):
+        if tail[m] > head[m]:
+            head[m] += 1
+            return
+    raise AssertionError("no pending request to drop")
+
+
+@pytest.mark.parametrize("how", [_skip_a_draw, _drop_a_reply],
+                         ids=["skip-draw", "drop-reply"])
+def test_self_check_rejects_a_wrong_run(how):
+    real = _needs_kernel()
+    assert onevc_step._self_check(real)
+    wrong = _WrongRun(real, how)
+    assert not onevc_step._self_check(wrong)
+    assert wrong.calls >= 5
+
+
+def test_fallback_on_run_self_check_mismatch(fresh_loader, monkeypatch):
+    """A build whose step passes but whose run does not is not used at
+    all: the NumPy step and the Python feeds run, with the same bytes."""
+    if onevc_step._compiler() is None:
+        pytest.skip("needs a host C compiler")
+    want = _sections()
+    monkeypatch.setattr(onevc_step, "_run_check", lambda kernel: False)
+    _expect_numpy(monkeypatch, "self-check mismatch")
+    mesh = BatchedMesh(6, 6, batch=1)
+    assert not fastmesh._MeshRun(mesh, [(10, BatchedManyToFew(
+        mesh, 0, default_mc_nodes()))]).compiled
+    assert _sections() == want
+
+
+# ---------------------------------------------------------------------------
+# One-row meshes
+# ---------------------------------------------------------------------------
+
+def test_default_mc_nodes_lists_each_node_once():
+    assert default_mc_nodes(6, 6) == [1, 3, 5, 31, 33, 35]
+    assert default_mc_nodes(6, 1) == [1, 3, 5]
+    assert default_mc_nodes(8, 1) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("width", [6, 8])
+def test_one_row_mesh_engines_agree(mesh_step, width):
+    """On a one-row mesh the two MC edges are one row: the scalar engine
+    used to replace the first three controllers' delivery sinks (the
+    probe never got work, utilisation 0) while the batched one ticked
+    each controller twice."""
+    shape = {"width": width, "height": 1}
+    reply = [run_reply_bottleneck(cycles=400, window=100, seed=3,
+                                  engine=engine, **shape)
+             for engine in ("scalar", "batched")]
+    assert reply[0].utilization.tolist() == reply[1].utilization.tolist()
+    assert reply[0].mean_utilization > 0
+    fair = [run_fairness_experiment("rr", cycles=400, warmup=100,
+                                    engine=engine, **shape)
+            for engine in ("scalar", "batched")]
+    assert fair[0] == fair[1]
+    curves = [sweep_load([0.1, 0.3], cycles=400, warmup=100, engine=engine,
+                         **shape) for engine in ("scalar", "batched")]
+    assert curves[0] == curves[1]
+
+
+def test_replies_too_long_for_a_packed_code_raise(mesh_step):
+    """The compiled run packs a reply's size into its code: a size past
+    the field takes the Python loop, which rejects it at the inject."""
+    from repro.noc.mesh.lanes import _MAX_PACKET_FLITS
+
+    with pytest.raises(MeshConfigError, match="at most"):
+        batched_mesh_sections(ReplySection(
+            cycles=300, window=100, reply_flits=_MAX_PACKET_FLITS + 1))
