@@ -20,17 +20,11 @@ file directly: ``python benchmarks/bench_perf_engine.py``):
   lockstep simulation; floor 5x), bit-identity verified on the timed
   curves;
 * ``report_mesh`` — the report's three mesh sections (the Fig 21
-  request/reply pair and the Fig 23 rr/age fairness lanes, seed 0) run
-  one section per kernel, as the pool plan's two units (bottleneck,
-  then the fairness pair) and as the in-process report's one fused
-  4-lane lockstep run; min of 3 each, bit-identity of the metrics
-  verified, and the fused run's µs per kernel step (feeds included).
-  The fused run is timed again under the Python loop on the compiled
-  step and on the NumPy step: ``step`` names the step this host selects
-  (``"compiled"`` or ``"numpy"``), ``compiled_run_us_per_cycle`` (the
-  compiled run), ``compiled_us_per_step`` (the compiled step with the
-  Python feeds; both null without a build) and ``numpy_us_per_step``
-  time the three, and ``bit_identical`` covers all of them.  No floor:
+  request/reply pair and the Fig 23 rr/age fairness lanes, seed 0), one
+  run each as the report runs them, on each mesh path: the compiled run,
+  the Python loop on the host's step and on the NumPy step (min of 3
+  each, ``compiled_run_s`` null without a build), with µs per simulated
+  cycle and ``bit_identical`` over the three paths' metrics.  No floor:
   ``cpu_count`` is part of the record;
 * ``fig23_sweep`` — one ``batched_sweep_load`` at the benchmark suite's
   fig23-sweep shape (six rates 0.03-0.4, 3000 cycles, warmup 500): the
@@ -208,58 +202,32 @@ def _mesh_paths():
 
 
 def report_mesh_timings(repeats: int = 3) -> dict:
-    """Per-section, pool-plan and fused runs of the report's mesh tasks."""
+    """The report's mesh tasks, one run per section, on each mesh path."""
     from repro import report
     from repro.noc.mesh import onevc_step
 
     tasks = report._MESH_TASKS
-    fused = report._plan_units(tasks, jobs=None)
-    plans = {
-        "per_section": [(task,) for task in tasks],
-        "pool_plan": report._plan_units(tasks, jobs=2),
-        "fused": fused,
-        "fused_python_feeds": fused,
-        "fused_numpy": fused,
-    }
-    paths = _mesh_paths()
-    cycles = {task: report._FAIRNESS["cycles"] for task in tasks}
-    cycles["mesh-bottleneck"] = report._BOTTLENECK["cycles"]
+    cycles = (report._BOTTLENECK["cycles"]
+              + report._FAIRNESS["cycles"] * (len(tasks) - 1))
     compiled = onevc_step.kernel() is not None
-    record = {"step": "compiled" if compiled else "numpy"}
+    record = {"run": "compiled" if compiled else "python",
+              "compiled_run_s": None, "compiled_run_us_per_cycle": None}
     metrics = {}
-    for name, units in plans.items():
-        # kernel steps: each unit runs as long as its longest section
-        record[f"{name}_steps"] = sum(max(cycles[task] for task in unit)
-                                      for unit in units)
-        path = paths.get(name.removeprefix("fused_"),
-                         contextlib.nullcontext)
+    for name, path in {"compiled_run": contextlib.nullcontext,
+                       **_mesh_paths()}.items():
+        if name == "compiled_run" and not compiled:
+            continue
         best = float("inf")
         with path():
             for _ in range(repeats):
                 start = time.perf_counter()
-                result = {}
-                for unit in units:
-                    result.update(report._mesh_metrics(unit, 0, "batched"))
+                result = {task: report._TASK_FUNCS[task](0, "batched")
+                          for task in tasks}
                 best = min(best, time.perf_counter() - start)
         record[f"{name}_s"] = best
+        record[f"{name}_us_per_cycle"] = best / cycles * MEGA
         metrics[name] = result
-    for name in ("per_section", "pool_plan"):
-        record[f"fused_vs_{name}"] = record["fused_s"] / record[f"{name}_s"]
-
-    def per_cycle(name):
-        return record[f"{name}_s"] / record[f"{name}_steps"] * MEGA
-
-    record["fused_us_per_step"] = per_cycle("fused")
-    record["numpy_us_per_step"] = per_cycle("fused_numpy")
-    # the compiled step under the Python loop, and the compiled run
-    record["compiled_us_per_step"] = (per_cycle("fused_python_feeds")
-                                      if compiled else None)
-    record["compiled_run_us_per_cycle"] = (per_cycle("fused")
-                                           if compiled else None)
-    record["bit_identical"] = (metrics["per_section"] == metrics["pool_plan"]
-                               == metrics["fused"]
-                               == metrics["fused_python_feeds"]
-                               == metrics["fused_numpy"])
+    record["bit_identical"] = len(set(map(repr, metrics.values()))) == 1
     record["cpu_count"] = os.cpu_count()
     return record
 

@@ -10,9 +10,9 @@ round-robin pointers and source queues all stored as per-field 1-D
 arrays indexed by one global slot id
 ``g = lane*slots + node*ports + port`` — so an entire load sweep (every
 arbiter x seed x injection rate, :func:`batched_load_curves`) runs as
-ONE batched simulation, and so do the rr-vs-age fairness lanes and the
-reply-bottleneck request/reply mesh pair, together
-(:func:`batched_mesh_sections`).
+ONE batched simulation, and so do the rr-vs-age fairness lanes
+(:func:`batched_fairness_experiments`) and the reply-bottleneck
+request/reply mesh pair (:func:`batched_reply_bottleneck`).
 
 The contract is **flit-for-flit and statistic-identical** results
 against that one-VC golden model.  Three properties make the
@@ -51,15 +51,14 @@ every array bit-identical; the NumPy step is its reference and its
 fallback.  The same build holds the compiled *run*: the entry points'
 cycle loop (:class:`_MeshRun`: every lane's traffic source, the reply
 pair's memory controllers, the step and the collect) as one C call per
-stretch of cycles between the fairness marks, drawing each lane's
-PCG64 stream word for word as the Python feeds do.  The Python feeds
-and the per-cycle step are its reference and its fallback.
+stretch of cycles (the warm-up, then the measured window), drawing
+each lane's PCG64 stream word for word as the Python feeds do.  The
+Python feeds and the per-cycle step are its reference and its fallback.
 
 Entry points mirror the scalar experiment APIs and return the same
 result dataclasses: :func:`batched_sweep_load`,
 :func:`batched_load_curves`, :func:`batched_fairness_experiment(s)` and
-:func:`batched_reply_bottleneck` (the last three are thin wrappers over
-:func:`batched_mesh_sections`).  ``tests/test_fastmesh_equivalence.py``
+:func:`batched_reply_bottleneck`.  ``tests/test_fastmesh_equivalence.py``
 asserts exact equality on every covered configuration, and the REP004
 lint rule keeps the scalar and batched surfaces from drifting.
 """
@@ -69,7 +68,6 @@ from __future__ import annotations
 import ctypes
 from array import array
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -727,6 +725,27 @@ class BatchedManyToFew:
 # Batched twins of the scalar experiment entry points
 # ---------------------------------------------------------------------------
 
+def _check_window(cycles: int, warmup: int) -> None:
+    if warmup < 0:
+        raise MeshConfigError("warmup must be >= 0")
+    if cycles <= warmup:
+        raise MeshConfigError("cycles must exceed warmup")
+
+
+def _measure(run, warmup: int, cycles: int) -> tuple:
+    """Run to ``warmup``, then to ``cycles``: what each lane delivered in
+    between, as ``(packets, latency sums, packets by source node)``."""
+    mesh = run.mesh
+    run.run(0, warmup)
+    mesh._flush_stats()
+    start = (mesh._d_count.copy(), mesh._d_lat_sum.copy(),
+             mesh._d_by_src.copy())
+    run.run(warmup, cycles)
+    mesh._flush_stats()
+    return (mesh._d_count - start[0], mesh._d_lat_sum - start[1],
+            mesh._d_by_src - start[2])
+
+
 def batched_load_curves(rates, arbiters=("rr", "age"), seeds=(0,),
                         width: int = 6, height: int = 6, cycles: int = 6000,
                         warmup: int = 1500) -> dict:
@@ -750,39 +769,28 @@ def batched_load_curves(rates, arbiters=("rr", "age"), seeds=(0,),
     seeds = list(seeds)
     if not seeds:
         raise MeshConfigError("need at least one seed")
-    if warmup < 0:
-        raise MeshConfigError("warmup must be >= 0")
-    if cycles <= warmup:
-        raise MeshConfigError("cycles must exceed warmup")
+    _check_window(cycles, warmup)
     combos = [(arbiter, seed) for arbiter in arbiters for seed in seeds]
     kinds = tuple(arbiter for arbiter, _seed in combos for _rate in rates)
     mesh = BatchedMesh(width, height, batch=len(kinds), arbiter_kinds=kinds,
                        source_capacity=64 + 1)
     mc_nodes = default_mc_nodes(width, height)
-    sources = [(cycles, BatchedManyToFew(mesh, lane_base * len(rates) + offset,
-                                         mc_nodes, seed=seed,
-                                         injection_rate=rate,
-                                         max_source_backlog=64))
+    sources = [BatchedManyToFew(mesh, lane_base * len(rates) + offset,
+                                mc_nodes, seed=seed, injection_rate=rate,
+                                max_source_backlog=64)
                for lane_base, (_arbiter, seed) in enumerate(combos)
                for offset, rate in enumerate(rates)]
-    n_compute = len(sources[0][1].compute_nodes)
-    run = _MeshRun(mesh, sources)
-    run.run(0, warmup)
-    mesh._flush_stats()
-    start_count = mesh._d_count.copy()
-    start_latency_sum = mesh._d_lat_sum.copy()
-    start_cycle = mesh.cycle
-    run.run(warmup, cycles)
-    mesh._flush_stats()
-    window = mesh.cycle - start_cycle
+    n_compute = len(sources[0].compute_nodes)
+    counts, latency_sums, _by_src = _measure(_MeshRun(mesh, sources), warmup,
+                                             cycles)
+    window = cycles - warmup
     curves = {}
     lane = 0
     for arbiter, seed in combos:
         points = []
         for rate in rates:
-            delivered = int(mesh._d_count[lane] - start_count[lane])
-            latency_sum = float(mesh._d_lat_sum[lane]
-                                - start_latency_sum[lane])
+            delivered = int(counts[lane])
+            latency_sum = float(latency_sums[lane])
             accepted = delivered / window / n_compute
             latency = (latency_sum / delivered) if delivered else float("inf")
             points.append(LoadPoint(offered_rate=rate,
@@ -806,31 +814,6 @@ def batched_sweep_load(rates, arbiter: str = "rr", width: int = 6,
         rates, arbiters=(arbiter,), seeds=(seed,), width=width,
         height=height, cycles=cycles, warmup=warmup)[(arbiter, seed)]
 
-
-
-
-@dataclass(frozen=True)
-class ReplySection:
-    """The Fig 21 request/reply lane pair of :func:`batched_mesh_sections`.
-
-    Fields as in :func:`repro.noc.mesh.interfaces.run_reply_bottleneck`.
-    """
-    cycles: int = 20000
-    window: int = 100
-    reply_flits: int = 5
-    arbiter: str = "rr"
-
-
-@dataclass(frozen=True)
-class FairnessLane:
-    """One Fig 23 fairness lane of :func:`batched_mesh_sections`.
-
-    Fields as in :func:`repro.noc.mesh.traffic.run_fairness_experiment`.
-    """
-    arbiter: str = "rr"
-    cycles: int = 20000
-    warmup: int = 2000
-    injection_rate: float | None = None
 
 
 class _BatchedMemoryNode:
@@ -882,7 +865,7 @@ class _BatchedMemoryNode:
 
 
 class _ReplyPair:
-    """A :class:`ReplySection`'s per-cycle feed and bookkeeping.
+    """The Fig 21 request/reply lane pair's per-cycle feed and bookkeeping.
 
     Lane ``request_lane`` carries the request mesh and the next lane the
     reply mesh; the Python memory-controller model couples them exactly
@@ -890,18 +873,16 @@ class _ReplyPair:
     the first controller's busy cycles are sampled once per window.
     """
 
-    def __init__(self, mesh: BatchedMesh, section: ReplySection,
-                 request_lane: int, mc_nodes, seed: int):
+    def __init__(self, mesh: BatchedMesh, mc_nodes, seed: int, window: int,
+                 reply_flits: int = 5, request_lane: int = 0):
         self.mesh = mesh
-        self.window = section.window
-        self.end = section.cycles
+        self.window = window
         self.request_lane = request_lane
         self.request = BatchedManyToFew(mesh, request_lane, mc_nodes,
                                         seed=seed)
         self._request_feed = self.request.feed
         self.memories = {
-            node: _BatchedMemoryNode(mesh, node,
-                                     reply_flits=section.reply_flits,
+            node: _BatchedMemoryNode(mesh, node, reply_flits=reply_flits,
                                      request_lane=request_lane,
                                      reply_lane=request_lane + 1)
             for node in mc_nodes}
@@ -958,14 +939,13 @@ class _ReplyPair:
 class _MeshRun:
     """A batched run's cycle loop: sources, controllers, step, collect.
 
-    Each cycle feeds the ``(end, BatchedManyToFew)`` sources in list
-    order, each while ``cycle < end``, then the reply pair (its request
-    lane's source, then one tick of every controller), steps the mesh
-    and collects the pair's request tails.  Where the mesh steps with a
-    compiled kernel, :meth:`run` is one call of the compiled run
-    (:class:`_CompiledRun`) per stretch of cycles; otherwise it is the
-    Python feeds and the mesh's step, cycle by cycle, which is the
-    compiled run's reference and its fallback.
+    Each cycle feeds the :class:`BatchedManyToFew` sources in list
+    order, then the reply pair (its request lane's source, then one tick
+    of every controller), steps the mesh and collects the pair's request
+    tails.  Where the mesh steps with a compiled kernel, :meth:`run` is
+    one call of the compiled run (:class:`_CompiledRun`) per stretch of
+    cycles; otherwise it is the Python feeds and the mesh's step, cycle
+    by cycle, which is the compiled run's reference and its fallback.
     """
 
     def __init__(self, mesh: BatchedMesh, sources=(), pair=None):
@@ -994,19 +974,16 @@ class _MeshRun:
         self._compiled.run(stop)
 
     def _run_python(self, start: int, stop: int) -> None:
-        feeds = [(end, source.feed) for end, source in self.sources]
+        feeds = [source.feed for source in self.sources]
         pair = self.pair
-        pair_end = 0
         if pair is not None:
-            feeds.append((pair.end, pair.feed))
-            pair_end = pair.end
+            feeds.append(pair.feed)
         step = self.mesh.step
-        for cycle in range(start, stop):
-            for end, feed in feeds:
-                if cycle < end:
-                    feed()
+        for _cycle in range(start, stop):
+            for feed in feeds:
+                feed()
             step()
-            if cycle < pair_end:
+            if pair is not None:
                 pair.collect()
 
 
@@ -1047,18 +1024,18 @@ class _CompiledRun:
         sources = list(owner.sources)
         pair = owner.pair
         if pair is not None:
-            sources.append((pair.end, pair.request))
+            sources.append(pair.request)
             if pair._ordered[0].reply_flits > _MAX_PACKET_FLITS:
                 return None
         if kernel is None or any(type(source.stream) is not _RawStream
-                                 for _end, source in sources):
+                                 for source in sources):
             return None
         # one cycle's packets: a Bernoulli node defers at most one, a
         # greedy one tops up at most its cap, a controller one reply
         codes_cap = sum(len(source.compute_nodes)
                         * (1 if source.injection_rate is not None
                            else max(source.max_source_backlog, 1))
-                        for _end, source in sources)
+                        for source in sources)
         codes_cap += len(pair._ordered) if pair is not None else 0
         return cls(owner.mesh, kernel, sources, pair, codes_cap)
 
@@ -1069,7 +1046,7 @@ class _CompiledRun:
         self._call = kernel.run
         node_off, mc_off = [0], [0]
         node_q, node_code, mc_code = [], [], []
-        for _end, source in sources:
+        for source in sources:
             node_q += [queue for queue, _code in source.node_codes]
             node_code += [code for _queue, code in source.node_codes]
             node_off.append(len(node_q))
@@ -1078,13 +1055,12 @@ class _CompiledRun:
         i64 = np.int64
         # the context points into these arrays: they live as long as it
         self._arrays = arrays = {
-            "src_end": np.array([end for end, _source in sources], i64),
             "src_maxb": np.array([source.max_source_backlog
-                                  for _end, source in sources], i64),
+                                  for source in sources], i64),
             # a greedy source's rate is -1
             "src_rate": np.array([-1.0 if source.injection_rate is None
                                   else source.injection_rate
-                                  for _end, source in sources]),
+                                  for source in sources]),
             "src_node_off": np.array(node_off, i64),
             "node_q": np.array(node_q, i64),
             "node_code": np.array(node_code, i64),
@@ -1094,7 +1070,7 @@ class _CompiledRun:
             "codes": np.zeros(codes_cap, i64),
             "qpend": np.zeros(mesh._queues.hd.size, i64),
         }
-        pairs = {"nmc": 0, "pair_end": 0, "window": 1}
+        pairs = {"nmc": 0}
         if pair is not None:
             memories = pair._ordered
             mc_of_node = np.full(mesh.num_nodes, -1, i64)
@@ -1105,7 +1081,7 @@ class _CompiledRun:
             arrays["mc_of_node"] = mc_of_node
             first = memories[0]
             pairs.update(
-                nmc=len(memories), pair_end=pair.end, window=pair.window,
+                nmc=len(memories), window=pair.window,
                 reply_flits=first.reply_flits,
                 service=first.service_cycles,
                 limit=first.reply_queue_limit,
@@ -1143,7 +1119,7 @@ class _CompiledRun:
         ctx.next_pid = mesh._queues.next_pid
         ctx.wormhole = mesh._wormhole
         ctx.ntails = mesh._c_ntails
-        words = [word for _end, source in self.sources
+        words = [word for source in self.sources
                  for word in _stream_words(*source.stream.position())]
         self._arrays["stream"][:] = np.array(words, np.uint64).view(np.int64)
         pair = self.pair
@@ -1153,13 +1129,11 @@ class _CompiledRun:
         pending = [memory.pending for memory in memories]
         # a controller takes at most one request per cycle (one eject
         # port per node), so this many pending slots always suffice
-        pcap = max(map(len, pending)) + max(min(stop, pair.end) - mesh.cycle,
-                                            0)
+        pcap = max(map(len, pending)) + stop - mesh.cycle
         pend = np.zeros((len(memories), max(pcap, 1)), np.int64)
         for row, queue in zip(pend, pending):
             row[:len(queue)] = list(queue)
-        windows = (min(stop, pair.end) // pair.window
-                   - min(mesh.cycle, pair.end) // pair.window)
+        windows = stop // pair.window - mesh.cycle // pair.window
         self._pair_arrays = per_call = {
             "mc_cool": np.array([m._cooldown for m in memories], np.int64),
             "mc_busy": np.array([m.busy_cycles for m in memories], np.int64),
@@ -1184,7 +1158,7 @@ class _CompiledRun:
         mesh._wormhole = bool(ctx.wormhole)
         mesh._c_ntails = ctx.ntails
         words = self._arrays["stream"].view(np.uint64).tolist()
-        for index, (_end, source) in enumerate(self.sources):
+        for index, source in enumerate(self.sources):
             source.stream.resume(*_stream_position(
                 words[6 * index:6 * index + 6]))
         pair = self.pair
@@ -1203,83 +1177,6 @@ class _CompiledRun:
         pair._busy_in_window = ctx.busy_in_window
 
 
-def batched_mesh_sections(reply: ReplySection | None = None, fairness=(),
-                          width: int = 6, height: int = 6, seed: int = 0):
-    """A reply-bottleneck pair and any fairness lanes as ONE lockstep run.
-
-    Lanes ``0..k-1`` are the ``k`` fairness lanes (:class:`FairnessLane`),
-    each with its own arbiter kind, cycles, warmup and injection rate; a
-    :class:`ReplySection` adds a request lane ``k`` and a reply lane
-    ``k+1``.  The run lasts the longest section; each section's feeds
-    and bookkeeping stop at its own cycle count.  Lanes share no state,
-    so a finished lane that keeps draining changes no other lane's
-    result.  Returns ``(ReplyBottleneckResult or None,
-    [FairnessResult per lane])``, each equal to its own
-    :func:`~repro.noc.mesh.interfaces.run_reply_bottleneck` /
-    :func:`~repro.noc.mesh.traffic.run_fairness_experiment` run.
-    """
-    from repro.noc.mesh.traffic import FairnessResult
-
-    fairness = list(fairness)
-    if reply is None and not fairness:
-        raise MeshConfigError("need a reply section or a fairness lane")
-    if reply is not None and not 0 < reply.window <= reply.cycles:
-        raise MeshConfigError("need cycles >= window > 0")
-    for lane in fairness:
-        if lane.warmup < 0:
-            raise MeshConfigError("warmup must be >= 0")
-        if lane.cycles <= lane.warmup:
-            raise MeshConfigError("cycles must exceed warmup")
-    kinds = [lane.arbiter for lane in fairness]
-    # source queues grow on demand: capacity only saves regrowth
-    capacities = [8 if lane.injection_rate is None else 64 + 1
-                  for lane in fairness]
-    if reply is not None:
-        kinds += [reply.arbiter] * 2
-        capacities.append(reply.reply_flits * (8 + 1) + 1)
-    mesh = BatchedMesh(width, height, batch=len(kinds),
-                       arbiter_kinds=tuple(kinds),
-                       source_capacity=max(capacities))
-    mc_nodes = default_mc_nodes(width, height)
-    # feeds run in lane order, so the deferred enqueues of one cycle stay
-    # sorted by queue and flush in bulk (the request lane's controllers
-    # flush them all at once when they read the reply backlog)
-    sources = [(lane.cycles,
-                BatchedManyToFew(mesh, index, mc_nodes, seed=seed,
-                                 injection_rate=lane.injection_rate))
-               for index, lane in enumerate(fairness)]
-    pair = None
-    if reply is not None:
-        pair = _ReplyPair(mesh, reply, len(fairness), mc_nodes, seed)
-    run = _MeshRun(mesh, sources, pair)
-    total = max([end for end, _source in sources]
-                + [reply.cycles if reply is not None else 0])
-
-    # per-source delivery counts at every fairness warmup and end cycle:
-    # the run stops at each for the copy
-    marks = dict.fromkeys(c for lane in fairness
-                          for c in (lane.warmup, lane.cycles))
-    cycle = 0
-    for stop in sorted({*marks, total}):
-        run.run(cycle, stop)
-        cycle = stop
-        if stop in marks:
-            mesh._flush_stats()
-            marks[stop] = mesh._d_by_src.copy()
-
-    compute_nodes = [node for node in range(width * height)
-                     if node not in mc_nodes]
-    results = []
-    for index, lane in enumerate(fairness):
-        delta = marks[lane.cycles][index] - marks[lane.warmup][index]
-        window = lane.cycles - lane.warmup
-        throughput = {node: int(delta[node]) / window
-                      for node in compute_nodes}
-        results.append(FairnessResult(arbiter=lane.arbiter,
-                                      throughput=throughput, cycles=window))
-    return (pair.result() if pair is not None else None), results
-
-
 def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
                                  height: int = 6, cycles: int = 20000,
                                  warmup: int = 2000, seed: int = 0,
@@ -1290,13 +1187,26 @@ def batched_fairness_experiments(arbiters=("rr", "age"), width: int = 6,
     one lane per arbiter, identical traffic, identical
     :class:`FairnessResult`s.
     """
-    from repro.noc.mesh.traffic import distinct_arbiters
+    from repro.noc.mesh.traffic import FairnessResult, distinct_arbiters
     arbiters = distinct_arbiters(arbiters)
-    _reply, results = batched_mesh_sections(
-        fairness=[FairnessLane(arbiter, cycles, warmup, injection_rate)
-                  for arbiter in arbiters],
-        width=width, height=height, seed=seed)
-    return {result.arbiter: result for result in results}
+    _check_window(cycles, warmup)
+    # source queues grow on demand: capacity only saves regrowth
+    mesh = BatchedMesh(width, height, batch=len(arbiters),
+                       arbiter_kinds=tuple(arbiters),
+                       source_capacity=8 if injection_rate is None
+                       else 64 + 1)
+    mc_nodes = default_mc_nodes(width, height)
+    sources = [BatchedManyToFew(mesh, lane, mc_nodes, seed=seed,
+                                injection_rate=injection_rate)
+               for lane in range(len(arbiters))]
+    _counts, _latency_sums, by_src = _measure(_MeshRun(mesh, sources),
+                                              warmup, cycles)
+    window = cycles - warmup
+    return {arbiter: FairnessResult(
+                arbiter=arbiter, cycles=window,
+                throughput={node: int(by_src[lane, node]) / window
+                            for node in sources[lane].compute_nodes})
+            for lane, arbiter in enumerate(arbiters)}
 
 
 def batched_fairness_experiment(arbiter: str = "rr", width: int = 6,
@@ -1317,7 +1227,11 @@ def batched_reply_bottleneck(cycles: int = 20000, window: int = 100,
 
     Twin of :func:`repro.noc.mesh.interfaces.run_reply_bottleneck`.
     """
-    reply, _results = batched_mesh_sections(
-        reply=ReplySection(cycles, window, reply_flits, arbiter),
-        width=width, height=height, seed=seed)
-    return reply
+    if not 0 < window <= cycles:
+        raise MeshConfigError("need cycles >= window > 0")
+    mesh = BatchedMesh(width, height, batch=2, arbiter_kinds=arbiter,
+                       source_capacity=reply_flits * (8 + 1) + 1)
+    pair = _ReplyPair(mesh, default_mc_nodes(width, height), seed, window,
+                      reply_flits)
+    _MeshRun(mesh, pair=pair).run(0, cycles)
+    return pair.result()

@@ -356,13 +356,13 @@ typedef struct {
      * ring grew after them); the k codes of that cycle and their first
      * age key; the packet-id counter and the wormhole flag */
     i64 cycle, fed, k, b0, next_pid, wormhole, ntails;
-    /* traffic sources, fed in order while cycle < src_end */
+    /* traffic sources, fed in order every cycle */
     i64 nsrc, codes_cap;
-    /* the reply pair: nmc controllers (0: none) ticking while
-     * cycle < pair_end; request tails on request_lane become work */
-    i64 nmc, pair_end, window, reply_flits, service, limit, reply_base,
-        request_lane, pcap, busy_in_window, nsamples;
-    const i64 *src_end, *src_maxb;
+    /* the reply pair: nmc controllers (0: none) ticking every cycle;
+     * request tails on request_lane become work */
+    i64 nmc, window, reply_flits, service, limit, reply_base, request_lane,
+        pcap, busy_in_window, nsamples;
+    const i64 *src_maxb;
     const double *src_rate;         /* < 0: a greedy source */
     const i64 *src_node_off, *node_q, *node_code, *src_mc_off, *mc_code;
     i64 *stream;                    /* STREAM_WORDS per source */
@@ -394,8 +394,6 @@ static i64 feed(onevc_ctx *c, onevc_run_ctx *r, i64 cycle)
         u64 n_mc = (u64)(r->src_mc_off[s + 1] - r->src_mc_off[s]);
         double rate = r->src_rate[s];
         i64 maxb = r->src_maxb[s];
-        if (cycle >= r->src_end[s])
-            continue;
         for (i = r->src_node_off[s]; i < r->src_node_off[s + 1]; i++) {
             /* start-of-cycle backlog: a node is visited once a cycle */
             i64 have = c->qln[r->node_q[i]];
@@ -410,8 +408,8 @@ static i64 feed(onevc_ctx *c, onevc_run_ctx *r, i64 cycle)
             }
         }
     }
-    if (cycle < r->pair_end) {
-        i64 probe = r->nmc ? r->mc_busy[0] : 0;
+    if (r->nmc) {
+        i64 probe = r->mc_busy[0];
         for (m = 0; m < r->nmc; m++) {
             i64 node = r->mc_node[m], q = r->reply_base + node, requester;
             if (r->mc_cool[m] > 0) {
@@ -437,8 +435,7 @@ static i64 feed(onevc_ctx *c, onevc_run_ctx *r, i64 cycle)
             r->mc_cool[m] = r->service - 1;
             r->mc_busy[m] += 1;
         }
-        if (r->nmc)
-            r->busy_in_window += r->mc_busy[0] - probe;
+        r->busy_in_window += r->mc_busy[0] - probe;
     }
     for (i = 0; i < r->k; i++)
         r->qpend[r->codes[i] >> PEND_Q_SHIFT] = 0;
@@ -510,7 +507,7 @@ i64 onevc_run(onevc_ctx *c, onevc_run_ctx *r, i64 stop)
             return res;
         r->fed = 0;
         r->ntails = res;
-        if (cycle < r->pair_end) {
+        if (r->nmc) {
             res = collect(c, r, cycle);
             if (res)
                 return res;

@@ -93,14 +93,13 @@ class _RunContext(ctypes.Structure):
     """The C ``onevc_run_ctx``: the run's position, sources, controllers."""
     _fields_ = ([(name, _I64) for name in (
         "cycle", "fed", "k", "b0", "next_pid", "wormhole", "ntails", "nsrc",
-        "codes_cap", "nmc", "pair_end", "window", "reply_flits", "service",
-        "limit", "reply_base", "request_lane", "pcap", "busy_in_window",
-        "nsamples")]
+        "codes_cap", "nmc", "window", "reply_flits", "service", "limit",
+        "reply_base", "request_lane", "pcap", "busy_in_window", "nsamples")]
         + [(name, _PTR) for name in (
-            "src_end", "src_maxb", "src_rate", "src_node_off", "node_q",
-            "node_code", "src_mc_off", "mc_code", "stream", "mc_node",
-            "mc_of_node", "mc_cool", "mc_busy", "mc_served", "mc_head",
-            "mc_tail", "mc_pend", "samples", "codes", "qpend")])
+            "src_maxb", "src_rate", "src_node_off", "node_q", "node_code",
+            "src_mc_off", "mc_code", "stream", "mc_node", "mc_of_node",
+            "mc_cool", "mc_busy", "mc_served", "mc_head", "mc_tail",
+            "mc_pend", "samples", "codes", "qpend")])
 
 
 _FLOAT_FIELDS = frozenset({"d_lat_sum", "d_lat_min", "d_lat_max",
@@ -443,7 +442,7 @@ def same_run(gold, fast) -> bool:
 
 
 def _run_state(run) -> tuple:
-    sources = [source for _end, source in run.sources]
+    sources = list(run.sources)
     pair = run.pair
     if pair is None:
         return [source.stream.position() for source in sources], None
@@ -452,14 +451,14 @@ def _run_state(run) -> tuple:
             (pair.controllers(), pair.samples, pair._busy_in_window))
 
 
-def _mixed_run(kernel: Kernel | None, cycles: int):
+def _mixed_run(kernel: Kernel | None):
     """A Bernoulli lane, a greedy lane and a reply pair on one mesh.
 
-    Two-flit source rings grow in the middle of runs, the sections end
-    at different cycles, and ``kernel`` None takes the Python loop.
+    Two-flit source rings grow in the middle of runs, and ``kernel``
+    None takes the Python loop.
     """
     from repro.noc.mesh.fastmesh import (BatchedManyToFew, BatchedMesh,
-                                         ReplySection, _MeshRun, _ReplyPair)
+                                         _MeshRun, _ReplyPair)
 
     mesh = BatchedMesh(4, 3, batch=4, buffer_flits=3,
                        arbiter_kinds=("rr", "age", "age", "rr"),
@@ -467,27 +466,25 @@ def _mixed_run(kernel: Kernel | None, cycles: int):
     mesh._bind(kernel)
     mc_nodes = [1, 3, 8, 10]
     # the Bernoulli lane often finds its backlog cap reached
-    sources = [(cycles - 15, BatchedManyToFew(mesh, 0, mc_nodes, seed=1,
-                                              injection_rate=0.6,
-                                              max_source_backlog=2)),
-               (cycles, BatchedManyToFew(mesh, 1, mc_nodes, seed=2))]
-    pair = _ReplyPair(mesh, ReplySection(cycles - 8, window=10), 2,
-                      mc_nodes, seed=3)
+    sources = [BatchedManyToFew(mesh, 0, mc_nodes, seed=1,
+                                injection_rate=0.6, max_source_backlog=2),
+               BatchedManyToFew(mesh, 1, mc_nodes, seed=2)]
+    pair = _ReplyPair(mesh, mc_nodes, seed=3, window=10, request_lane=2)
     return _MeshRun(mesh, sources, pair)
 
 
 def _run_check(candidate: Kernel, cycles: int = 120) -> bool:
     """:func:`_mixed_run` on the Python loop vs ``candidate``'s run,
-    in stretches of 1 to 7 cycles, compared after each (:func:`same_run`)
-    and run past every section's end."""
+    in stretches of 1 to 7 cycles up to ``cycles``, compared after each
+    (:func:`same_run`)."""
     from repro.errors import MeshConfigError
 
-    gold, fast = _mixed_run(None, cycles), _mixed_run(candidate, cycles)
+    gold, fast = _mixed_run(None), _mixed_run(candidate)
     if not fast.compiled:
         return False
     cycle = 0
-    for length in (1, 2, 1, 7) * (cycles // 7):
-        if cycle > cycles:
+    for length in (1, 2, 1, 7) * (cycles // 11 + 1):
+        if cycle >= cycles:
             break
         gold.run(cycle, cycle + length)
         try:

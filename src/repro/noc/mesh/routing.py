@@ -58,10 +58,14 @@ def neighbor(node: int, port: Port, width: int, height: int) -> int:
 def default_mc_nodes(width: int = 6, height: int = 6) -> list:
     """Memory-controller placement: spread along top and bottom edges.
 
-    Each node is listed once, in order: on a one-row mesh the top and
-    bottom edges are the same row, and a controller listed twice would
-    be two controllers on one node.
+    Columns 1, 3 and 5, those of them inside the mesh.  Each node is
+    listed once, in order: on a one-row mesh the top and bottom edges
+    are the same row, and a controller listed twice would be two
+    controllers on one node.
     """
-    cols = [1, 3, 5]
+    cols = [col for col in (1, 3, 5) if col < width]
+    if not cols:
+        raise MeshConfigError(
+            f"no memory-controller column fits a {width}-wide mesh")
     return list(dict.fromkeys(cols + [(height - 1) * width + c
                                       for c in cols]))

@@ -11,13 +11,10 @@ the three mesh experiments).  Each task is a pure function of
 two fast paths possible:
 
 * ``jobs=N`` runs the tasks across a process pool via
-  :class:`repro.exec.SweepRunner` — results are bit-identical to the
-  serial run because every task builds its own devices and every mesh
-  lane replays its own traffic streams.  In-process, every mesh
-  section to compute (the Fig 21 request/reply pair and the two Fig 23
-  fairness lanes) runs as one 4-lane lockstep run; with a pool the
-  bottleneck and the fairness pair stay separate units, so they
-  overlap;
+  :class:`repro.exec.SweepRunner`, one task per unit — results are
+  bit-identical to the serial run because every task builds its own
+  devices or its own mesh (the Fig 21 request/reply pair, or one Fig 23
+  fairness lane), and every mesh lane replays its own traffic streams;
 * ``cache=DIR`` memoizes each task's metrics on disk under a
   content-addressed key (:mod:`repro.exec.cache`), so a re-run with the
   same seed and specs only re-renders markdown.
@@ -26,6 +23,7 @@ two fast paths possible:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.gpu.device import SimulatedGPU
 
@@ -97,93 +95,41 @@ def _bandwidth_metrics(seed: int, engine: str) -> dict:
 #: fixed run parameters of the mesh sections
 _BOTTLENECK = {"cycles": 6000, "window": 100}
 _FAIRNESS = {"cycles": 10000, "warmup": 2000}
-_FAIRNESS_PAIR = ("mesh-fairness-rr", "mesh-fairness-age")
-_MESH_TASKS = ("mesh-bottleneck",) + _FAIRNESS_PAIR
+_MESH_TASKS = ("mesh-bottleneck", "mesh-fairness-rr", "mesh-fairness-age")
 _DEVICE_TASKS = ("latency", "bandwidth")
 
 
-def _mesh_metrics(tasks, seed: int, engine: str) -> dict:
-    """``{task: metrics}`` of the mesh sections ``tasks``.
+def _bottleneck_metrics(seed: int, engine: str) -> dict:
+    from repro.noc.mesh.interfaces import run_reply_bottleneck
+    reply = run_reply_bottleneck(**_BOTTLENECK, seed=seed, engine=engine)
+    return {"mean_utilization": float(reply.mean_utilization)}
 
-    The batched engine runs every listed section as one lockstep run
-    (:func:`repro.noc.mesh.fastmesh.batched_mesh_sections`); the scalar
-    oracle runs one section at a time.
-    """
-    arbiters = [task.rpartition("-")[2] for task in tasks
-                if task in _FAIRNESS_PAIR]
-    bottleneck = "mesh-bottleneck" in tasks
-    if engine == "batched":
-        from repro.noc.mesh import fastmesh
-        reply, results = fastmesh.batched_mesh_sections(
-            reply=fastmesh.ReplySection(**_BOTTLENECK) if bottleneck
-            else None,
-            fairness=[fastmesh.FairnessLane(arbiter, **_FAIRNESS)
-                      for arbiter in arbiters],
-            seed=seed)
-    else:
-        from repro.noc.mesh.interfaces import run_reply_bottleneck
-        from repro.noc.mesh.traffic import run_fairness_experiment
-        reply = (run_reply_bottleneck(**_BOTTLENECK, seed=seed,
-                                      engine=engine)
-                 if bottleneck else None)
-        results = [run_fairness_experiment(arbiter, **_FAIRNESS, seed=seed,
-                                           engine=engine)
-                   for arbiter in arbiters]
-    metrics = {}
-    if reply is not None:
-        metrics["mesh-bottleneck"] = {
-            "mean_utilization": float(reply.mean_utilization)}
-    for arbiter, result in zip(arbiters, results):
-        vals = result.values
-        metrics[f"mesh-fairness-{arbiter}"] = {
-            "max": float(vals.max()), "mean": float(vals.mean()),
+
+def _fairness_metrics(arbiter: str, seed: int, engine: str) -> dict:
+    from repro.noc.mesh.traffic import run_fairness_experiment
+    vals = run_fairness_experiment(arbiter, **_FAIRNESS, seed=seed,
+                                   engine=engine).values
+    return {"max": float(vals.max()), "mean": float(vals.mean()),
             "std": float(vals.std())}
-    return metrics
-
-
-def _mesh_section(task: str):
-    """One mesh section alone, as a ``(seed, engine) -> metrics`` task."""
-    return lambda seed, engine: _mesh_metrics((task,), seed, engine)[task]
 
 
 _TASK_FUNCS = {
     "latency": _latency_metrics,
     "bandwidth": _bandwidth_metrics,
-    **{task: _mesh_section(task) for task in _MESH_TASKS},
+    "mesh-bottleneck": _bottleneck_metrics,
+    "mesh-fairness-rr": partial(_fairness_metrics, "rr"),
+    "mesh-fairness-age": partial(_fairness_metrics, "age"),
 }
 
 
 def _report_task(args) -> dict:
-    """Sweep-runner worker: ``{task: metrics}`` of one pool unit.
+    """Sweep-runner worker: one task's metrics.
 
-    A unit is one device task or a set of mesh sections (see
-    :func:`_plan_units`).  ``engine`` is the unit's own axis:
-    scalar/vectorized for the device tasks, scalar/batched for the mesh
-    tasks.
+    ``engine`` is the task's own axis: scalar/vectorized for the device
+    tasks, scalar/batched for the mesh tasks.
     """
-    tasks, seed, engine = args
-    if tasks[0] in _MESH_TASKS:
-        return _mesh_metrics(tasks, seed, engine)
-    (task,) = tasks
-    return {task: _TASK_FUNCS[task](seed, engine)}
-
-
-def _plan_units(missing, jobs) -> list:
-    """Pool units for the ``missing`` tasks, in task order.
-
-    Each device task is its own unit.  In-process (``jobs`` None or 1)
-    every missing mesh section joins one unit, one lockstep run; with a
-    pool the bottleneck and the fairness sections are separate units,
-    so the two runs overlap.
-    """
-    units = [(task,) for task in missing if task not in _MESH_TASKS]
-    mesh = tuple(task for task in missing if task in _MESH_TASKS)
-    if jobs is not None and jobs > 1:
-        units += [(task,) for task in mesh if task not in _FAIRNESS_PAIR]
-        mesh = tuple(task for task in mesh if task in _FAIRNESS_PAIR)
-    if mesh:
-        units.append(mesh)
-    return units
+    task, seed, engine = args
+    return _TASK_FUNCS[task](seed, engine)
 
 
 def _task_payload(task: str, seed: int) -> dict:
@@ -210,9 +156,7 @@ def _collect_metrics(tasks, seed: int, jobs, cache,
     Device tasks run on ``engine`` (scalar/vectorized); mesh tasks run on
     ``mesh_engine`` (scalar/batched); ``None`` is the registry default.
     The per-task engine is folded into each task's cache key, so entries
-    never alias across engines.  Missing tasks run as the pool units of
-    :func:`_plan_units`: in-process, all missing mesh sections are one
-    lockstep run.
+    never alias across engines.  Each missing task is one pool unit.
     """
     from repro import engines as engine_registry
     from repro.exec import cache_key
@@ -235,17 +179,15 @@ def _collect_metrics(tasks, seed: int, jobs, cache,
             metrics[task] = cached
         else:
             missing.append(task)
-    units = _plan_units(missing, jobs)
-    if units:
+    if missing:
         from repro.exec import SweepRunner
         computed = SweepRunner(jobs).map(
             _report_task,
-            [(unit, seed, _task_engine(unit[0])) for unit in units])
-        for result in computed:
-            for task, value in result.items():
-                metrics[task] = value
-                if cache is not None:
-                    cache.put(_key(task), value)
+            [(task, seed, _task_engine(task)) for task in missing])
+        for task, value in zip(missing, computed):
+            metrics[task] = value
+            if cache is not None:
+                cache.put(_key(task), value)
     return metrics
 
 

@@ -7,9 +7,8 @@ tolerances.  Covered axes: mesh width/height, both arbiters, Bernoulli
 and greedy sources, seeds, multi-flit wormhole packets, batch slicings
 (one lane per config vs many lanes in one ``BatchedMesh``), and every
 public entry-point pair (``sweep_load``, ``batched_load_curves``,
-``run_fairness_experiment(s)``, ``run_reply_bottleneck``), and the
-fused ``batched_mesh_sections`` run that carries the reply pair and the
-fairness lanes in one kernel.
+``run_fairness_experiment(s)``, ``run_reply_bottleneck``), with the
+fairness lanes both in one kernel and one kernel each.
 
 Mirrors ``tests/test_fastpath_equivalence.py``, which pins the
 measurement-engine (``vectorized``) side of the same contract.
@@ -25,12 +24,9 @@ from repro.errors import ConfigurationError, MeshConfigError
 from repro.noc.mesh.fastmesh import (
     BatchedManyToFew,
     BatchedMesh,
-    FairnessLane,
-    ReplySection,
     batched_fairness_experiment,
     batched_fairness_experiments,
     batched_load_curves,
-    batched_mesh_sections,
     batched_reply_bottleneck,
     batched_sweep_load,
 )
@@ -46,8 +42,8 @@ from repro.noc.mesh.traffic import (
 from repro.noc.mesh.vc import one_vc_mesh
 
 # (width, height, arbiter, injection_rate [None = greedy], seed, mc_nodes)
-# ``default_mc_nodes`` assumes a 6-wide mesh, so narrower meshes carry
-# an explicit MC placement.
+# The narrower meshes carry an explicit MC placement instead of the
+# default one (columns 1, 3 and 5 of the top and bottom rows).
 SPECS = [
     (6, 6, "rr", 0.05, 0, None),
     (6, 6, "rr", 0.3, 1, None),
@@ -210,7 +206,7 @@ def test_lockstep_bursts_bulk_flush(arbiters):
     holds several packets per queue, appended out of lane and queue
     order), 1- and 4-flit packets in one flush, source queues that start
     at two flits, and backlog reads between same-cycle injects.  The
-    mixed rr/age batch is the report's fused run in small: wormhole
+    mixed rr/age batch is the fairness pair's run in small: wormhole
     locks and round-robin pointers written on every grant of every lane.
     The eject outputs' sentinel slot must stay empty throughout."""
     width, height, lanes = 3, 3, len(arbiters)
@@ -373,48 +369,46 @@ def _assert_same_bottleneck(a, b):
 
 
 # (reply cycles, fairness arbiters, fairness cycles, warmup, rate)
-FUSED_CASES = [
+SECTION_CASES = [
     (400, ("age",), 700, 150, None),
     (800, ("rr", "age"), 500, 150, None),
-    # Bernoulli lanes beside the greedy request feed and 5-flit replies
+    # Bernoulli fairness lanes
     (600, ("rr", "age"), 600, 100, 0.2),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("reply_cycles,arbiters,cycles,warmup,rate",
-                         FUSED_CASES,
+                         SECTION_CASES,
                          ids=["reply-shorter", "reply-longer", "bernoulli"])
 def test_fused_sections_match_scalar_and_separate_runs(
         reply_cycles, arbiters, cycles, warmup, rate, seed):
-    reply, fused = batched_mesh_sections(
-        ReplySection(cycles=reply_cycles, window=100),
-        [FairnessLane(a, cycles=cycles, warmup=warmup, injection_rate=rate)
-         for a in arbiters],
-        seed=seed)
-    _assert_same_bottleneck(reply, run_reply_bottleneck(
-        cycles=reply_cycles, window=100, seed=seed, engine="scalar"))
-    _assert_same_bottleneck(reply, batched_reply_bottleneck(
-        cycles=reply_cycles, window=100, seed=seed))
-    assert [result.arbiter for result in fused] == list(arbiters)
+    """The batched twin of each report section equals its scalar run:
+    the reply pair, and the fairness lanes both in one mesh and one mesh
+    per arbiter."""
+    _assert_same_bottleneck(
+        batched_reply_bottleneck(cycles=reply_cycles, window=100, seed=seed),
+        run_reply_bottleneck(cycles=reply_cycles, window=100, seed=seed,
+                             engine="scalar"))
     kwargs = dict(cycles=cycles, warmup=warmup, seed=seed,
                   injection_rate=rate)
     scalar = run_fairness_experiments(arbiters, engine="scalar", **kwargs)
-    separate = batched_fairness_experiments(arbiters, **kwargs)
-    assert dict(zip(arbiters, fused)) == scalar == separate
+    fused = batched_fairness_experiments(arbiters, **kwargs)
+    separate = {arbiter: batched_fairness_experiment(arbiter, **kwargs)
+                for arbiter in arbiters}
+    assert list(fused) == list(arbiters)
+    assert fused == scalar == separate
 
 
 def test_fused_sections_validate_each_section():
-    with pytest.raises(MeshConfigError, match="reply section or"):
-        batched_mesh_sections()
+    """Each section's twin rejects its own run shape."""
     with pytest.raises(MeshConfigError, match="cycles >= window"):
-        batched_mesh_sections(ReplySection(cycles=50, window=100))
+        batched_reply_bottleneck(cycles=50, window=100)
+    with pytest.raises(MeshConfigError, match="cycles >= window"):
+        batched_reply_bottleneck(cycles=100, window=0)
     with pytest.raises(MeshConfigError, match="cycles must exceed warmup"):
-        batched_mesh_sections(fairness=[FairnessLane(cycles=100),
-                                        FairnessLane(cycles=100, warmup=50)])
-    assert batched_mesh_sections(ReplySection(cycles=100))[1] == []
-    assert batched_mesh_sections(
-        fairness=[FairnessLane(cycles=100, warmup=50)])[0] is None
+        batched_fairness_experiments(cycles=100, warmup=100)
+    assert batched_reply_bottleneck(cycles=100).utilization.size == 1
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batched"])

@@ -17,7 +17,8 @@ each step; this module adds:
   PCG64 draws against the real Generator, its state against the Python
   loop every cycle, the entry points' results under both steps, and the
   self-check rejecting a run that skips a draw or drops a reply;
-* the batched and scalar engines agree on one-row meshes.
+* the batched and scalar engines agree on one-row meshes and on
+  meshes too narrow for every default memory-controller column.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from repro import engines, rng
 from repro.errors import MeshConfigError
 from repro.noc.mesh import fastmesh, onevc_step
 from repro.noc.mesh.fastmesh import (BatchedManyToFew, BatchedMesh,
-                                     FairnessLane, ReplySection,
+                                     batched_fairness_experiment,
+                                     batched_fairness_experiments,
                                      batched_load_curves,
-                                     batched_mesh_sections)
+                                     batched_reply_bottleneck)
 from repro.noc.mesh.interfaces import run_reply_bottleneck
 from repro.noc.mesh.lanes import _RawStream
 from repro.noc.mesh.loadcurve import sweep_load
@@ -147,10 +149,8 @@ def test_out_of_range_lane_fails_at_the_call(mesh_step, lane):
 # ---------------------------------------------------------------------------
 
 def _sections():
-    reply, lanes = batched_mesh_sections(
-        ReplySection(cycles=300, window=100),
-        [FairnessLane("rr", cycles=300, warmup=50),
-         FairnessLane("age", cycles=300, warmup=50)], seed=3)
+    reply = batched_reply_bottleneck(cycles=300, window=100, seed=3)
+    lanes = batched_fairness_experiments(cycles=300, warmup=50, seed=3)
     return reply.utilization.tolist(), lanes
 
 
@@ -388,7 +388,7 @@ def test_compiled_stream_replays_the_generator(seed):
         state["has_uint32"], state["uinteger"])
 
 
-def _lockstep_runs(kernel, cycles):
+def _lockstep_runs(kernel):
     """Python loop and ``kernel``'s run on twin meshes: a Bernoulli
     lane, a greedy lane and a reply pair, with two-flit source rings."""
     runs = []
@@ -398,13 +398,12 @@ def _lockstep_runs(kernel, cycles):
                            source_capacity=2)
         mesh._bind(bound)
         mc_nodes = [1, 3, 15, 17, 19]
-        sources = [(cycles - 40, BatchedManyToFew(mesh, 0, mc_nodes, seed=5,
-                                                  injection_rate=0.4)),
-                   (cycles, BatchedManyToFew(mesh, 1, mc_nodes, seed=6,
-                                             max_source_backlog=3))]
-        pair = fastmesh._ReplyPair(
-            mesh, ReplySection(cycles - 20, window=25, reply_flits=4), 2,
-            mc_nodes, seed=7)
+        sources = [BatchedManyToFew(mesh, 0, mc_nodes, seed=5,
+                                    injection_rate=0.4),
+                   BatchedManyToFew(mesh, 1, mc_nodes, seed=6,
+                                    max_source_backlog=3)]
+        pair = fastmesh._ReplyPair(mesh, mc_nodes, seed=7, window=25,
+                                   reply_flits=4, request_lane=2)
         runs.append(fastmesh._MeshRun(mesh, sources, pair))
     return runs
 
@@ -418,7 +417,7 @@ def test_compiled_run_matches_the_python_loop_every_cycle():
     at a controller on the request lane is not its work)."""
     kernel = _needs_kernel()
     cycles = 300
-    gold, fast = _lockstep_runs(kernel, cycles)
+    gold, fast = _lockstep_runs(kernel)
     assert not gold.compiled and fast.compiled
     results = []
     real = fast._compiled._call
@@ -428,7 +427,7 @@ def test_compiled_run_matches_the_python_loop_every_cycle():
         return results[-1]
 
     fast._compiled._call = counting
-    for cycle in range(cycles + 10):
+    for cycle in range(cycles):
         if cycle % 37 == 11:
             for run in (gold, fast):
                 run.mesh.inject(3, 7, 2, 3)
@@ -443,14 +442,14 @@ def test_compiled_run_matches_the_python_loop_every_cycle():
         assert onevc_step.same_run(gold, fast), cycle
     assert results.count(onevc_step.STEP_GROW) >= 3
     assert fast.mesh._queues.cap >= 16
-    assert len(fast.pair.samples) == (cycles - 20) // 25
+    assert len(fast.pair.samples) == cycles // 25
     assert sum(c[3] for c in fast.pair.controllers()) > 50
     assert any(c[0] for c in fast.pair.controllers())   # a backlog
 
 
 def test_compiled_run_in_long_stretches_matches():
     kernel = _needs_kernel()
-    gold, fast = _lockstep_runs(kernel, 400)
+    gold, fast = _lockstep_runs(kernel)
     for run in (gold, fast):
         run.run(0, 0)
         run.run(0, 123)
@@ -462,33 +461,32 @@ def test_compiled_run_in_long_stretches_matches():
 
 def test_compiled_run_raises_at_the_packet_id_limit():
     kernel = _needs_kernel()
-    for run in _lockstep_runs(kernel, 100):
+    for run in _lockstep_runs(kernel):
         run.mesh._queues.next_pid = (1 << 32) - 3
         with pytest.raises(MeshConfigError, match="packet ids"):
             run.run(0, 10)
 
 
 def test_entry_points_give_the_same_results_under_both_steps(mesh_step):
-    """The fused sections and a load sweep under the fixture's step (and
-    its loop) equal the Python loop on the NumPy step."""
+    """The report's section twins and a load sweep under the fixture's
+    step (and its loop) equal the Python loop on the NumPy step."""
     def both():
-        return (batched_mesh_sections(
-                    ReplySection(cycles=700, window=50),
-                    [FairnessLane("rr", cycles=500, warmup=100),
-                     FairnessLane("age", cycles=800, warmup=0,
-                                  injection_rate=0.2)], seed=4),
+        return (batched_reply_bottleneck(cycles=700, window=50, seed=4),
+                batched_fairness_experiments(cycles=500, warmup=100, seed=4),
+                batched_fairness_experiment("age", cycles=800, warmup=0,
+                                            seed=4, injection_rate=0.2),
                 batched_load_curves([0.05, 0.3], seeds=(1, 2), cycles=600,
                                     warmup=150))
 
     got = both()
     with mock.patch.object(onevc_step, "kernel", lambda: None):
         want = both()
-    (reply, lanes), curves = got
-    (want_reply, want_lanes), want_curves = want
+    reply, *rest = got
+    want_reply, *want_rest = want
     assert reply.utilization.tolist() == want_reply.utilization.tolist()
     assert (reply.mean_utilization, reply.peak_utilization) == (
         want_reply.mean_utilization, want_reply.peak_utilization)
-    assert lanes == want_lanes and curves == want_curves
+    assert rest == want_rest
 
 
 class _WrongRun:
@@ -554,13 +552,13 @@ def test_fallback_on_run_self_check_mismatch(fresh_loader, monkeypatch):
     monkeypatch.setattr(onevc_step, "_run_check", lambda kernel: False)
     _expect_numpy(monkeypatch, "self-check mismatch")
     mesh = BatchedMesh(6, 6, batch=1)
-    assert not fastmesh._MeshRun(mesh, [(10, BatchedManyToFew(
-        mesh, 0, default_mc_nodes()))]).compiled
+    assert not fastmesh._MeshRun(mesh, [BatchedManyToFew(
+        mesh, 0, default_mc_nodes())]).compiled
     assert _sections() == want
 
 
 # ---------------------------------------------------------------------------
-# One-row meshes
+# One-row and narrow meshes
 # ---------------------------------------------------------------------------
 
 def test_default_mc_nodes_lists_each_node_once():
@@ -590,11 +588,37 @@ def test_one_row_mesh_engines_agree(mesh_step, width):
     assert curves[0] == curves[1]
 
 
+def test_default_mc_nodes_keep_the_columns_inside_the_mesh():
+    assert default_mc_nodes(4, 4) == [1, 3, 13, 15]
+    assert default_mc_nodes(5, 3) == [1, 3, 11, 13]
+    assert default_mc_nodes(2, 2) == [1, 3]
+    assert default_mc_nodes(7, 2) == [1, 3, 5, 8, 10, 12]
+    with pytest.raises(MeshConfigError, match="1-wide mesh"):
+        default_mc_nodes(1, 4)
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 3)])
+def test_narrow_mesh_engines_agree(mesh_step, width, height):
+    """Meshes narrower than six columns used to get a controller outside
+    the mesh (``MC node 17 outside mesh`` on 4x4) on both engines."""
+    shape = {"width": width, "height": height}
+    reply = [run_reply_bottleneck(cycles=400, window=100, seed=3,
+                                  engine=engine, **shape)
+             for engine in ("scalar", "batched")]
+    assert reply[0].utilization.tolist() == reply[1].utilization.tolist()
+    assert reply[0].mean_utilization > 0
+    fair = [run_fairness_experiment(arbiter, cycles=400, warmup=100,
+                                    engine=engine, **shape)
+            for arbiter in ("rr", "age") for engine in ("scalar", "batched")]
+    assert fair[0] == fair[1] and fair[2] == fair[3]
+    assert fair[0].total_throughput > 0
+
+
 def test_replies_too_long_for_a_packed_code_raise(mesh_step):
     """The compiled run packs a reply's size into its code: a size past
     the field takes the Python loop, which rejects it at the inject."""
     from repro.noc.mesh.lanes import _MAX_PACKET_FLITS
 
     with pytest.raises(MeshConfigError, match="at most"):
-        batched_mesh_sections(ReplySection(
-            cycles=300, window=100, reply_flits=_MAX_PACKET_FLITS + 1))
+        batched_reply_bottleneck(cycles=300, window=100,
+                                 reply_flits=_MAX_PACKET_FLITS + 1)

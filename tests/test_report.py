@@ -32,7 +32,7 @@ def test_report_cli(capsys):
     assert "| experiment |" in out
 
 
-# ------------------------------------------------- engines and fusion
+# ------------------------------------------------- engines and sections
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_device_sections_equal_across_engines(seed):
@@ -55,105 +55,55 @@ def test_device_task_keys_are_stable(task, seed, expected):
                          "device:vectorized") == expected
 
 
-def _fairness_key(task: str, seed: int = 0) -> str:
+def _mesh_key(task: str, seed: int = 0) -> str:
     return cache_key("report-task", report_mod._task_payload(task, seed),
                      "mesh:batched")
 
 
-def _count_fairness_runs(patch, calls: list, sections: list | None = None,
-                         meshes: list | None = None) -> None:
-    """Record the fairness arbiter tuple of every lockstep mesh run
-    started; optionally each run's report sections in ``sections`` and
-    the lane count of every ``BatchedMesh`` built in ``meshes``."""
-    from repro.noc.mesh import fastmesh
-    real_run = fastmesh.batched_mesh_sections
+def _count_meshes(patch) -> list:
+    """The arbiter kinds of every ``BatchedMesh`` built from now on, one
+    tuple (one kind per lane) per mesh."""
+    from repro.noc.mesh import fastmesh, onevc_step
+    onevc_step.kernel()         # a fresh build's self-check builds meshes
+    meshes: list = []
     real_mesh = fastmesh.BatchedMesh
-
-    def counting(reply=None, fairness=(), **kwargs):
-        arbiters = tuple(lane.arbiter for lane in fairness)
-        calls.append(arbiters)
-        if sections is not None:
-            sections.append(("mesh-bottleneck",) * (reply is not None)
-                            + tuple(f"mesh-fairness-{a}" for a in arbiters))
-        return real_run(reply, fairness, **kwargs)
 
     class CountedMesh(real_mesh):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            if meshes is not None:
-                meshes.append(self.batch)
+            meshes.append(self.arbiter_kinds)
 
-    patch.setattr(fastmesh, "batched_mesh_sections", counting)
     patch.setattr(fastmesh, "BatchedMesh", CountedMesh)
+    return meshes
 
 
 @pytest.fixture(scope="module")
 def cold_report(tmp_path_factory):
-    """A fully cold seed-0 report, its cache and its mesh runs."""
-    runs = SimpleNamespace(calls=[], sections=[], meshes=[])
+    """A fully cold seed-0 report and its cache."""
     cache = ResultCache(str(tmp_path_factory.mktemp("cold-report")))
-    with pytest.MonkeyPatch.context() as patch:
-        _count_fairness_runs(patch, runs.calls, runs.sections, runs.meshes)
-        markdown = generate_report(seed=0, cache=cache)
-    return markdown, cache, runs
+    return generate_report(seed=0, cache=cache), cache
 
 
-def test_cold_report_runs_one_lockstep_mesh(cold_report):
-    """In-process, the bottleneck pair and both fairness lanes share one
-    4-lane ``BatchedMesh``."""
-    _, _, runs = cold_report
-    assert runs.sections == [report_mod._MESH_TASKS]
-    assert runs.meshes == [4]
-
-
-def test_cached_rr_runs_bottleneck_and_age_together(cold_report, tmp_path,
-                                                    monkeypatch):
-    _, full, _ = cold_report
-    cache = ResultCache(str(tmp_path))
-    key = _fairness_key("mesh-fairness-rr")
-    cache.put(key, full.get(key))
-    calls: list = []
-    sections: list = []
-    meshes: list = []
-    _count_fairness_runs(monkeypatch, calls, sections, meshes)
-    metrics = report_mod._collect_metrics(list(report_mod._MESH_TASKS), 0,
-                                          None, cache)
-    assert sections == [("mesh-bottleneck", "mesh-fairness-age")]
-    assert meshes == [3]
-    for task in report_mod._MESH_TASKS:
-        assert metrics[task] == full.get(_fairness_key(task))
-
-
-def test_pool_plan_keeps_bottleneck_and_fairness_pair_apart():
-    plan = report_mod._plan_units
-    tasks = list(report_mod._DEVICE_TASKS) + list(report_mod._MESH_TASKS)
-    device = [("latency",), ("bandwidth",)]
-    for jobs in (None, 1):
-        assert plan(tasks, jobs) == device + [report_mod._MESH_TASKS]
-    for jobs in (2, 4):
-        assert plan(tasks, jobs) == device + [("mesh-bottleneck",),
-                                              report_mod._FAIRNESS_PAIR]
-    assert plan(["mesh-bottleneck", "mesh-fairness-age"], 2) \
-        == [("mesh-bottleneck",), ("mesh-fairness-age",)]
-    assert plan(["mesh-fairness-rr", "mesh-fairness-age"], None) \
-        == [report_mod._FAIRNESS_PAIR]
-    assert plan([], 2) == []
-
-
-def test_fused_fairness_equals_per_section(cold_report):
-    _, cache, _ = cold_report
-    for task in report_mod._FAIRNESS_PAIR:
-        assert cache.get(_fairness_key(task)) \
-            == report_mod._TASK_FUNCS[task](0, "batched")
+@pytest.mark.parametrize("jobs", [None, 1])
+def test_cold_report_runs_one_mesh_per_section(cold_report, tmp_path,
+                                               monkeypatch, jobs):
+    """Each mesh section is its own run, whatever ``jobs`` is: the
+    bottleneck's request/reply pair (2 lanes), then one lane for each
+    fairness arbiter."""
+    markdown, _ = cold_report
+    meshes = _count_meshes(monkeypatch)
+    assert generate_report(seed=0, jobs=jobs,
+                           cache=ResultCache(str(tmp_path))) == markdown
+    assert meshes == [("rr", "rr"), ("rr",), ("age",)]
 
 
 def test_partial_cache_computes_only_missing_section(cold_report, tmp_path,
                                                      monkeypatch):
-    markdown, full, _ = cold_report
+    markdown, full = cold_report
     cache = ResultCache(str(tmp_path))
-    key = _fairness_key("mesh-fairness-rr")
-    cache.put(key, full.get(key))
-    calls: list = []
-    _count_fairness_runs(monkeypatch, calls)
+    for task in ("mesh-bottleneck", "mesh-fairness-rr"):
+        key = _mesh_key(task)
+        cache.put(key, full.get(key))
+    meshes = _count_meshes(monkeypatch)
     assert generate_report(seed=0, cache=cache) == markdown
-    assert calls == [("age",)]
+    assert meshes == [("age",)]
